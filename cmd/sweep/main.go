@@ -17,7 +17,6 @@
 //	sweep -reps 4 -cache-dir .sweepcache    # persist results; re-runs resume warm
 //	sweep -reps 4 -cache-dir .sweepcache -compact   # summary-only records on disk
 //	sweep -cache-dir .sweepcache -compact-store     # rewrite live records, drop dead bytes
-//	sweep -cache-dir .sweepcache -store-format jsonl    # keep writing v2 JSONL segments
 //	curl -sN -H 'Accept: application/x-sweep-tlv' ... | sweep -decode-tlv -
 //	                                                # binary sweep stream -> canonical JSONL
 //	cat proxy.jsonl sweepd.jsonl | sweep -decode-trace -
@@ -64,7 +63,6 @@ func main() {
 		cacheDir     = flag.String("cache-dir", "", "persist the result cache to this directory; re-runs over completed scenarios resume warm")
 		compact      = flag.Bool("compact", false, "with -cache-dir: store summary-only records (per-cell moments, no raw samples)")
 		compactStore = flag.Bool("compact-store", false, "with -cache-dir: compact the on-disk store (drop superseded and corrupt entries, rewrite live records into fresh segments) and exit")
-		storeFormat  = flag.String("store-format", "", "with -cache-dir: record encoding for newly written segments, "+store.FormatTLV+" (default) or "+store.FormatJSONL+"; existing segments stay readable either way")
 		decodeTLV    = flag.String("decode-tlv", "", "decode a binary sweep stream ("+tlv.MediaType+") from this file (\"-\" for stdin) to JSONL on stdout and exit")
 		decodeTrace  = flag.String("decode-trace", "", "render JSONL span exports (sweepd/sweep-proxy -trace-out) from this file (\"-\" for stdin) as per-trace hop tables and exit")
 		version      = flag.Bool("version", false, "print the build version and exit")
@@ -81,7 +79,7 @@ func main() {
 	// -compact-store would leave the user believing the store was
 	// compacted (or its records slimmed) when nothing happened, and a
 	// negative -workers would silently run at GOMAXPROCS.
-	if err := validateFlags(*cacheDir, *storeFormat, *compact, *compactStore, *workers, *reps); err != nil {
+	if err := validateFlags(*cacheDir, *compact, *compactStore, *workers, *reps); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		fmt.Fprintln(os.Stderr, "run with -h for usage")
 		os.Exit(2)
@@ -102,7 +100,7 @@ func main() {
 	}
 
 	if *compactStore {
-		st, err := store.Open(*cacheDir, store.Options{Compact: *compact, Format: *storeFormat})
+		st, err := store.Open(*cacheDir, store.Options{Compact: *compact})
 		if err != nil {
 			fatal(err)
 		}
@@ -129,7 +127,7 @@ func main() {
 	cache := sweep.Shared
 	var st *store.Store
 	if *cacheDir != "" {
-		st, err = store.Open(*cacheDir, store.Options{Compact: *compact, Format: *storeFormat})
+		st, err = store.Open(*cacheDir, store.Options{Compact: *compact})
 		if err != nil {
 			fatal(err)
 		}
@@ -229,7 +227,7 @@ func main() {
 // validateFlags rejects flag combinations that ask for on-disk cache
 // behaviour without a cache directory to apply it to, and nonsensical
 // numeric values that would otherwise be silently reinterpreted.
-func validateFlags(cacheDir, storeFormat string, compact, compactStore bool, workers, reps int) error {
+func validateFlags(cacheDir string, compact, compactStore bool, workers, reps int) error {
 	if workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", workers)
 	}
@@ -241,14 +239,6 @@ func validateFlags(cacheDir, storeFormat string, compact, compactStore bool, wor
 	}
 	if compactStore && cacheDir == "" {
 		return fmt.Errorf("-compact-store requires -cache-dir (there is no store to compact)")
-	}
-	switch storeFormat {
-	case "", store.FormatTLV, store.FormatJSONL:
-	default:
-		return fmt.Errorf("-store-format must be %s or %s, got %q", store.FormatTLV, store.FormatJSONL, storeFormat)
-	}
-	if storeFormat != "" && cacheDir == "" {
-		return fmt.Errorf("-store-format requires -cache-dir (the encoding is a property of the on-disk store)")
 	}
 	return nil
 }

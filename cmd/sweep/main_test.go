@@ -18,28 +18,23 @@ func TestValidateFlagsRejectsBadCombinations(t *testing.T) {
 	cases := []struct {
 		name                  string
 		cacheDir              string
-		storeFormat           string
 		compact, compactStore bool
 		workers, reps         int
 		wantErr               string
 	}{
-		{"compact-no-dir", "", "", true, false, 0, 1, "-compact requires -cache-dir"},
-		{"compact-store-no-dir", "", "", false, true, 0, 1, "-compact-store requires -cache-dir"},
-		{"both-no-dir", "", "", true, true, 0, 1, "-compact requires -cache-dir"},
-		{"compact-with-dir", ".c", "", true, false, 0, 1, ""},
-		{"compact-store-with-dir", ".c", "", false, true, 0, 1, ""},
-		{"plain", "", "", false, false, 0, 1, ""},
-		{"negative-workers", "", "", false, false, -1, 1, "-workers must be >= 0"},
-		{"explicit-workers", "", "", false, false, 4, 1, ""},
-		{"zero-reps", "", "", false, false, 0, 0, "-reps must be >= 1"},
-		{"negative-reps", "", "", false, false, 0, -3, "-reps must be >= 1"},
-		{"format-tlv", ".c", "tlv", false, false, 0, 1, ""},
-		{"format-jsonl", ".c", "jsonl", false, false, 0, 1, ""},
-		{"format-unknown", ".c", "protobuf", false, false, 0, 1, "-store-format must be tlv or jsonl"},
-		{"format-no-dir", "", "tlv", false, false, 0, 1, "-store-format requires -cache-dir"},
+		{"compact-no-dir", "", true, false, 0, 1, "-compact requires -cache-dir"},
+		{"compact-store-no-dir", "", false, true, 0, 1, "-compact-store requires -cache-dir"},
+		{"both-no-dir", "", true, true, 0, 1, "-compact requires -cache-dir"},
+		{"compact-with-dir", ".c", true, false, 0, 1, ""},
+		{"compact-store-with-dir", ".c", false, true, 0, 1, ""},
+		{"plain", "", false, false, 0, 1, ""},
+		{"negative-workers", "", false, false, -1, 1, "-workers must be >= 0"},
+		{"explicit-workers", "", false, false, 4, 1, ""},
+		{"zero-reps", "", false, false, 0, 0, "-reps must be >= 1"},
+		{"negative-reps", "", false, false, 0, -3, "-reps must be >= 1"},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.cacheDir, c.storeFormat, c.compact, c.compactStore, c.workers, c.reps)
+		err := validateFlags(c.cacheDir, c.compact, c.compactStore, c.workers, c.reps)
 		if c.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", c.name, err)

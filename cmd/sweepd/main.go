@@ -15,7 +15,6 @@
 //	sweepd -cache-dir .follow -queue-depth -1 -follow http://writer:8080
 //	                                                  # following replica: segment-ships
 //	                                                  # the writer's store, serves reads
-//	sweepd -cache-dir .sweep-cache -store-format jsonl # keep writing v2 JSONL segments
 //	sweepd -tlv-batch-records 128 -tlv-batch-bytes 131072 # TLV stream batching
 //	sweepd -ops-addr :6060 -trace-out spans.jsonl -trace-sample 1 -slow-ms 250
 //	                                                  # pprof/metrics listener, span
@@ -53,7 +52,6 @@ func main() {
 		gridJobs     = flag.Int("grid-jobs", 0, "concurrent grid requests (/v1/sweep, /v1/deltas) (0 = default 16)")
 		maxGrid      = flag.Int("max-grid", 0, "reject grids expanding past this many scenarios (0 = default 65536)")
 		retryAfter   = flag.Int("retry-after", 0, "Retry-After seconds attached to 429 shed responses (0 = default 1)")
-		storeFormat  = flag.String("store-format", "", "with -cache-dir: record encoding for newly written store segments, tlv (default) or jsonl; existing segments stay readable either way")
 		batchRecs    = flag.Int("tlv-batch-records", 0, "records per flushed batch on negotiated binary /v1/sweep streams (0 = default 64)")
 		batchBytes   = flag.Int("tlv-batch-bytes", 0, "bytes per flushed batch on negotiated binary /v1/sweep streams (0 = default 64KiB)")
 		follow       = flag.String("follow", "", "follow a writer sweepd at this base URL: pull its segment feed into -cache-dir (pair with -queue-depth -1 for a pure read replica)")
@@ -76,7 +74,7 @@ func main() {
 	// the cmd/sweep convention: a silently clamped -sim-workers or a
 	// replica with nothing to serve would run while doing the wrong
 	// thing.
-	if err := validateFlags(*cacheDir, *storeFormat, *compact, *simWorkers, *queueDepth, *gridJobs,
+	if err := validateFlags(*cacheDir, *compact, *simWorkers, *queueDepth, *gridJobs,
 		*maxGrid, *retryAfter, *batchRecs, *batchBytes, *follow, *followEvery, *drainTimeout,
 		*traceOut, *traceSample, *slowMs); err != nil {
 		fmt.Fprintln(os.Stderr, "sweepd:", err)
@@ -108,7 +106,6 @@ func main() {
 	srv, err := sixgedge.NewSweepServer(sixgedge.ServeOptions{
 		CacheDir:           *cacheDir,
 		Compact:            *compact,
-		StoreFormat:        *storeFormat,
 		SimWorkers:         *simWorkers,
 		QueueDepth:         *queueDepth,
 		MaxGridJobs:        *gridJobs,
@@ -200,7 +197,7 @@ func main() {
 }
 
 // validateFlags rejects nonsensical combinations up front.
-func validateFlags(cacheDir, storeFormat string, compact bool, simWorkers, queueDepth, gridJobs,
+func validateFlags(cacheDir string, compact bool, simWorkers, queueDepth, gridJobs,
 	maxGrid, retryAfter, batchRecs, batchBytes int, follow string, followEvery, drainTimeout time.Duration,
 	traceOut string, traceSample, slowMs int) error {
 	if simWorkers < 0 {
@@ -223,14 +220,6 @@ func validateFlags(cacheDir, storeFormat string, compact bool, simWorkers, queue
 	}
 	if batchBytes < 0 {
 		return fmt.Errorf("-tlv-batch-bytes must be >= 0 (0 = default 64KiB), got %d", batchBytes)
-	}
-	switch storeFormat {
-	case "", "tlv", "jsonl":
-	default:
-		return fmt.Errorf("-store-format must be tlv or jsonl, got %q", storeFormat)
-	}
-	if storeFormat != "" && cacheDir == "" {
-		return fmt.Errorf("-store-format requires -cache-dir (the encoding is a property of the on-disk store)")
 	}
 	if drainTimeout < 0 {
 		return fmt.Errorf("-drain-timeout must be >= 0, got %v", drainTimeout)

@@ -157,10 +157,12 @@ func TestSweepHealsCorruptedCacheRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
 	second, err := sweep.Run(persistGrid, sweep.Options{Workers: 2, Cache: sweep.NewPersistentCache(st2)})
 	if err != nil {
 		t.Fatalf("corrupted cache must never fail the sweep: %v", err)
+	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if runs.Load() != int64(len(victims)) {
 		t.Fatalf("re-simulated %d campaigns, want exactly the %d damaged ones",

@@ -115,11 +115,6 @@ type Options struct {
 	// (meaningful with CacheDir; 0 keeps the store default). Small
 	// values exercise rotation; replication tests lean on it.
 	SegmentBytes int64
-	// StoreFormat selects the encoding for newly written store segments
-	// (meaningful with CacheDir): "" or "tlv" for the v3 binary
-	// encoding, "jsonl" for the v2 JSON-lines encoding. Reads always
-	// handle both.
-	StoreFormat string
 	// StreamBatchRecords / StreamBatchBytes tune the TLV stream batch
 	// thresholds: a batch flushes once it holds this many records or
 	// this many bytes, whichever first (0 selects
@@ -314,7 +309,7 @@ func New(opts Options) (*Server, error) {
 	s.retryAfter = fmt.Sprint(retryAfter)
 	if s.cache == nil {
 		if opts.CacheDir != "" {
-			st, err := store.Open(opts.CacheDir, store.Options{Compact: opts.Compact, SegmentBytes: opts.SegmentBytes, Format: opts.StoreFormat})
+			st, err := store.Open(opts.CacheDir, store.Options{Compact: opts.Compact, SegmentBytes: opts.SegmentBytes})
 			if err != nil {
 				return nil, err
 			}
@@ -442,9 +437,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Close releases the store (when the server owns one) without draining
 // the HTTP side; it is idempotent and safe while handlers are still
-// running (a write-through Put racing the close commits its record but
-// may skip the index line — the next Open re-simulates that scenario,
-// it never reads a corrupt one). Prefer Shutdown for running
+// running: a write-through Put that loses the race to the close fails
+// instead of committing, so the cache counts a store error and the
+// handler still answers from memory. Prefer Shutdown for running
 // listeners.
 func (s *Server) Close() error {
 	if s.st == nil {

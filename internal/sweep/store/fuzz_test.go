@@ -9,17 +9,16 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/sweep/tlv"
 )
 
 // fuzzResults are the payloads the harness stores, simulated once per
@@ -49,31 +48,31 @@ func payloads(t *testing.T) []*campaign.Result {
 // the hashed-shard path.
 var fuzzIDs = []string{"aa00", "aa11", "bc22", "ff33", "zz-fallback", "Q"}
 
-// envelopeLine is the exact line Put writes for a result, the byte
-// string the property compares against.
-func envelopeLine(t *testing.T, id string, res *campaign.Result, compact bool) []byte {
-	t.Helper()
-	line, err := json.Marshal(record{V: FormatVersion, ID: id, Result: res.State(compact)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return line
+// envelopeFrame is the exact TLV frame Put writes for a result, the
+// byte string the property compares against.
+func envelopeFrame(id string, res *campaign.Result, compact bool) []byte {
+	st := res.State(compact)
+	return tlv.AppendEnvelope(nil, id, &st)
 }
 
-// crashTail simulates a process dying mid-Put: a torn, newline-less
-// partial record appended to one of the store's segment files while the
-// store is closed.
-func crashTail(t *testing.T, dir string, pick int) {
+// crashTail simulates a process dying mid-Put while the store is
+// closed: a torn frame — the frame magic, the full payload length, then
+// a cut-off payload — appended to one of the store's TLV segments. It
+// reports whether there was a segment to tear.
+func crashTail(t *testing.T, dir string, pick int) bool {
 	t.Helper()
 	var segs []string
 	filepath.WalkDir(filepath.Join(dir, segmentsDir), func(p string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(p, segSuffix) {
+		if err != nil || d.IsDir() {
+			return nil
+		}
+		if _, isTLV, ok := parseSegName(d.Name()); ok && isTLV {
 			segs = append(segs, p)
 		}
 		return nil
 	})
 	if len(segs) == 0 {
-		return
+		return false
 	}
 	sort.Strings(segs)
 	f, err := os.OpenFile(segs[pick%len(segs)], os.O_WRONLY|os.O_APPEND, 0o644)
@@ -81,16 +80,18 @@ func crashTail(t *testing.T, dir string, pick int) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.WriteString(`{"v":1,"id":"torn-never-acknowledg`); err != nil {
+	frame := envelopeFrame("aatorn", payloads(t)[0], true)
+	if _, err := f.Write(frame[:len(frame)/2]); err != nil {
 		t.Fatal(err)
 	}
+	return true
 }
 
 // runStoreOps replays one op sequence against a real store directory,
 // keeping a model of every acknowledged record, and asserts the store
 // never disagrees with the model — not on any Get, and not after the
-// final reopen.
-func runStoreOps(t *testing.T, ops []byte) {
+// final reopen. It returns how many crashes it injected.
+func runStoreOps(t *testing.T, ops []byte) (crashes int) {
 	if len(ops) > 300 {
 		ops = ops[:300]
 	}
@@ -121,21 +122,23 @@ func runStoreOps(t *testing.T, ops []byte) {
 			if err := st.Put(id, res); err != nil {
 				t.Fatalf("Put(%s): %v", id, err)
 			}
-			model[id] = envelopeLine(t, id, res, compact)
+			model[id] = envelopeFrame(id, res, compact)
 		case 3, 4:
 			got, ok := st.Get(id)
 			want, has := model[id]
 			if ok != has {
 				t.Fatalf("Get(%s) = %t, model says %t", id, ok, has)
 			}
-			if ok && !bytes.Equal(envelopeLine(t, id, got, compact), want) {
+			if ok && !bytes.Equal(envelopeFrame(id, got, compact), want) {
 				t.Fatalf("Get(%s) returned bytes differing from the acknowledged Put", id)
 			}
 		case 5:
 			reopen()
 		case 6:
 			st.Close()
-			crashTail(t, dir, int(b>>3))
+			if crashTail(t, dir, int(b>>3)) {
+				crashes++
+			}
 			reopen()
 		case 7:
 			if _, err := st.Compact(); err != nil {
@@ -158,13 +161,14 @@ func runStoreOps(t *testing.T, ops []byte) {
 		if !ok {
 			t.Fatalf("acknowledged record %s lost after final reopen", id)
 		}
-		if !bytes.Equal(envelopeLine(t, id, got, compact), model[id]) {
+		if !bytes.Equal(envelopeFrame(id, got, compact), model[id]) {
 			t.Fatalf("record %s no longer byte-identical after final reopen", id)
 		}
 	}
 	if st.Len() != len(model) {
 		t.Fatalf("Len = %d after final reopen, want %d", st.Len(), len(model))
 	}
+	return crashes
 }
 
 // FuzzStore is the coverage-guided entry point; CI runs it as a short
@@ -183,12 +187,17 @@ func FuzzStore(f *testing.F) {
 // TestStoreRandomOpsProperty replays seeded random interleavings on
 // every test run — the deterministic slice of the fuzz space.
 func TestStoreRandomOpsProperty(t *testing.T) {
+	crashes := 0
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ops := make([]byte, 200)
 		rng.Read(ops)
 		t.Run(string(rune('A'+seed)), func(t *testing.T) {
-			runStoreOps(t, ops)
+			crashes += runStoreOps(t, ops)
 		})
 	}
+	if crashes == 0 {
+		t.Fatal("the seeded runs injected no crash: the harness tests nothing torn")
+	}
+	t.Logf("%d torn frames injected", crashes)
 }

@@ -41,17 +41,13 @@ type SegmentInfo struct {
 	Format string `json:"format,omitempty"`
 }
 
-// FormatTLV and FormatJSONL name the two segment encodings in wire
-// parameters and manifests; the empty string reads as JSONL everywhere
-// a format travels, so pre-TLV peers interoperate unchanged.
-const (
-	FormatTLV   = formatTLV
-	FormatJSONL = formatJSONL
-)
+// FormatTLV names the v3 segment encoding in wire parameters and
+// manifests. The empty string (or "jsonl") names a legacy v2 segment,
+// so pre-TLV peers interoperate unchanged.
+const FormatTLV = formatTLV
 
 // parseWireFormat maps a format carried in a manifest entry or query
-// parameter. Unlike Options.Format (where empty selects the TLV
-// default), an absent wire format means JSONL: every segment shipped
+// parameter. An absent wire format means JSONL: every segment shipped
 // before formats existed was JSONL.
 func parseWireFormat(format string) (isTLV bool, err error) {
 	switch format {
@@ -184,14 +180,6 @@ func (s *Store) IngestSegment(shard string, seg int, format string, data []byte)
 	if err != nil {
 		return err
 	}
-	// Seal shipped JSONL bytes exactly like scanShards seals a crashed
-	// tail: a snapshot cut mid-append must read as one garbage line, not
-	// glue onto a future re-ship. TLV bytes are never sealed — frames
-	// are self-delimiting, and a stray newline would just be garbage the
-	// resync scan steps over, so don't plant one.
-	if !isTLV && len(data) > 0 && data[len(data)-1] != '\n' {
-		data = append(append([]byte(nil), data...), '\n')
-	}
 	if err := os.MkdirAll(s.shardDir(shard), 0o755); err != nil {
 		return fmt.Errorf("store: ingest %s/%d: %w", shard, seg, err)
 	}
@@ -227,53 +215,21 @@ func (s *Store) IngestSegment(shard string, seg int, format string, data []byte)
 		ss.tail.Close() //sweepvet:allow(close) handle names a file the rename above already replaced
 		ss.tail = nil
 	}
-	if seg > ss.tailSeg {
-		ss.tailSeg = seg
-		ss.tailTLV = isTLV
-	}
+	ss.tailSeg = max(ss.tailSeg, appendSeg(seg, isTLV))
 	// Recompute this segment's contribution to the location map from the
-	// fresh bytes: forget what pointed here, then fold the scan.
+	// fresh bytes: forget what pointed here, then fold the scan and
+	// append the index lines. A failed index append is recovered by the
+	// next open's rescan.
 	for id, l := range s.loc {
 		if l.shard == shard && l.seg == seg && l.tlv == isTLV {
 			delete(s.loc, id)
 		}
 	}
-	s.foldSegmentBytesLocked(shard, seg, isTLV, data)
+	s.scanSegmentBytes(shard, seg, isTLV, data, func(id string, l location) {
+		s.appendIndexLocked(id, l) //nolint:errcheck
+	})
 	s.bumpGenLocked(int64(len(data)))
 	return nil
-}
-
-// foldSegmentBytesLocked scans shipped segment bytes — the in-memory
-// twin of scanSegment — folding parseable records into the location map
-// and appending their index lines.
-func (s *Store) foldSegmentBytesLocked(shard string, seg int, isTLV bool, data []byte) {
-	if isTLV {
-		s.scanTLVBytes(shard, seg, data, func(id string, l location) {
-			// Best-effort like the JSONL path: a failed index append is
-			// recovered by the next open's rescan.
-			s.appendIndexLocked(id, l) //nolint:errcheck
-		})
-		return
-	}
-	var off int64
-	for len(data) > 0 {
-		line := data
-		adv := len(data)
-		for i, b := range data {
-			if b == '\n' {
-				line = data[:i]
-				adv = i + 1
-				break
-			}
-		}
-		if id, ok := parseRecordLine(line, shard); ok {
-			l := location{shard: shard, seg: seg, off: off, n: int64(len(line))}
-			s.loc[id] = l
-			s.appendIndexLocked(id, l) //nolint:errcheck
-		}
-		off += int64(adv)
-		data = data[adv:]
-	}
 }
 
 // DropSegment removes a segment the writer no longer lists — the
@@ -295,7 +251,7 @@ func (s *Store) DropSegment(shard string, seg int, format string) error {
 			delete(s.loc, id)
 		}
 	}
-	if ss := s.shards[shard]; ss != nil && ss.tail != nil && ss.tailSeg == seg && ss.tailTLV == isTLV {
+	if ss := s.shards[shard]; ss != nil && ss.tail != nil && ss.tailSeg == seg && isTLV {
 		ss.tail.Close() //sweepvet:allow(close) handle names the segment being dropped
 		ss.tail = nil
 	}

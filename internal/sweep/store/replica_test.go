@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -105,35 +106,50 @@ func TestIngestShipsRecordsByteIdentically(t *testing.T) {
 // hides only itself, every complete record still serves, and a later
 // re-ingest of the full segment heals the missing record.
 func TestIngestTornSnapshotHeals(t *testing.T) {
-	for _, format := range []string{FormatJSONL, FormatTLV} {
+	for _, format := range []string{formatJSONL, FormatTLV} {
 		t.Run(format, func(t *testing.T) {
-			writer := open(t, t.TempDir(), Options{Format: format})
-			if err := writer.Put("ee11", testResult(t, 3)); err != nil {
-				t.Fatal(err)
+			shard, kept, lost := "ee", "ee11", "ee22"
+			var full []byte
+			if format == FormatTLV {
+				writer := open(t, t.TempDir(), Options{})
+				if err := writer.Put(kept, testResult(t, 3)); err != nil {
+					t.Fatal(err)
+				}
+				if err := writer.Put(lost, testResult(t, 4)); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if full, err = writer.ReadSegment(shard, 0, format); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				// The store no longer writes JSONL: build a two-record v2
+				// segment from the golden layout's aa01 line and a copy of
+				// it renamed to aa02.
+				shard, kept, lost = "aa", "aa01", "aa02"
+				line, err := os.ReadFile(filepath.Join("testdata", "v2-layout", "segments", "aa", "seg-0000.jsonl"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				renamed := bytes.Replace(line, []byte(`"id":"aa01"`), []byte(`"id":"aa02"`), 1)
+				full = append(append([]byte(nil), line...), renamed...)
 			}
-			if err := writer.Put("ee22", testResult(t, 4)); err != nil {
-				t.Fatal(err)
-			}
-			full, err := writer.ReadSegment("ee", 0, format)
-			if err != nil {
-				t.Fatal(err)
-			}
-			torn := full[:len(full)-10] // cuts into ee22's record
+			torn := full[:len(full)-10] // cuts into the second record
 
-			replica := open(t, t.TempDir(), Options{Format: format})
-			if err := replica.IngestSegment("ee", 0, format, torn); err != nil {
+			replica := open(t, t.TempDir(), Options{})
+			if err := replica.IngestSegment(shard, 0, format, torn); err != nil {
 				t.Fatal(err)
 			}
-			if !replica.Has("ee11") {
+			if !replica.Has(kept) {
 				t.Fatal("complete record must survive a torn snapshot")
 			}
-			if replica.Has("ee22") {
+			if replica.Has(lost) {
 				t.Fatal("torn record must not be acknowledged")
 			}
-			if err := replica.IngestSegment("ee", 0, format, full); err != nil {
+			if err := replica.IngestSegment(shard, 0, format, full); err != nil {
 				t.Fatal(err)
 			}
-			if !replica.Has("ee22") {
+			if _, ok := replica.Get(lost); !ok {
 				t.Fatal("re-ingest of the full segment must heal the record")
 			}
 		})

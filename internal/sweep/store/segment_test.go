@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -296,27 +297,30 @@ func segmentsByExt(t *testing.T, dir string) (jsonl, tlvSegs []string) {
 	return jsonl, tlvSegs
 }
 
-// TestStoreMixedFormatsReopenAndCompact is the v2/v3 coexistence
-// contract: a store that accumulated JSONL segments under the legacy
-// format keeps serving them byte-untouched after a reopen in the TLV
-// default, new appends land as v3 frames beside them, and Compact
-// transcodes the whole store to the write format without changing any
-// answer.
-func TestStoreMixedFormatsReopenAndCompact(t *testing.T) {
+// goldenV2IDs are the records inside testdata/v2-layout, the checked-in
+// golden v2 store no future code change may stop reading. The store no
+// longer writes v2, so these bytes are the frozen contract.
+var goldenV2IDs = []string{"aa01", "ab11", "cd22"}
+
+// copyGoldenV2 copies testdata/v2-layout into a fresh directory tests
+// may open and modify.
+func copyGoldenV2(t *testing.T) string {
+	t.Helper()
 	dir := t.TempDir()
-	res := testResult(t, 5)
-	legacy := open(t, dir, Options{Format: FormatJSONL})
-	jsonIDs := []string{"aa01", "ab11"}
-	for _, id := range jsonIDs {
-		if err := legacy.Put(id, res); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "v2-layout"))); err != nil {
+		t.Fatalf("copy golden v2 layout: %v", err)
 	}
-	legacy.Close()
-	v2Segs, v3Segs := segmentsByExt(t, dir)
-	if len(v2Segs) == 0 || len(v3Segs) != 0 {
-		t.Fatalf("legacy store wrote %d JSONL / %d TLV segments", len(v2Segs), len(v3Segs))
-	}
+	return dir
+}
+
+// TestStoreMixedFormatsReopenAndCompact is the v2/v3 coexistence
+// contract: a store holding legacy JSONL segments keeps serving them
+// byte-untouched, new appends land as v3 frames in fresh segments
+// numbered after them, and Compact transcodes the whole store to TLV
+// without changing any answer.
+func TestStoreMixedFormatsReopenAndCompact(t *testing.T) {
+	dir := copyGoldenV2(t)
+	v2Segs, _ := segmentsByExt(t, dir)
 	v2Bytes := make(map[string][]byte)
 	for _, p := range v2Segs {
 		data, err := os.ReadFile(p)
@@ -326,39 +330,47 @@ func TestStoreMixedFormatsReopenAndCompact(t *testing.T) {
 		v2Bytes[p] = data
 	}
 
-	// Reopen under the TLV default and append more records.
 	s := open(t, dir, Options{})
-	tlvIDs := []string{"aa02", "cd22"}
+	res := testResult(t, 5)
+	tlvIDs := []string{"aa02", "cd33"}
 	for _, id := range tlvIDs {
 		if err := s.Put(id, res); err != nil {
 			t.Fatal(err)
 		}
 	}
-	all := append(append([]string{}, jsonIDs...), tlvIDs...)
+	all := append(append([]string{}, goldenV2IDs...), tlvIDs...)
+	before := make(map[string]*campaign.Result)
 	for _, id := range all {
-		if _, ok := s.Get(id); !ok {
+		got, ok := s.Get(id)
+		if !ok {
 			t.Fatalf("record %s unreadable in the mixed store", id)
 		}
+		before[id] = got
 	}
-	// Both encodings now coexist on disk, and the old v2 bytes are
-	// untouched — old segments serve as-is, no rewrite-on-open.
+	// Both encodings now coexist on disk, the appends went to the next
+	// segment number, and the old v2 bytes are untouched.
 	v2Now, v3Now := segmentsByExt(t, dir)
-	if len(v2Now) != len(v2Segs) || len(v3Now) == 0 {
+	if len(v2Now) != len(v2Segs) || len(v3Now) != len(tlvIDs) {
 		t.Fatalf("mixed store has %d JSONL / %d TLV segments", len(v2Now), len(v3Now))
+	}
+	for _, shard := range []string{"aa", "cd"} {
+		if _, err := os.Stat(s.segPath(shard, 1, true)); err != nil {
+			t.Fatalf("TLV append in shard %s did not start after the legacy segment: %v", shard, err)
+		}
 	}
 	for _, p := range v2Now {
 		data, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want, ok := v2Bytes[p]; !ok || !strings.HasPrefix(string(data), string(want)) {
-			t.Fatalf("legacy segment %s was rewritten by the TLV reopen", p)
+		if !bytes.Equal(data, v2Bytes[p]) {
+			t.Fatalf("legacy segment %s was written to", p)
 		}
 	}
 	s.Close()
 
-	// A reopen of the mixed store serves everything, from the index and
-	// from a full rescan.
+	// A reopen of the mixed store serves everything, and compaction
+	// converges it to TLV.
 	re := open(t, dir, Options{})
 	for _, id := range all {
 		if _, ok := re.Get(id); !ok {
@@ -381,7 +393,8 @@ func TestStoreMixedFormatsReopenAndCompact(t *testing.T) {
 		if !ok {
 			t.Fatalf("record %s lost by cross-format compaction", id)
 		}
-		if got.MobileAll != res.MobileAll || got.TotalMeasurements != res.TotalMeasurements {
+		want := before[id]
+		if got.MobileAll != want.MobileAll || got.TotalMeasurements != want.TotalMeasurements {
 			t.Fatalf("compaction changed record %s", id)
 		}
 	}
@@ -397,57 +410,13 @@ func TestStoreMixedFormatsReopenAndCompact(t *testing.T) {
 	}
 }
 
-// goldenV2IDs are the records inside testdata/v2-layout, the checked-in
-// golden v2 store no future code change may stop reading.
-var goldenV2IDs = []string{"aa01", "ab11", "cd22"}
-
-// TestGenerateV2LayoutTestdata regenerates testdata/v2-layout with the
-// current JSONL write path. It is generation-gated the way frozen
-// goldens are: run
-//
-//	STORE_WRITE_GOLDEN=1 go test ./internal/sweep/store -run V2Layout
-//
-// and commit the result ONLY alongside a deliberate, documented layout
-// change — the checked-in bytes are the compatibility contract.
-func TestGenerateV2LayoutTestdata(t *testing.T) {
-	if os.Getenv("STORE_WRITE_GOLDEN") == "" {
-		t.Skip("set STORE_WRITE_GOLDEN=1 to regenerate testdata/v2-layout")
-	}
-	dir := t.TempDir()
-	s := open(t, dir, Options{Compact: true, Format: FormatJSONL})
-	for _, id := range goldenV2IDs {
-		if err := s.Put(id, testResult(t, 5)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
-	dst := filepath.Join("testdata", "v2-layout")
-	if err := os.RemoveAll(dst); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.CopyFS(dst, os.DirFS(dir)); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("regenerated %s", dst)
-}
-
 // TestStoreServesGoldenV2Layout opens the checked-in v2 JSONL layout
 // with today's defaults — the v2->v3 migration contract, mirroring the
 // fabricated-directory v1 migration test with bytes frozen in git: the
 // old store serves in place (no eager rewrite), and compaction is the
 // explicit, lossless upgrade to v3.
 func TestStoreServesGoldenV2Layout(t *testing.T) {
-	src := filepath.Join("testdata", "v2-layout")
-	if _, err := os.Stat(src); err != nil {
-		t.Fatalf("golden v2 layout missing (regenerate with STORE_WRITE_GOLDEN=1): %v", err)
-	}
-	dir := t.TempDir()
-	if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
-		t.Fatal(err)
-	}
+	dir := copyGoldenV2(t)
 	s := open(t, dir, Options{Compact: true})
 	if s.Len() != len(goldenV2IDs) {
 		t.Fatalf("golden layout serves %d records, want %d", s.Len(), len(goldenV2IDs))

@@ -13,8 +13,9 @@
 //
 //	<dir>/
 //	  segments/<shard>/seg-NNNN.tlv     append-only pack segments (v3 TLV)
-//	  segments/<shard>/seg-NNNN.jsonl   same, in the v2 JSONL encoding
+//	  segments/<shard>/seg-NNNN.jsonl   read-only legacy v2 segments
 //	  index.jsonl                       sidecar: id -> byte location
+//	  LOCK                              held by the one open Store
 //
 // The shard is the first two hex characters of the scenario hash (256-way
 // fan-out keeps per-directory entry counts flat; ids that do not start
@@ -22,18 +23,15 @@
 // shard appends to its highest-numbered segment and rotates to a fresh
 // one once the tail exceeds Options.SegmentBytes.
 //
-// A record is one framed TLV envelope (record format v3, the default —
-// see internal/sweep/tlv) or one JSON line (v2, via Options.Format
-// "jsonl"): the versioned envelope around a campaign.ResultState either
-// way. The two encodings never mix inside one segment file — the
-// extension names the format — but they mix freely inside one store:
-// segment numbering is monotonic per shard across both, reads decode
-// whichever format a record's location names, and reopening a JSONL
-// store with TLV writes (the v2→v3 migration) simply rotates each
-// shard's next append into a .tlv segment while the old .jsonl segments
-// keep serving. Compaction converges a mixed shard: records already in
-// the write format carry their exact bytes, records in the other format
-// transcode, so a full pass leaves one format on disk.
+// A record is one framed TLV envelope (record format v3, see
+// internal/sweep/tlv): the versioned envelope around a
+// campaign.ResultState, and the only encoding the store writes.
+// Directories written before v3 hold v2 segments of one JSON line per
+// record; those are read-only legacy (legacy.go). They are served in
+// place and never appended to — a shard whose highest segment is JSONL
+// starts its TLV appends at the next number, so segment numbering stays
+// monotonic per shard — and Compact transcodes them to v3, so a full
+// pass leaves one format on disk.
 //
 // The sidecar index maps ids to (shard, segment, offset, length), so
 // opens are one sequential read and Gets are one ReadAt — no record is
@@ -45,13 +43,11 @@
 // across platforms) and is written back for the next open.
 //
 // Crash tolerance: a Put interrupted mid-append leaves a partial final
-// record in a tail segment. Partial records are never acknowledged (Put
+// frame in a tail segment. Partial records are never acknowledged (Put
 // writes the whole record in one call and returns after it succeeds),
-// parse as garbage during scans, and never confuse later appends: JSONL
-// tails are sealed with a newline at the next open so appends stay
-// line-aligned, while TLV frames are self-delimiting — scans
-// resynchronize on the next frame magic whose CRC checks out, so a torn
-// frame needs no sealing at all. Any unreadable, unparsable,
+// and never confuse later appends: frames are self-delimiting, and
+// scans resynchronize on the next frame magic whose CRC checks out, so
+// a torn frame needs no repair. Any unreadable, unparsable,
 // wrong-version or mismatched record reads as a cache miss — corruption
 // re-simulates one scenario, it never fails a sweep.
 //
@@ -65,18 +61,14 @@
 // segments and removes the records/ directory, so existing -cache-dir
 // directories keep working with no tooling.
 //
-// Sharing a directory: a Store is safe for any number of goroutines,
-// but the append-only layout assumes one writing process per directory.
-// Concurrent writers never corrupt served results — every read
-// re-validates the envelope's version and id, so interleaved appends
-// degrade to cache misses (stranded records that re-simulate), not to
-// wrong data — but they can waste work; and Compact must never run
-// while another process (or another Store instance in this process)
-// writes the same directory, since it deletes the segment files the
-// other instance's index points at. Within one Store instance, Compact
-// is safe under live traffic: it locks shard-at-a-time, so concurrent
-// Put/Get stall for at most one shard's rewrite instead of the whole
-// pass.
+// One writer per directory: Open takes an exclusive advisory lock on
+// <dir>/LOCK (flock, on unix) and Close releases it, so a second Open
+// of a directory — from another process or this one — fails fast
+// instead of interleaving appends with the first, or compacting away
+// segment files the first instance's index still points at. A Store is
+// safe for any number of goroutines, and Compact is safe under its live
+// traffic: it locks shard-at-a-time, so concurrent Put/Get stall for at
+// most one shard's rewrite instead of the whole pass.
 //
 // Records capture campaign.ResultState, which serializes every summary
 // losslessly, so a result served from disk is indistinguishable — to
@@ -87,12 +79,11 @@
 package store
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -126,23 +117,24 @@ const DefaultSegmentBytes = 4 << 20
 
 const (
 	segmentsDir  = "segments"
-	recordsDirV1 = "records"
 	indexName    = "index.jsonl"
+	lockName     = "LOCK"
 	segPrefix    = "seg-"
-	segSuffix    = ".jsonl"
 	segSuffixTLV = ".tlv"
 
 	// formatTLV is the index/manifest name for the v3 binary encoding;
-	// the v2 JSONL encoding is the empty string (and accepts "jsonl"),
-	// so every pre-existing index line and manifest entry keeps meaning
-	// what it always meant.
-	formatTLV   = "tlv"
-	formatJSONL = "jsonl"
+	// the legacy v2 JSONL encoding is the empty string, so every
+	// pre-existing index line and manifest entry keeps meaning what it
+	// always meant.
+	formatTLV = "tlv"
 
 	// staleTempAge is how old a put-*.tmp must be before Open treats it
 	// as a crash orphan rather than another process's in-flight write.
 	staleTempAge = time.Hour
 )
+
+// errClosed is returned by writes issued after Close.
+var errClosed = errors.New("store is closed")
 
 // Options configures a store.
 type Options struct {
@@ -154,20 +146,6 @@ type Options struct {
 	// (DefaultSegmentBytes when zero). Tests use tiny values to force
 	// rotation; production has no reason to change it.
 	SegmentBytes int64
-	// Format selects the encoding for newly written segments: "" or
-	// "tlv" for the v3 binary encoding (the default), "jsonl" for the
-	// v2 JSON-lines encoding. Reading is always format-agnostic — a
-	// store holding both serves both — so the option only matters for
-	// appends and compaction output.
-	Format string
-}
-
-// record is the on-disk envelope around a result state: one JSON line
-// per record inside a segment.
-type record struct {
-	V      int                  `json:"v"`
-	ID     string               `json:"id"`
-	Result campaign.ResultState `json:"result"`
 }
 
 // indexEntry is one line of index.jsonl: where an id's newest record
@@ -185,9 +163,9 @@ type indexEntry struct {
 	F     string `json:"f,omitempty"`
 }
 
-// location is where an id's live record starts and how long it is
-// (excluding the trailing newline for JSONL records; TLV records have
-// no delimiter — the length covers the whole frame).
+// location is where an id's live record starts and how long it is: a
+// whole TLV frame, or a legacy JSONL line without its newline. tlv
+// names the segment's encoding, since legacy segments serve in place.
 type location struct {
 	shard string
 	seg   int
@@ -196,13 +174,9 @@ type location struct {
 	tlv   bool
 }
 
-// shardState tracks one shard's append position. tailTLV records the
-// tail segment's encoding: a store reopened with a different write
-// format rotates the shard's next append into a fresh segment rather
-// than mixing encodings inside one file.
+// shardState tracks one shard's append position.
 type shardState struct {
-	tailSeg int      // highest segment number; -1 when the shard is empty
-	tailTLV bool     // tail segment's encoding
+	tailSeg int      // TLV segment appends go to; -1 when the shard is empty
 	tail    *os.File // lazily opened append handle for the tail segment
 }
 
@@ -213,7 +187,7 @@ type Store struct {
 	dir      string
 	compact  bool
 	segBytes int64
-	writeTLV bool // new segments use the v3 TLV encoding
+	lock     *os.File // holds <dir>/LOCK; nil where locking is unsupported
 	// opObs, when set, receives per-operation wall timings (get, put,
 	// per-shard compaction passes) for the serving layer's metrics.
 	// Set via SetOpObserver before the store sees traffic; timings feed
@@ -224,6 +198,7 @@ type Store struct {
 	loc    map[string]location    // id -> live record location
 	shards map[string]*shardState // shard -> append state
 	index  *os.File               // append handle for index.jsonl
+	closed bool                   // set by Close; later writes fail
 	// gen is the replication cursor: it moves on every mutation, and
 	// appends move it by the bytes they wrote so it stays comparable
 	// across restarts (Open re-initializes it to the store's total
@@ -242,27 +217,39 @@ type Store struct {
 // is missing or empty, a full segment scan; a v1 one-file-per-record
 // layout found under records/ is folded into segments first. Nothing is
 // decoded until Get, so opening a million-record store stays cheap.
+// Open fails while another Store holds the directory's lock.
 func Open(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, segmentsDir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", dir, err)
+	}
+	lock, err := lockDir(dir)
+	if err != nil {
+		return nil, err
 	}
 	segBytes := opt.SegmentBytes
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
 	}
-	writeTLV, err := parseFormat(opt.Format)
-	if err != nil {
-		return nil, err
-	}
 	s := &Store{
 		dir:      dir,
 		compact:  opt.Compact,
 		segBytes: segBytes,
-		writeTLV: writeTLV,
+		lock:     lock,
 		loc:      make(map[string]location),
 		shards:   make(map[string]*shardState),
 	}
+	if err := s.load(); err != nil {
+		// Release the lock and any tail handles migration opened.
+		s.Close() //sweepvet:allow(close) abandoning a store that failed to open; the open error is the one to report
+		return nil, err
+	}
+	return s, nil
+}
 
+// load discovers the directory's records, migrating a v1 layout, and
+// opens the index append handle.
+func (s *Store) load() error {
+	dir := s.dir
 	// Sweep temp files orphaned by a crash mid-migration or
 	// mid-compaction. Only temps older than a generous threshold are
 	// removed: another process sharing this directory may be mid-write
@@ -277,22 +264,19 @@ func Open(dir string, opt Options) (*Store, error) {
 	}
 
 	if err := s.scanShards(); err != nil {
-		return nil, err
+		return err
 	}
 	s.loadIndex()
 	rebuilt := false
 	if len(s.loc) == 0 && len(s.shards) > 0 {
 		if err := s.rebuild(); err != nil {
-			return nil, err
+			return err
 		}
 		rebuilt = len(s.loc) > 0
 	}
 	migrated, err := s.migrateV1()
 	if err != nil {
-		// Migration appends through the shard tails; close any handles
-		// it opened before abandoning the store.
-		s.closeTailsLocked()
-		return nil, err
+		return err
 	}
 	if rebuilt || migrated {
 		// Best-effort: if the write-back fails the next Open just
@@ -303,8 +287,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		idx, err := os.OpenFile(filepath.Join(dir, indexName),
 			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			s.closeTailsLocked()
-			return nil, fmt.Errorf("store: open index: %w", err)
+			return fmt.Errorf("store: open index: %w", err)
 		}
 		s.index = idx
 	}
@@ -314,7 +297,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	for _, si := range s.manifestLocked() {
 		s.gen += si.Size
 	}
-	return s, nil
+	return nil
 }
 
 // bumpGenLocked advances the replication cursor by delta bytes (at
@@ -342,22 +325,9 @@ func isHexLower(c byte) bool {
 	return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
 }
 
-// parseFormat maps Options.Format to the TLV flag: empty selects the
-// default (TLV). Wire-level format parameters use parseWireFormat
-// instead, where absence means JSONL for compatibility.
-func parseFormat(format string) (isTLV bool, err error) {
-	switch format {
-	case "", formatTLV:
-		return true, nil
-	case formatJSONL:
-		return false, nil
-	default:
-		return false, fmt.Errorf("store: unknown record format %q (want %q or %q)", format, formatTLV, formatJSONL)
-	}
-}
-
-// formatName is parseFormat's inverse for index lines and manifests:
-// JSONL is the empty string so pre-TLV readers see unchanged bytes.
+// formatName names a segment's encoding for index lines and manifests:
+// legacy JSONL is the empty string so pre-TLV readers see unchanged
+// bytes.
 func formatName(isTLV bool) string {
 	if isTLV {
 		return formatTLV
@@ -369,7 +339,7 @@ func segName(n int, isTLV bool) string {
 	if isTLV {
 		return fmt.Sprintf("%s%04d%s", segPrefix, n, segSuffixTLV)
 	}
-	return fmt.Sprintf("%s%04d%s", segPrefix, n, segSuffix)
+	return fmt.Sprintf("%s%04d%s", segPrefix, n, segSuffixJSONL)
 }
 
 // parseSegName extracts the segment number and encoding, rejecting
@@ -381,7 +351,7 @@ func parseSegName(name string) (n int, isTLV bool, ok bool) {
 	}
 	if rest, tlvOK := strings.CutSuffix(num, segSuffixTLV); tlvOK {
 		num, isTLV = rest, true
-	} else if rest, jsonlOK := strings.CutSuffix(num, segSuffix); jsonlOK {
+	} else if rest, jsonlOK := strings.CutSuffix(num, segSuffixJSONL); jsonlOK {
 		num = rest
 	} else {
 		return 0, false, false
@@ -401,12 +371,19 @@ func (s *Store) segPath(shard string, seg int, isTLV bool) string {
 	return filepath.Join(s.shardDir(shard), segName(seg, isTLV))
 }
 
+// appendSeg is the segment number a shard's appends may use once
+// segment n exists: a TLV segment keeps taking appends, a legacy JSONL
+// segment never does, so appends move on to the next number.
+func appendSeg(n int, isTLV bool) int {
+	if isTLV {
+		return n
+	}
+	return n + 1
+}
+
 // scanShards discovers the shard directories and each one's tail
-// segment. JSONL tails that end mid-line (a crash between a Put's write
-// and its return) are sealed with a newline, turning the partial record
-// into one garbage line — skipped by every reader — instead of letting
-// the next append glue two records together. TLV tails need no sealing:
-// frames are self-delimiting and scans resync past a torn one.
+// segment. A TLV tail torn by a crash needs no repair: frames are
+// self-delimiting and scans resync past a torn one.
 func (s *Store) scanShards() error {
 	root := filepath.Join(s.dir, segmentsDir)
 	shards, err := os.ReadDir(root)
@@ -421,50 +398,15 @@ func (s *Store) scanShards() error {
 		if err != nil {
 			continue
 		}
-		tail, tailTLV := -1, false
+		tail := -1
 		for _, e := range segs {
 			n, isTLV, ok := parseSegName(e.Name())
-			if !ok || e.IsDir() {
-				continue
-			}
-			// Same number in both encodings never happens in a healthy
-			// store (numbering is monotonic across formats); if crash
-			// debris produces one, prefer TLV deterministically.
-			if n > tail || (n == tail && isTLV && !tailTLV) {
-				tail, tailTLV = n, isTLV
+			if ok && !e.IsDir() {
+				tail = max(tail, appendSeg(n, isTLV))
 			}
 		}
-		if tail < 0 {
-			continue
-		}
-		if !tailTLV {
-			if err := sealTail(filepath.Join(root, sh.Name(), segName(tail, false))); err != nil {
-				return err
-			}
-		}
-		s.shards[sh.Name()] = &shardState{tailSeg: tail, tailTLV: tailTLV}
-	}
-	return nil
-}
-
-// sealTail appends a newline to a segment that does not end with one.
-func sealTail(path string) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: seal %s: %w", path, err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil || fi.Size() == 0 {
-		return err
-	}
-	last := make([]byte, 1)
-	if _, err := f.ReadAt(last, fi.Size()-1); err != nil {
-		return fmt.Errorf("store: seal %s: %w", path, err)
-	}
-	if last[0] != '\n' {
-		if _, err := f.WriteAt([]byte{'\n'}, fi.Size()); err != nil {
-			return fmt.Errorf("store: seal %s: %w", path, err)
+		if tail >= 0 {
+			s.shards[sh.Name()] = &shardState{tailSeg: tail}
 		}
 	}
 	return nil
@@ -538,48 +480,23 @@ func (s *Store) rebuild() error {
 // map. Garbage (crash debris, bit rot) is skipped — its bytes stay dead
 // until compaction.
 func (s *Store) scanSegment(shard string, seg int, isTLV bool) error {
-	if isTLV {
-		data, err := os.ReadFile(s.segPath(shard, seg, true))
-		if err != nil {
-			return fmt.Errorf("store: scan segment: %w", err)
-		}
-		s.scanTLVBytes(shard, seg, data, nil)
-		return nil
-	}
-	f, err := os.Open(s.segPath(shard, seg, false))
+	data, err := os.ReadFile(s.segPath(shard, seg, isTLV))
 	if err != nil {
 		return fmt.Errorf("store: scan segment: %w", err)
 	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	var off int64
-	for {
-		line, err := r.ReadBytes('\n')
-		if len(line) > 0 {
-			n := int64(len(line))
-			payload := line
-			if payload[len(payload)-1] == '\n' {
-				payload = payload[:len(payload)-1]
-			}
-			if id, ok := parseRecordLine(payload, shard); ok {
-				s.loc[id] = location{shard: shard, seg: seg, off: off, n: int64(len(payload))}
-			}
-			off += n
-		}
-		if err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("store: scan segment: %w", err)
-		}
-	}
+	s.scanSegmentBytes(shard, seg, isTLV, data, nil)
+	return nil
 }
 
-// scanTLVBytes folds one TLV segment's valid frames into the location
+// scanSegmentBytes folds one segment's valid records into the location
 // map, resynchronizing past torn or corrupt frames. Each accepted id is
 // also passed to visit when non-nil (replica ingestion appends index
 // lines there).
-func (s *Store) scanTLVBytes(shard string, seg int, data []byte, visit func(id string, l location)) {
+func (s *Store) scanSegmentBytes(shard string, seg int, isTLV bool, data []byte, visit func(id string, l location)) {
+	if !isTLV {
+		s.scanLegacyBytes(shard, seg, data, visit)
+		return
+	}
 	off := 0
 	for {
 		payload, start, frameLen, ok := tlv.NextFrame(data, off)
@@ -597,87 +514,17 @@ func (s *Store) scanTLVBytes(shard string, seg int, data []byte, visit func(id s
 	}
 }
 
-// parseRecordLine validates one segment line as a live record of the
-// given shard, returning its id. Garbage lines (crash debris, foreign
-// versions, misfiled ids) report false and stay dead bytes.
-func parseRecordLine(payload []byte, shard string) (string, bool) {
-	var rec record
-	if json.Unmarshal(payload, &rec) != nil || rec.V != FormatVersion ||
-		validID(rec.ID) != nil || shardOf(rec.ID) != shard {
-		return "", false
-	}
-	return rec.ID, true
-}
-
-// parseRecordFrame is parseRecordLine's TLV twin: it validates one
-// frame payload as a live record of the given shard. The frame's CRC
-// already checked out (NextFrame only surfaces valid frames), so this
-// guards the semantic layer: envelope version, id shape, shard match.
+// parseRecordFrame validates one frame payload as a live record of the
+// given shard, returning its id. The frame's CRC already checked out
+// (NextFrame only surfaces valid frames), so this guards the semantic
+// layer: envelope version, id shape, shard match. Garbage (foreign
+// versions, misfiled ids) reports false and stays dead bytes.
 func parseRecordFrame(payload []byte, shard string) (string, bool) {
 	id, _, err := tlv.DecodeEnvelopePayload(payload)
 	if err != nil || validID(id) != nil || shardOf(id) != shard {
 		return "", false
 	}
 	return id, true
-}
-
-// migrateV1 folds a v1 one-file-per-record layout (records/<id>.json)
-// into segments and removes it. Files are visited in sorted order so
-// migration is deterministic; unreadable or mismatched v1 records —
-// which already read as misses in v1 — are dropped rather than carried
-// over. Interrupted migrations resume safely: already-migrated records
-// are recovered by the segment scan, the leftovers re-migrate on the
-// next open.
-func (s *Store) migrateV1() (bool, error) {
-	recDir := filepath.Join(s.dir, recordsDirV1)
-	entries, err := os.ReadDir(recDir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, fmt.Errorf("store: scan v1 %s: %w", recDir, err)
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if id, ok := strings.CutSuffix(e.Name(), ".json"); ok && !e.IsDir() && id != "" {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	migrated := false
-	for _, name := range names {
-		path := filepath.Join(recDir, name)
-		id := strings.TrimSuffix(name, ".json")
-		data, err := os.ReadFile(path)
-		if err != nil {
-			continue
-		}
-		var rec record
-		if json.Unmarshal(data, &rec) != nil || rec.V != FormatVersion ||
-			rec.ID != id || validID(id) != nil {
-			os.Remove(path)
-			continue
-		}
-		// Re-encode in the current write format rather than trusting the
-		// file's bytes: the result is the same canonical record Put
-		// writes — under TLV, v1 records migrate straight to v3.
-		line, err := s.encodeRecord(id, &rec.Result)
-		if err != nil {
-			os.Remove(path)
-			continue
-		}
-		l, err := s.appendLocked(id, line)
-		if err != nil {
-			return migrated, fmt.Errorf("store: migrate %s: %w", id, err)
-		}
-		s.loc[id] = l
-		os.Remove(path)
-		migrated = true
-	}
-	// Succeeds only once every record file is gone; stray files keep
-	// the directory (and are retried or ignored next open).
-	os.Remove(recDir)
-	return migrated, nil
 }
 
 // rewriteIndexLocked atomically replaces the sidecar with one sorted
@@ -700,7 +547,7 @@ func (s *Store) rewriteIndexLocked() error {
 		if err != nil {
 			// An unmarshalable entry would silently vanish from the
 			// rewritten sidecar and resurface only on a full rescan;
-			// surface it like the record-marshal path does instead.
+			// surface it instead.
 			return fmt.Errorf("store: rewrite index: encode entry %s: %w", id, err)
 		}
 		buf.Write(line)
@@ -877,40 +724,22 @@ func (s *Store) getLocated(id string) (*campaign.Result, bool) {
 	return res, true
 }
 
-// decodeRecord validates raw record bytes — one JSONL line or one TLV
-// frame, per the location's encoding — as the record for id, returning
-// its result state. Every failure mode reads as a miss.
+// decodeRecord validates raw record bytes — one TLV frame, or one
+// legacy JSONL line, per the location's encoding — as the record for
+// id, returning its result state. Every failure mode reads as a miss.
 func decodeRecord(buf []byte, isTLV bool, id string) (campaign.ResultState, bool) {
-	if isTLV {
-		payload, n, err := tlv.ParseFrame(buf)
-		if err != nil || n != len(buf) {
-			return campaign.ResultState{}, false
-		}
-		gotID, st, err := tlv.DecodeEnvelopePayload(payload)
-		if err != nil || gotID != id {
-			return campaign.ResultState{}, false
-		}
-		return st, true
+	if !isTLV {
+		return decodeLegacyRecord(buf, id)
 	}
-	var rec record
-	if json.Unmarshal(buf, &rec) != nil || rec.V != FormatVersion || rec.ID != id {
+	payload, n, err := tlv.ParseFrame(buf)
+	if err != nil || n != len(buf) {
 		return campaign.ResultState{}, false
 	}
-	return rec.Result, true
-}
-
-// encodeRecord produces the on-disk bytes for a record in the store's
-// write format: a framed TLV envelope (v3) or one canonical JSON line
-// (v2).
-func (s *Store) encodeRecord(id string, st *campaign.ResultState) ([]byte, error) {
-	if s.writeTLV {
-		return tlv.AppendEnvelope(nil, id, st), nil
+	gotID, st, err := tlv.DecodeEnvelopePayload(payload)
+	if err != nil || gotID != id {
+		return campaign.ResultState{}, false
 	}
-	line, err := json.Marshal(record{V: FormatVersion, ID: id, Result: *st})
-	if err != nil {
-		return nil, fmt.Errorf("store: encode %s: %w", id, err)
-	}
-	return line, nil
+	return st, true
 }
 
 // forgetIf drops an id's slot only if it still points at the location
@@ -925,13 +754,12 @@ func (s *Store) forgetIf(id string, l location) {
 }
 
 // Put persists a completed result under its scenario id: encode to one
-// record (TLV frame or JSON line per the write format), append it to
-// the id's shard tail segment, then append the index line. The segment
-// append is the commit point — Put returns only after the whole record
-// is down, and readers locate records by exact byte range, so a torn
-// write is never served. A crash between the two appends loses only an
-// unacknowledged record: it re-simulates once and its dead bytes vanish
-// at the next compaction.
+// TLV frame, append it to the id's shard tail segment, then append the
+// index line. The segment append is the commit point — Put returns only
+// after the whole record is down, and readers locate records by exact
+// byte range, so a torn write is never served. A crash between the two
+// appends loses only an unacknowledged record: it re-simulates once and
+// its dead bytes vanish at the next compaction. Put after Close fails.
 func (s *Store) Put(id string, res *campaign.Result) error {
 	if err := validID(id); err != nil {
 		return err
@@ -939,13 +767,13 @@ func (s *Store) Put(id string, res *campaign.Result) error {
 	start := s.opStart()
 	defer s.opDone(OpPut, shardOf(id), start)
 	st := res.State(s.compact)
-	line, err := s.encodeRecord(id, &st)
-	if err != nil {
-		return err
-	}
+	frame := tlv.AppendEnvelope(nil, id, &st)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l, err := s.appendLocked(id, line)
+	if s.closed {
+		return fmt.Errorf("store: put %s: %w", id, errClosed)
+	}
+	l, err := s.appendLocked(id, frame)
 	if err != nil {
 		return fmt.Errorf("store: commit %s: %w", id, err)
 	}
@@ -963,8 +791,7 @@ func (s *Store) Put(id string, res *campaign.Result) error {
 // record. A failed file append is tolerated: the record is committed
 // and serves this process; the next Open misses it and re-simulates
 // (or, on a replica, re-ingests). A failed marshal is not — that entry
-// would never reach any index, so it propagates like the record-marshal
-// path's errors do.
+// would never reach any index, so it propagates.
 func (s *Store) appendIndexLocked(id string, l location) error {
 	if s.index == nil {
 		return nil
@@ -980,14 +807,12 @@ func (s *Store) appendIndexLocked(id string, l location) error {
 	return nil
 }
 
-// appendLocked writes one encoded record (a write-format TLV frame or
-// JSON line, no delimiter) to the id's shard tail segment and returns
-// where it landed, rotating the tail once it outgrows the threshold. A
-// tail in the other encoding — a JSONL store reopened with TLV writes —
-// also rotates, so one segment file never mixes formats. The write
-// offset comes from a stat, not a running counter, so foreign bytes
-// (another process, crash debris sealed at open) never skew locations.
-func (s *Store) appendLocked(id string, blob []byte) (location, error) {
+// appendLocked writes one TLV frame to the id's shard tail segment and
+// returns where it landed, rotating the tail once it outgrows the
+// threshold. The write offset comes from a stat, not a running counter,
+// so foreign bytes (crash debris left by a torn write) never skew
+// locations.
+func (s *Store) appendLocked(id string, frame []byte) (location, error) {
 	shard := shardOf(id)
 	ss := s.shards[shard]
 	if ss == nil {
@@ -1001,45 +826,29 @@ func (s *Store) appendLocked(id string, blob []byte) (location, error) {
 		if err := os.MkdirAll(s.shardDir(shard), 0o755); err != nil {
 			return location{}, err
 		}
-		switch {
-		case ss.tailSeg < 0:
-			ss.tailSeg = 0
-			ss.tailTLV = s.writeTLV
-		case ss.tailTLV != s.writeTLV:
-			ss.tailSeg++
-			ss.tailTLV = s.writeTLV
-		}
-		f, err := os.OpenFile(s.segPath(shard, ss.tailSeg, ss.tailTLV),
+		ss.tailSeg = max(ss.tailSeg, 0)
+		f, err := os.OpenFile(s.segPath(shard, ss.tailSeg, true),
 			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return location{}, err
 		}
 		ss.tail = f
 	}
-	// Locations cover the encoded record; the newline a JSONL record is
-	// delimited by is not part of it. TLV frames are self-delimiting.
-	n := int64(len(blob))
-	if !s.writeTLV {
-		blob = append(blob, '\n')
-	}
 	fi, err := ss.tail.Stat()
 	if err != nil {
 		return location{}, err
 	}
 	off := fi.Size()
-	if _, err := ss.tail.Write(blob); err != nil {
-		// A partial record may be down. Trim it so the next append
-		// starts clean; if even that fails, a JSONL tail is sealed with
-		// a newline so it reads as one garbage line — a TLV tail needs
-		// nothing, the frame scan resyncs past partial bytes.
-		if ss.tail.Truncate(off) != nil && !s.writeTLV {
-			ss.tail.Write([]byte{'\n'})
-		}
+	n := int64(len(frame))
+	if _, err := ss.tail.Write(frame); err != nil {
+		// A partial frame may be down. Trim it so the next append starts
+		// clean; if even that fails, the frame scan resyncs past it.
+		_ = ss.tail.Truncate(off)
 		return location{}, err
 	}
-	l := location{shard: shard, seg: ss.tailSeg, off: off, n: n, tlv: s.writeTLV}
-	s.bumpGenLocked(int64(len(blob)))
-	if off+int64(len(blob)) >= s.segBytes {
+	l := location{shard: shard, seg: ss.tailSeg, off: off, n: n, tlv: true}
+	s.bumpGenLocked(n)
+	if off+n >= s.segBytes {
 		cerr := ss.tail.Close()
 		ss.tail = nil
 		ss.tailSeg++
@@ -1069,9 +878,8 @@ type CompactStats struct {
 // Compact rewrites every live record into fresh segments and deletes
 // the old ones, dropping superseded versions, crash garbage, and
 // corrupt entries. It is an explicit maintenance pass (cmd/sweep
-// -compact-store), not a background thread, and requires exclusive
-// ownership of the directory across processes: no other process or
-// other Store instance may be writing it (see the package comment).
+// -compact-store), not a background thread. The directory lock
+// guarantees no other Store instance indexes the segments it deletes.
 //
 // Within this Store instance, compaction locks shard-at-a-time: the
 // store mutex is released between shards, so concurrent Put/Get traffic
@@ -1201,19 +1009,14 @@ func (s *Store) compactShard(shard string, stats *CompactStats) (oldSegs []strin
 	// Read live records back and pack them into fresh segments numbered
 	// after the current tail, flushing at the rotation threshold so
 	// memory stays bounded at one segment regardless of how large a
-	// shard has grown. Output is always the store's write format:
-	// records already in it carry their exact bytes, records in the
-	// other encoding transcode — this is how a mixed v2/v3 shard
-	// converges to v3. Locations update only after a segment's rename —
-	// a failed flush leaves every location pointing at the old, intact
-	// copy.
+	// shard has grown. Output is always TLV: TLV records carry their
+	// exact bytes, legacy JSONL records transcode — this is how a mixed
+	// v2/v3 shard converges to v3. Locations update only after a
+	// segment's rename — a failed flush leaves every location pointing
+	// at the old, intact copy.
 	type liveRec struct {
-		id   string
-		blob []byte // encoded in the write format, no delimiter
-	}
-	delim := int64(1)
-	if s.writeTLV {
-		delim = 0
+		id    string
+		frame []byte
 	}
 	seg := ss.tailSeg + 1
 	var pending []liveRec
@@ -1226,18 +1029,12 @@ func (s *Store) compactShard(shard string, stats *CompactStats) (oldSegs []strin
 		if err != nil {
 			return err
 		}
-		var off int64
 		for _, r := range pending {
-			blob := r.blob
-			if !s.writeTLV {
-				blob = append(append([]byte(nil), blob...), '\n')
-			}
-			if _, err := tmp.Write(blob); err != nil {
+			if _, err := tmp.Write(r.frame); err != nil {
 				tmp.Close() //sweepvet:allow(close) cleanup of a temp being discarded
 				os.Remove(tmp.Name())
 				return err
 			}
-			off += int64(len(r.blob)) + delim
 		}
 		// The pass deletes the superseded segments once it completes, so
 		// the fresh segment must be durable before the rename makes it the
@@ -1252,19 +1049,18 @@ func (s *Store) compactShard(shard string, stats *CompactStats) (oldSegs []strin
 			os.Remove(tmp.Name())
 			return err
 		}
-		if err := os.Rename(tmp.Name(), s.segPath(shard, seg, s.writeTLV)); err != nil {
+		if err := os.Rename(tmp.Name(), s.segPath(shard, seg, true)); err != nil {
 			os.Remove(tmp.Name())
 			return err
 		}
-		off = 0
+		var off int64
 		for _, r := range pending {
-			s.loc[r.id] = location{shard: shard, seg: seg, off: off, n: int64(len(r.blob)), tlv: s.writeTLV}
-			off += int64(len(r.blob)) + delim
+			s.loc[r.id] = location{shard: shard, seg: seg, off: off, n: int64(len(r.frame)), tlv: true}
+			off += int64(len(r.frame))
 		}
 		stats.SegmentsAfter++
 		stats.BytesAfter += off
 		ss.tailSeg = seg
-		ss.tailTLV = s.writeTLV
 		seg++
 		pending = pending[:0]
 		pendingBytes = 0
@@ -1284,18 +1080,12 @@ func (s *Store) compactShard(shard string, stats *CompactStats) (oldSegs []strin
 			delete(s.loc, id)
 			continue
 		}
-		blob := buf
-		if l.tlv != s.writeTLV {
-			// Cross-format record: transcode into the write format.
-			var err error
-			if blob, err = s.encodeRecord(id, &st); err != nil {
-				stats.Dropped++
-				delete(s.loc, id)
-				continue
-			}
+		frame := buf
+		if !l.tlv {
+			frame = tlv.AppendEnvelope(nil, id, &st)
 		}
-		pending = append(pending, liveRec{id: id, blob: blob})
-		pendingBytes += int64(len(blob)) + delim
+		pending = append(pending, liveRec{id: id, frame: frame})
+		pendingBytes += int64(len(frame))
 		carried++
 		if pendingBytes >= s.segBytes {
 			if err := flush(); err != nil {
@@ -1311,25 +1101,32 @@ func (s *Store) compactShard(shard string, stats *CompactStats) (oldSegs []strin
 		// segment about to be deleted; advance past it so a later Put
 		// never appends to a file the deletion sweep then removes.
 		ss.tailSeg = seg
-		ss.tailTLV = s.writeTLV
 	}
 	stats.Live += carried
 	return oldSegs, carried, nil
 }
 
-// Close releases the index and tail handles and reports the first
-// close error: records are written straight through (no userspace
-// buffering), so a failed close here is the last chance to learn that a
-// tail's deferred write-back failed after the Put was acknowledged.
+// Close releases the index and tail handles and the directory lock,
+// and reports the first close error: records are written straight
+// through (no userspace buffering), so a failed close here is the last
+// chance to learn that a tail's deferred write-back failed after the
+// Put was acknowledged. Close is idempotent; writes after it fail.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	s.closed = true
 	err := s.closeTailsLocked()
 	if s.index != nil {
 		if ierr := s.index.Close(); ierr != nil && err == nil {
 			err = ierr
 		}
 		s.index = nil
+	}
+	if s.lock != nil {
+		s.lock.Close() //sweepvet:allow(close) the lock file holds no data; closing it releases the flock
 	}
 	return err
 }

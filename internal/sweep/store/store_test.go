@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -52,6 +53,9 @@ func TestStorePutGetAcrossReopen(t *testing.T) {
 	}
 
 	// Reopen — the restart path — and read again.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	re := open(t, dir, Options{})
 	if re.Len() != 1 {
 		t.Fatalf("reopened Len = %d, want 1", re.Len())
@@ -201,22 +205,15 @@ func TestStoreSkipsCorruptRecords(t *testing.T) {
 }
 
 // TestStoreRebuildSkipsWrongVersionAndMismatchedLines drives the rescan
-// path over hand-crafted segment content: future-version lines and
-// lines whose id does not shard where they sit must not be indexed.
+// path over hand-crafted legacy segment content: future-version lines
+// and lines whose id does not shard where they sit must not be indexed.
 func TestStoreRebuildSkipsWrongVersionAndMismatchedLines(t *testing.T) {
-	dir := t.TempDir()
-	res := testResult(t, 5)
-	s := open(t, dir, Options{Format: FormatJSONL})
-	if err := s.Put("ab1234", res); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
+	dir := copyGoldenV2(t)
 
 	// Append a future-version line and a line belonging to another
-	// shard to ab1234's segment, then force a rescan by dropping the
-	// index. (Format pinned to JSONL: the injected lines are v2 bytes;
-	// the TLV twin lives in TestStoreRescanSkipsForeignTLVFrames.)
-	p, _ := findRecordLine(t, dir, "ab1234")
+	// shard to ab11's v2 segment, then force a rescan by dropping the
+	// index. (The TLV twin is TestStoreRescanSkipsForeignTLVFrames.)
+	p, _ := findRecordLine(t, dir, "ab11")
 	f, err := os.OpenFile(p, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -230,14 +227,14 @@ func TestStoreRebuildSkipsWrongVersionAndMismatchedLines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re := open(t, dir, Options{Format: FormatJSONL})
+	re := open(t, dir, Options{})
 	if _, ok := re.Get("abfuture"); ok {
 		t.Fatal("future-version line must not be indexed")
 	}
 	if _, ok := re.Get("ff9999"); ok {
 		t.Fatal("line sharded under the wrong prefix must not be indexed")
 	}
-	if _, ok := re.Get("ab1234"); !ok {
+	if _, ok := re.Get("ab11"); !ok {
 		t.Fatal("valid record must survive the rescan")
 	}
 }
@@ -309,40 +306,52 @@ func TestStoreRescanSkipsForeignTLVFrames(t *testing.T) {
 	}
 }
 
+// onlyFrame decodes the single TLV record a fresh store directory holds.
+func onlyFrame(t *testing.T, dir, id string) ([]byte, campaign.ResultState) {
+	t.Helper()
+	p, _ := findRecordLine(t, dir, id)
+	frame, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, n, err := tlv.ParseFrame(frame)
+	if err != nil || n != len(frame) {
+		t.Fatalf("segment %s is not one TLV frame: %v", p, err)
+	}
+	gotID, st, err := tlv.DecodeEnvelopePayload(payload)
+	if err != nil || gotID != id {
+		t.Fatalf("envelope decode: id %q, %v", gotID, err)
+	}
+	return frame, st
+}
+
 func TestStoreCompactRecordsHoldNoRawSamples(t *testing.T) {
-	// Format pinned to JSONL: the assertions inspect JSON key bytes,
-	// which the TLV encoding replaces with field numbers.
-	dir := t.TempDir()
 	res := testResult(t, 5)
-	s := open(t, dir, Options{Compact: true, Format: FormatJSONL})
+	s := open(t, t.TempDir(), Options{Compact: true})
 	if err := s.Put("c0ffee", res); err != nil {
 		t.Fatal(err)
 	}
-	p, off := findRecordLine(t, dir, "c0ffee")
-	raw, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
+	compact, st := onlyFrame(t, s.Dir(), "c0ffee")
+	for _, c := range st.Cells {
+		if len(c.Samples) > 0 {
+			t.Fatalf("compact record carries %d raw samples for cell %s", len(c.Samples), c.Cell)
+		}
 	}
-	data := raw[off:]
-	if bytes.Contains(data, []byte(`"samples"`)) {
-		t.Fatal("compact record contains raw samples")
-	}
-	full := open(t, t.TempDir(), Options{Format: FormatJSONL})
+	full := open(t, t.TempDir(), Options{})
 	if err := full.Put("c0ffee", res); err != nil {
 		t.Fatal(err)
 	}
-	fp, foff := findRecordLine(t, full.Dir(), "c0ffee")
-	fraw, err := os.ReadFile(fp)
-	if err != nil {
-		t.Fatal(err)
+	fullFrame, fst := onlyFrame(t, full.Dir(), "c0ffee")
+	samples := 0
+	for _, c := range fst.Cells {
+		samples += len(c.Samples)
 	}
-	fdata := fraw[foff:]
-	if !bytes.Contains(fdata, []byte(`"samples"`)) {
-		t.Fatal("full record should contain raw samples")
+	if samples == 0 {
+		t.Fatal("full record should carry raw samples")
 	}
-	if len(data) >= len(fdata)/10 {
+	if len(compact) >= len(fullFrame)/10 {
 		t.Fatalf("compact record is %d bytes vs %d full — expected >10x shrink",
-			len(data), len(fdata))
+			len(compact), len(fullFrame))
 	}
 	// A compact record restores with its moments intact.
 	got, ok := s.Get("c0ffee")
@@ -456,5 +465,47 @@ func TestStorePhantomIndexEntryDegradesToMiss(t *testing.T) {
 	}
 	if _, ok := re.Get("aaphantom"); !ok {
 		t.Fatal("rewritten phantom must be served")
+	}
+}
+
+// TestStoreLocksDirectory: one Store per directory. A second Open while
+// the first is live fails fast, naming the directory; after Close the
+// directory opens again.
+func TestStoreLocksDirectory(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, Options{})
+	if s.lock == nil {
+		t.Skip("no directory locking on this platform")
+	}
+	if second, err := Open(dir, Options{}); err == nil {
+		second.Close()
+		t.Fatal("second Open of a live directory succeeded")
+	} else if !strings.Contains(err.Error(), dir) {
+		t.Fatalf("lock error %q does not name the directory", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	open(t, dir, Options{})
+}
+
+// TestStorePutAfterCloseFails: a Put racing past Close must fail rather
+// than acknowledge a record, reopen a tail handle nothing closes, and
+// skip the index line the next Open needs to find it.
+func TestStorePutAfterCloseFails(t *testing.T) {
+	s := open(t, t.TempDir(), Options{})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("abc123", testResult(t, 5)); !errors.Is(err, errClosed) {
+		t.Fatalf("Put after Close = %v, want %v", err, errClosed)
+	}
+	for shard, ss := range s.shards {
+		if ss.tail != nil {
+			t.Fatalf("Put after Close opened a tail handle for shard %s", shard)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }

@@ -187,11 +187,9 @@ type SweepStoreStats = store.CompactStats
 // into fresh segments, dropping superseded entries, crash garbage and
 // corrupt records. Compaction is an explicit maintenance pass (also
 // available as cmd/sweep -compact-store); the store never compacts in
-// the background. It requires exclusive ownership of the directory:
-// run it when no sweep or sixgsim process — including this one, via
-// UseDiskCache — has the directory attached, since compaction deletes
-// the segment files other instances' indexes point at (they would
-// degrade to re-simulating, not corrupt, but the cache value is lost).
+// the background. It requires exclusive ownership of the directory and
+// fails while any other store has it open — a sweep, sweepd or sixgsim
+// process, or this one via UseDiskCache.
 func CompactSweepStore(dir string) (SweepStoreStats, error) {
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
