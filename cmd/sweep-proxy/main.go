@@ -45,8 +45,6 @@ func main() {
 		cacheEntries   = flag.Int("cache-entries", 0, "response-cache bound in records (0 = default 4096, -1 = disabled)")
 		sweepWorkers   = flag.Int("sweep-workers", 0, "concurrent backend requests per sweep fan-out (0 = default 16)")
 		maxGrid        = flag.Int("max-grid", 0, "reject grids expanding past this many scenarios (0 = default 65536)")
-		batchRecs      = flag.Int("tlv-batch-records", 0, "records per flushed batch on negotiated binary /v1/sweep streams (0 = default 64)")
-		batchBytes     = flag.Int("tlv-batch-bytes", 0, "bytes per flushed batch on negotiated binary /v1/sweep streams (0 = default 64KiB)")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight requests")
 		opsAddr        = flag.String("ops-addr", "", "serve pprof, /metricsz and /statsz on this out-of-band listener (empty disables)")
 		traceOut       = flag.String("trace-out", "", "append sampled request spans as JSONL to this file (decode with: sweep -decode-trace)")
@@ -63,7 +61,7 @@ func main() {
 
 	replicaURLs := splitURLs(*replicas)
 	if err := validateFlags(*writer, replicaURLs, *healthInterval, *cacheEntries,
-		*sweepWorkers, *maxGrid, *batchRecs, *batchBytes, *drainTimeout,
+		*sweepWorkers, *maxGrid, *drainTimeout,
 		*traceOut, *traceSample, *slowMs); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep-proxy:", err)
 		fmt.Fprintln(os.Stderr, "run with -h for usage")
@@ -92,15 +90,13 @@ func main() {
 	}
 
 	p, err := sixgedge.NewSweepProxy(sixgedge.ProxyOptions{
-		Writer:             *writer,
-		Replicas:           replicaURLs,
-		HealthInterval:     *healthInterval,
-		CacheEntries:       *cacheEntries,
-		SweepWorkers:       *sweepWorkers,
-		MaxGridScenarios:   *maxGrid,
-		StreamBatchRecords: *batchRecs,
-		StreamBatchBytes:   *batchBytes,
-		Tracer:             tracer,
+		Writer:           *writer,
+		Replicas:         replicaURLs,
+		HealthInterval:   *healthInterval,
+		CacheEntries:     *cacheEntries,
+		SweepWorkers:     *sweepWorkers,
+		MaxGridScenarios: *maxGrid,
+		Tracer:           tracer,
 	})
 	if err != nil {
 		fatal(err)
@@ -160,7 +156,7 @@ func splitURLs(s string) []string {
 // validateFlags rejects nonsensical combinations up front, exit 2,
 // before any socket binds — the sweepd convention.
 func validateFlags(writer string, replicas []string, healthInterval time.Duration,
-	cacheEntries, sweepWorkers, maxGrid, batchRecs, batchBytes int, drainTimeout time.Duration,
+	cacheEntries, sweepWorkers, maxGrid int, drainTimeout time.Duration,
 	traceOut string, traceSample, slowMs int) error {
 	if writer == "" {
 		return fmt.Errorf("-writer is required (the proxy has no simulator of its own)")
@@ -187,12 +183,6 @@ func validateFlags(writer string, replicas []string, healthInterval time.Duratio
 	}
 	if maxGrid < 0 {
 		return fmt.Errorf("-max-grid must be >= 0, got %d", maxGrid)
-	}
-	if batchRecs < 0 {
-		return fmt.Errorf("-tlv-batch-records must be >= 0 (0 = default 64), got %d", batchRecs)
-	}
-	if batchBytes < 0 {
-		return fmt.Errorf("-tlv-batch-bytes must be >= 0 (0 = default 64KiB), got %d", batchBytes)
 	}
 	if drainTimeout < 0 {
 		return fmt.Errorf("-drain-timeout must be >= 0, got %v", drainTimeout)

@@ -15,7 +15,6 @@
 //	sweepd -cache-dir .follow -queue-depth -1 -follow http://writer:8080
 //	                                                  # following replica: segment-ships
 //	                                                  # the writer's store, serves reads
-//	sweepd -tlv-batch-records 128 -tlv-batch-bytes 131072 # TLV stream batching
 //	sweepd -ops-addr :6060 -trace-out spans.jsonl -trace-sample 1 -slow-ms 250
 //	                                                  # pprof/metrics listener, span
 //	                                                  # export, slow-request logs
@@ -52,8 +51,6 @@ func main() {
 		gridJobs     = flag.Int("grid-jobs", 0, "concurrent grid requests (/v1/sweep, /v1/deltas) (0 = default 16)")
 		maxGrid      = flag.Int("max-grid", 0, "reject grids expanding past this many scenarios (0 = default 65536)")
 		retryAfter   = flag.Int("retry-after", 0, "Retry-After seconds attached to 429 shed responses (0 = default 1)")
-		batchRecs    = flag.Int("tlv-batch-records", 0, "records per flushed batch on negotiated binary /v1/sweep streams (0 = default 64)")
-		batchBytes   = flag.Int("tlv-batch-bytes", 0, "bytes per flushed batch on negotiated binary /v1/sweep streams (0 = default 64KiB)")
 		follow       = flag.String("follow", "", "follow a writer sweepd at this base URL: pull its segment feed into -cache-dir (pair with -queue-depth -1 for a pure read replica)")
 		followEvery  = flag.Duration("follow-interval", 2*time.Second, "with -follow: manifest poll period")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight requests")
@@ -75,7 +72,7 @@ func main() {
 	// replica with nothing to serve would run while doing the wrong
 	// thing.
 	if err := validateFlags(*cacheDir, *compact, *simWorkers, *queueDepth, *gridJobs,
-		*maxGrid, *retryAfter, *batchRecs, *batchBytes, *follow, *followEvery, *drainTimeout,
+		*maxGrid, *retryAfter, *follow, *followEvery, *drainTimeout,
 		*traceOut, *traceSample, *slowMs); err != nil {
 		fmt.Fprintln(os.Stderr, "sweepd:", err)
 		fmt.Fprintln(os.Stderr, "run with -h for usage")
@@ -104,16 +101,14 @@ func main() {
 	}
 
 	srv, err := sixgedge.NewSweepServer(sixgedge.ServeOptions{
-		CacheDir:           *cacheDir,
-		Compact:            *compact,
-		SimWorkers:         *simWorkers,
-		QueueDepth:         *queueDepth,
-		MaxGridJobs:        *gridJobs,
-		MaxGridScenarios:   *maxGrid,
-		RetryAfter:         *retryAfter,
-		StreamBatchRecords: *batchRecs,
-		StreamBatchBytes:   *batchBytes,
-		Tracer:             tracer,
+		CacheDir:         *cacheDir,
+		Compact:          *compact,
+		SimWorkers:       *simWorkers,
+		QueueDepth:       *queueDepth,
+		MaxGridJobs:      *gridJobs,
+		MaxGridScenarios: *maxGrid,
+		RetryAfter:       *retryAfter,
+		Tracer:           tracer,
 	})
 	if err != nil {
 		fatal(err)
@@ -198,7 +193,7 @@ func main() {
 
 // validateFlags rejects nonsensical combinations up front.
 func validateFlags(cacheDir string, compact bool, simWorkers, queueDepth, gridJobs,
-	maxGrid, retryAfter, batchRecs, batchBytes int, follow string, followEvery, drainTimeout time.Duration,
+	maxGrid, retryAfter int, follow string, followEvery, drainTimeout time.Duration,
 	traceOut string, traceSample, slowMs int) error {
 	if simWorkers < 0 {
 		return fmt.Errorf("-sim-workers must be >= 0 (0 = GOMAXPROCS), got %d", simWorkers)
@@ -214,12 +209,6 @@ func validateFlags(cacheDir string, compact bool, simWorkers, queueDepth, gridJo
 	}
 	if retryAfter < 0 {
 		return fmt.Errorf("-retry-after must be >= 0 (0 = default 1s), got %d", retryAfter)
-	}
-	if batchRecs < 0 {
-		return fmt.Errorf("-tlv-batch-records must be >= 0 (0 = default 64), got %d", batchRecs)
-	}
-	if batchBytes < 0 {
-		return fmt.Errorf("-tlv-batch-bytes must be >= 0 (0 = default 64KiB), got %d", batchBytes)
 	}
 	if drainTimeout < 0 {
 		return fmt.Errorf("-drain-timeout must be >= 0, got %v", drainTimeout)

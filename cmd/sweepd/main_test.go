@@ -18,8 +18,6 @@ func TestValidateFlagsRejectsNonsense(t *testing.T) {
 		gridJobs    int
 		maxGrid     int
 		retryAfter  int
-		batchRecs   int
-		batchBytes  int
 		follow      string
 		followEvr   time.Duration
 		drain       time.Duration
@@ -28,31 +26,29 @@ func TestValidateFlagsRejectsNonsense(t *testing.T) {
 		slowMs      int
 		wantErr     string
 	}{
-		{"defaults", "", false, 0, 0, 0, 0, 0, 0, 0, "", poll, ok, "", 1, 0, ""},
-		{"full", ".c", true, 8, 128, 4, 1024, 5, 128, 1 << 17, "", poll, ok, "", 1, 0, ""},
-		{"replica", ".c", false, 0, -1, 0, 0, 0, 0, 0, "", poll, ok, "", 1, 0, ""},
-		{"follower", ".c", false, 0, -1, 0, 0, 0, 0, 0, "http://w:8080", poll, ok, "", 1, 0, ""},
-		{"negative-sim-workers", "", false, -2, 0, 0, 0, 0, 0, 0, "", poll, ok, "", 1, 0, "-sim-workers must be >= 0"},
-		{"queue-below-minus-one", "", false, 0, -2, 0, 0, 0, 0, 0, "", poll, ok, "", 1, 0, "-queue-depth must be >= -1"},
-		{"negative-grid-jobs", "", false, 0, 0, -1, 0, 0, 0, 0, "", poll, ok, "", 1, 0, "-grid-jobs must be >= 0"},
-		{"negative-max-grid", "", false, 0, 0, 0, -1, 0, 0, 0, "", poll, ok, "", 1, 0, "-max-grid must be >= 0"},
-		{"negative-retry-after", "", false, 0, 0, 0, 0, -1, 0, 0, "", poll, ok, "", 1, 0, "-retry-after must be >= 0"},
-		{"negative-batch-records", "", false, 0, 0, 0, 0, 0, -1, 0, "", poll, ok, "", 1, 0, "-tlv-batch-records must be >= 0"},
-		{"negative-batch-bytes", "", false, 0, 0, 0, 0, 0, 0, -1, "", poll, ok, "", 1, 0, "-tlv-batch-bytes must be >= 0"},
-		{"negative-drain", "", false, 0, 0, 0, 0, 0, 0, 0, "", poll, -time.Second, "", 1, 0, "-drain-timeout must be >= 0"},
-		{"compact-no-dir", "", true, 0, 0, 0, 0, 0, 0, 0, "", poll, ok, "", 1, 0, "-compact requires -cache-dir"},
-		{"replica-no-dir", "", false, 0, -1, 0, 0, 0, 0, 0, "", poll, ok, "", 1, 0, "-queue-depth -1 (store-only replica) requires -cache-dir"},
-		{"follow-no-dir", "", false, 0, 0, 0, 0, 0, 0, 0, "http://w:8080", poll, ok, "", 1, 0, "-follow requires -cache-dir"},
-		{"follow-compact", ".c", true, 0, 0, 0, 0, 0, 0, 0, "http://w:8080", poll, ok, "", 1, 0, "-follow and -compact conflict"},
-		{"follow-bad-interval", ".c", false, 0, 0, 0, 0, 0, 0, 0, "http://w:8080", 0, ok, "", 1, 0, "-follow-interval must be > 0"},
-		{"tracing", "", false, 0, 0, 0, 0, 0, 0, 0, "", poll, ok, "spans.jsonl", 8, 250, ""},
-		{"negative-trace-sample", "", false, 0, 0, 0, 0, 0, 0, 0, "", poll, ok, "spans.jsonl", -1, 0, "-trace-sample must be >= 0"},
-		{"sample-no-out", "", false, 0, 0, 0, 0, 0, 0, 0, "", poll, ok, "", 4, 0, "-trace-sample requires -trace-out"},
-		{"negative-slow-ms", "", false, 0, 0, 0, 0, 0, 0, 0, "", poll, ok, "", 1, -5, "-slow-ms must be >= 0"},
+		{"defaults", "", false, 0, 0, 0, 0, 0, "", poll, ok, "", 1, 0, ""},
+		{"full", ".c", true, 8, 128, 4, 1024, 5, "", poll, ok, "", 1, 0, ""},
+		{"replica", ".c", false, 0, -1, 0, 0, 0, "", poll, ok, "", 1, 0, ""},
+		{"follower", ".c", false, 0, -1, 0, 0, 0, "http://w:8080", poll, ok, "", 1, 0, ""},
+		{"negative-sim-workers", "", false, -2, 0, 0, 0, 0, "", poll, ok, "", 1, 0, "-sim-workers must be >= 0"},
+		{"queue-below-minus-one", "", false, 0, -2, 0, 0, 0, "", poll, ok, "", 1, 0, "-queue-depth must be >= -1"},
+		{"negative-grid-jobs", "", false, 0, 0, -1, 0, 0, "", poll, ok, "", 1, 0, "-grid-jobs must be >= 0"},
+		{"negative-max-grid", "", false, 0, 0, 0, -1, 0, "", poll, ok, "", 1, 0, "-max-grid must be >= 0"},
+		{"negative-retry-after", "", false, 0, 0, 0, 0, -1, "", poll, ok, "", 1, 0, "-retry-after must be >= 0"},
+		{"negative-drain", "", false, 0, 0, 0, 0, 0, "", poll, -time.Second, "", 1, 0, "-drain-timeout must be >= 0"},
+		{"compact-no-dir", "", true, 0, 0, 0, 0, 0, "", poll, ok, "", 1, 0, "-compact requires -cache-dir"},
+		{"replica-no-dir", "", false, 0, -1, 0, 0, 0, "", poll, ok, "", 1, 0, "-queue-depth -1 (store-only replica) requires -cache-dir"},
+		{"follow-no-dir", "", false, 0, 0, 0, 0, 0, "http://w:8080", poll, ok, "", 1, 0, "-follow requires -cache-dir"},
+		{"follow-compact", ".c", true, 0, 0, 0, 0, 0, "http://w:8080", poll, ok, "", 1, 0, "-follow and -compact conflict"},
+		{"follow-bad-interval", ".c", false, 0, 0, 0, 0, 0, "http://w:8080", 0, ok, "", 1, 0, "-follow-interval must be > 0"},
+		{"tracing", "", false, 0, 0, 0, 0, 0, "", poll, ok, "spans.jsonl", 8, 250, ""},
+		{"negative-trace-sample", "", false, 0, 0, 0, 0, 0, "", poll, ok, "spans.jsonl", -1, 0, "-trace-sample must be >= 0"},
+		{"sample-no-out", "", false, 0, 0, 0, 0, 0, "", poll, ok, "", 4, 0, "-trace-sample requires -trace-out"},
+		{"negative-slow-ms", "", false, 0, 0, 0, 0, 0, "", poll, ok, "", 1, -5, "-slow-ms must be >= 0"},
 	}
 	for _, c := range cases {
 		err := validateFlags(c.cacheDir, c.compact, c.simWorkers, c.queueDepth,
-			c.gridJobs, c.maxGrid, c.retryAfter, c.batchRecs, c.batchBytes, c.follow, c.followEvr, c.drain,
+			c.gridJobs, c.maxGrid, c.retryAfter, c.follow, c.followEvr, c.drain,
 			c.traceOut, c.traceSample, c.slowMs)
 		if c.wantErr == "" {
 			if err != nil {

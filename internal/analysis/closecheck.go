@@ -7,11 +7,14 @@ import (
 
 // closeRoots are the packages on the durability path: the store that
 // promises acknowledged records survive restart, the serve layer that
-// streams segment bytes, and the cluster layer that installs them.
+// streams segment bytes, the cluster layer that installs them, and the
+// shared HTTP layer whose final stream flush decides whether a sweep
+// response is complete.
 var closeRoots = []string{
 	"repro/internal/sweep/store",
 	"repro/internal/sweep/serve",
 	"repro/internal/sweep/cluster",
+	"repro/internal/sweep/httpapi",
 }
 
 // closeMethods are the calls whose error return is the last chance to
@@ -31,7 +34,7 @@ var closeMethods = map[string]bool{
 var CloseCheck = &Analyzer{
 	Name: "closecheck",
 	Doc: "flag discarded Close/Sync/Flush errors on writable handles in the " +
-		"store, serve and cluster packages, where they are the only signal " +
+		"store, serve, cluster and httpapi packages, where they are the only signal " +
 		"that acknowledged bytes were lost",
 	Run: runCloseCheck,
 }

@@ -8,12 +8,13 @@ import (
 
 // goroutineLeakRoots are the long-running processes where a leaked
 // goroutine accumulates until the daemon dies: the serving layer, the
-// cluster tier (replicator, health prober, fan-out pool), and the cmd
-// entrypoints that wire them up. Batch tools and the simulation
-// kernel exit with the process and are out of scope.
+// cluster tier (replicator, health prober, fan-out pool), the HTTP layer
+// both share, and the cmd entrypoints that wire them up. Batch tools and
+// the simulation kernel exit with the process and are out of scope.
 var goroutineLeakRoots = []string{
 	"repro/internal/sweep/serve",
 	"repro/internal/sweep/cluster",
+	"repro/internal/sweep/httpapi",
 	"repro/cmd",
 }
 
@@ -36,7 +37,7 @@ var goroutineLeakRoots = []string{
 // a spawn through a callee this package cannot see — is a finding.
 var GoroutineLeak = &Analyzer{
 	Name: "goroutineleak",
-	Doc: "require every go statement in serve/cluster/cmd packages to have a provable " +
+	Doc: "require every go statement in serve/cluster/httpapi/cmd packages to have a provable " +
 		"exit path: a stop-channel select, a ranged channel the spawner closes, a " +
 		"joined WaitGroup, or a non-blocking straight-line body",
 	Run: runGoroutineLeak,

@@ -101,21 +101,9 @@ func (p *Proxy) OpsHandler() http.Handler {
 	return obs.NewOpsMux(p.reg, http.HandlerFunc(p.handleStatsz))
 }
 
-// startSpan begins the per-request span (nil when tracing is off) and
-// echoes the trace ID to the client. The span rides the request
-// context so every backend hop the request fans out to carries its
-// traceparent.
-func (p *Proxy) startSpan(name string, w http.ResponseWriter, r *http.Request) *obs.Span {
-	sp := p.tracer.StartSpan(name, r.Header.Get(obs.TraceparentHeader))
-	if sp != nil {
-		w.Header().Set(obs.TraceResponseHeader, sp.TraceHex())
-	}
-	return sp
-}
-
-// propagate stamps the span riding the request context onto an
-// outgoing backend request, so one trace ID spans proxy → replica →
-// writer fall-through.
+// propagate stamps the span riding the request context (put there by
+// httpapi.Instrument) onto an outgoing backend request, so one trace ID
+// spans proxy → replica → writer fall-through.
 func propagate(req *http.Request) {
 	if sp := obs.SpanFromContext(req.Context()); sp != nil {
 		req.Header.Set(obs.TraceparentHeader, sp.Traceparent())

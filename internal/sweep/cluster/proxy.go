@@ -18,8 +18,8 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/obs"
 	"repro/internal/sweep"
+	"repro/internal/sweep/httpapi"
 	"repro/internal/sweep/store"
-	"repro/internal/sweep/tlv"
 )
 
 // DefaultCacheEntries bounds the proxy's response cache when Options
@@ -34,9 +34,6 @@ const DefaultHealthInterval = 2 * time.Second
 // DefaultSweepWorkers bounds a sweep fan-out's concurrent backend
 // requests when Options leave it zero.
 const DefaultSweepWorkers = 16
-
-// maxBodyBytes mirrors the serve package's request-body bound.
-const maxBodyBytes = 1 << 20
 
 // Options configures a Proxy.
 type Options struct {
@@ -64,15 +61,8 @@ type Options struct {
 	// fan-out (DefaultSweepWorkers when <= 0).
 	SweepWorkers int
 	// MaxGridScenarios rejects larger sweep grids with 413 before
-	// expansion (serve's default when zero).
+	// expansion (httpapi.DefaultMaxGridScenarios when zero).
 	MaxGridScenarios int
-	// StreamBatchRecords / StreamBatchBytes tune the TLV stream batch
-	// thresholds for clients negotiating "Accept:
-	// application/x-sweep-tlv" on /v1/sweep (0 selects
-	// tlv.DefaultBatchRecords / tlv.DefaultBatchBytes). JSONL fan-outs
-	// keep the flush-per-line cadence.
-	StreamBatchRecords int
-	StreamBatchBytes   int
 	// Client performs backend requests (a default client when nil).
 	Client *http.Client
 	// Tracer, when non-nil, traces every proxied request: incoming
@@ -139,19 +129,17 @@ type Proxy struct {
 	ring     *Ring     // nil with zero replicas
 	byURL    map[string]*member
 
-	client     *http.Client
-	cache      *responseCache // nil when caching is disabled
-	maxGrid    int
-	workers    int
-	batchRecs  int
-	batchBytes int
-	interval   time.Duration
-	mux        *http.ServeMux
-	hs         *http.Server
-	start      time.Time
-	stop       chan struct{}
-	stopOnce   sync.Once
-	healthWG   sync.WaitGroup
+	client   *http.Client
+	cache    *responseCache // nil when caching is disabled
+	maxGrid  int
+	workers  int
+	interval time.Duration
+	mux      *http.ServeMux
+	hs       *http.Server
+	start    time.Time
+	stop     chan struct{}
+	stopOnce sync.Once
+	healthWG sync.WaitGroup
 
 	// Observability: the registry owns every counter and histogram
 	// below, so /statsz and /metricsz read the same objects. Endpoint
@@ -171,20 +159,14 @@ func NewProxy(opts Options) (*Proxy, error) {
 	if opts.Writer == "" {
 		return nil, fmt.Errorf("cluster: proxy needs a writer URL")
 	}
-	if opts.StreamBatchRecords < 0 || opts.StreamBatchBytes < 0 {
-		return nil, fmt.Errorf("cluster: stream batch thresholds must be >= 0, got %d records / %d bytes",
-			opts.StreamBatchRecords, opts.StreamBatchBytes)
-	}
 	p := &Proxy{
-		writer:     &member{url: strings.TrimRight(opts.Writer, "/")},
-		byURL:      map[string]*member{},
-		client:     opts.Client,
-		maxGrid:    opts.MaxGridScenarios,
-		workers:    opts.SweepWorkers,
-		batchRecs:  opts.StreamBatchRecords,
-		batchBytes: opts.StreamBatchBytes,
-		start:      time.Now(), //sweepvet:allow(timenow) proxy start time for /statsz uptime; never in record bytes
-		stop:       make(chan struct{}),
+		writer:  &member{url: strings.TrimRight(opts.Writer, "/")},
+		byURL:   map[string]*member{},
+		client:  opts.Client,
+		maxGrid: opts.MaxGridScenarios,
+		workers: opts.SweepWorkers,
+		start:   time.Now(), //sweepvet:allow(timenow) proxy start time for /statsz uptime; never in record bytes
+		stop:    make(chan struct{}),
 	}
 	p.writer.healthy.Store(true)
 	p.byURL[p.writer.url] = p.writer
@@ -192,7 +174,7 @@ func NewProxy(opts Options) (*Proxy, error) {
 		p.client = &http.Client{}
 	}
 	if p.maxGrid <= 0 {
-		p.maxGrid = 1 << 16
+		p.maxGrid = httpapi.DefaultMaxGridScenarios
 	}
 	if p.workers <= 0 {
 		p.workers = DefaultSweepWorkers
@@ -232,9 +214,9 @@ func NewProxy(opts Options) (*Proxy, error) {
 	p.initObs(opts.Tracer)
 
 	p.mux = http.NewServeMux()
-	p.mux.HandleFunc("/v1/scenario", p.handleScenario)
-	p.mux.HandleFunc("/v1/sweep", p.handleSweep)
-	p.mux.HandleFunc("/v1/deltas", p.handlePassthrough)
+	p.mux.HandleFunc("/v1/scenario", httpapi.Instrument(p.scenarioH, p.tracer, "scenario", p.handleScenario))
+	p.mux.HandleFunc("/v1/sweep", httpapi.Instrument(p.sweepH, p.tracer, "sweep", p.handleSweep))
+	p.mux.HandleFunc("/v1/deltas", httpapi.Instrument(p.deltasH, p.tracer, "deltas", p.handlePassthrough))
 	p.mux.HandleFunc("/healthz", p.handleHealthz)
 	p.mux.HandleFunc("/statsz", p.handleStatsz)
 	p.mux.Handle("/metricsz", p.reg.Handler())
@@ -264,13 +246,7 @@ func (p *Proxy) ListenAndServe(addr string) error {
 }
 
 // Serve serves on ln until Shutdown or a listener error.
-func (p *Proxy) Serve(ln net.Listener) error {
-	err := p.hs.Serve(ln)
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
-	}
-	return err
-}
+func (p *Proxy) Serve(ln net.Listener) error { return httpapi.Serve(p.hs, ln) }
 
 // Shutdown drains in-flight requests up to ctx and stops the health
 // loop.
@@ -455,12 +431,6 @@ func (p *Proxy) resolve(ctx context.Context, id string, body []byte) (line []byt
 	return nil, "", lastErr
 }
 
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
 // relayError writes a resolve failure to the client: backend answers
 // keep their status and body, transport dead-ends become 502.
 func relayError(w http.ResponseWriter, err error) {
@@ -474,68 +444,28 @@ func relayError(w http.ResponseWriter, err error) {
 		w.Write(be.body)
 		return
 	}
-	httpError(w, http.StatusBadGateway, err.Error())
-}
-
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return false
-	}
-	return true
-}
-
-func requirePost(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return false
-	}
-	return true
-}
-
-// etagMatch mirrors the serve layer's If-None-Match handling.
-func etagMatch(header, etag string) bool {
-	if header == "" {
-		return false
-	}
-	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(part)
-		part = strings.TrimPrefix(part, "W/")
-		if part == "*" || part == etag {
-			return true
-		}
-	}
-	return false
+	httpapi.Error(w, http.StatusBadGateway, err.Error())
 }
 
 // handleScenario routes one scenario request. The proxy resolves the
 // axes itself — the scenario ID is both the routing key and the ETag,
 // so a conditional request for a cached id never touches a backend.
 func (p *Proxy) handleScenario(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now() //sweepvet:allow(timenow) endpoint latency counter
-	sp := p.startSpan("scenario", w, r)
-	defer func() {
-		p.scenarioH.Observe(time.Since(t0).Microseconds()) //sweepvet:allow(timenow) endpoint latency counter
-		sp.Finish()
-	}()
-	if !requirePost(w, r) {
+	if !httpapi.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	var ax sweep.Axes
-	if !decode(w, r, &ax) {
+	if !httpapi.Decode(w, r, &ax) {
 		return
 	}
 	sc, err := ax.Scenario()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpapi.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	etag := `"` + sc.ID + `"`
 	inm := r.Header.Get("If-None-Match")
-	if etagMatch(inm, etag) && p.cache != nil && p.cache.contains(sc.ID) {
+	if httpapi.ETagMatch(inm, etag) && p.cache != nil && p.cache.contains(sc.ID) {
 		p.notModified.Add(1)
 		p.cacheHits.Add(1)
 		w.Header().Set("ETag", etag)
@@ -548,10 +478,10 @@ func (p *Proxy) handleScenario(w http.ResponseWriter, r *http.Request) {
 	// same bytes for every equivalent phrasing of one scenario.
 	body, err := json.Marshal(ax)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		httpapi.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	line, source, err := p.resolve(obs.ContextWithSpan(r.Context(), sp), sc.ID, body)
+	line, source, err := p.resolve(r.Context(), sc.ID, body)
 	if err != nil {
 		relayError(w, err)
 		return
@@ -571,7 +501,7 @@ func (p *Proxy) handleScenario(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.Header().Set("X-Sweepd-Proxy-Cache", "miss")
 	}
-	if etagMatch(inm, etag) {
+	if httpapi.ETagMatch(inm, etag) {
 		// The client's copy is current (the id is a content hash); the
 		// resolve run confirmed the record exists cluster-wide.
 		p.notModified.Add(1)
@@ -580,19 +510,6 @@ func (p *Proxy) handleScenario(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(line)
-}
-
-// acceptsTLV mirrors the serve layer's negotiation: only an Accept
-// header explicitly listing the TLV media type selects the binary
-// stream; absent headers and wildcards keep JSONL.
-func acceptsTLV(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		mt, _, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if strings.EqualFold(strings.TrimSpace(mt), tlv.MediaType) {
-			return true
-		}
-	}
-	return false
 }
 
 // handleSweep fans a grid out scenario by scenario across the ring and
@@ -605,36 +522,16 @@ func acceptsTLV(r *http.Request) bool {
 // way, and the record codec is canonical, so the binary stream decodes
 // to exactly the JSONL bytes a non-negotiating client receives.
 func (p *Proxy) handleSweep(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now() //sweepvet:allow(timenow) endpoint latency counter
-	sp := p.startSpan("sweep", w, r)
-	defer func() {
-		p.sweepH.Observe(time.Since(t0).Microseconds()) //sweepvet:allow(timenow) endpoint latency counter
-		sp.Finish()
-	}()
-	r = r.WithContext(obs.ContextWithSpan(r.Context(), sp))
-	if !requirePost(w, r) {
+	if !httpapi.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var spec sweep.GridSpec
-	if !decode(w, r, &spec) {
-		return
-	}
-	g, err := spec.Grid()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if size, err := g.Size(); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	} else if size > p.maxGrid {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("grid expands to %d scenarios, limit %d", size, p.maxGrid))
+	g, ok := httpapi.ParseGrid(w, r, p.maxGrid)
+	if !ok {
 		return
 	}
 	scs, err := g.Scenarios()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpapi.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -676,101 +573,46 @@ func (p *Proxy) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 
-	// The ResponseWriter need not be an http.Flusher (wrapping
-	// middleware, test recorders): stream without explicit flushes then.
-	flusher, _ := w.(http.Flusher)
-	flushFn := func() {}
-	if flusher != nil {
-		flushFn = flusher.Flush
-	}
-	binary := acceptsTLV(r)
-	var bw *tlv.BatchWriter
-	wroteHeader := false
-	// started reports whether response bytes may have reached the wire —
-	// the point past which errors must abort the connection instead of
-	// writing a status. The batched TLV writer can hold whole records
-	// unwritten, so its threshold is the first flushed batch, not the
-	// first merged line.
-	started := func() bool {
-		if bw != nil {
-			return bw.Batches > 0
-		}
-		return wroteHeader
-	}
-	for i := range cells {
+	st := httpapi.NewStream(w, r, nil)
+	for i := 0; i < len(cells) && err == nil; i++ {
 		<-cells[i].done
-		if cells[i].err != nil {
-			cancel()
-			if !started() {
-				relayError(w, cells[i].err)
-				return
+		if err = cells[i].err; err == nil {
+			if werr := st.WriteLine(cells[i].line); werr != nil {
+				// Before the first write only a backend line that does
+				// not decode can fail: a backend bug, surfaced like any
+				// other cell failure.
+				err = fmt.Errorf("backend line for %s: %v", scs[i].ID, werr)
 			}
-			// Mid-stream: abort so the client sees truncation, not a
-			// clean EOF passing for a complete grid.
-			panic(http.ErrAbortHandler)
 		}
-		if !wroteHeader {
-			if binary {
-				w.Header().Set("Content-Type", tlv.MediaType)
-				bw = tlv.NewBatchWriter(w, flushFn, p.batchRecs, p.batchBytes)
-			} else {
-				w.Header().Set("Content-Type", "application/x-ndjson")
-			}
-			wroteHeader = true
-		}
-		if bw != nil {
-			// Re-frame the resolved JSON line as a v3 record. A backend
-			// line that does not decode is a backend bug; surface it like
-			// any other cell failure.
-			var rec sweep.Record
-			if err := json.Unmarshal(cells[i].line, &rec); err != nil {
-				cancel()
-				if !started() {
-					httpError(w, http.StatusBadGateway, fmt.Sprintf("backend line for %s: %v", scs[i].ID, err))
-					return
-				}
-				panic(http.ErrAbortHandler)
-			}
-			if err := bw.WriteRecord(&rec); err != nil {
-				cancel()
-				panic(http.ErrAbortHandler)
-			}
-			continue
-		}
-		if _, err := w.Write(cells[i].line); err != nil {
-			cancel()
-			panic(http.ErrAbortHandler)
-		}
-		flushFn()
 	}
-	if bw != nil {
-		if err := bw.Flush(); err != nil {
-			cancel()
-			panic(http.ErrAbortHandler)
-		}
+	if err == nil {
+		err = st.Flush()
+	}
+	if err != nil {
+		st.AbortIfStarted()
+		relayError(w, err)
+		return
+	}
+	if st.Binary() {
 		p.tlvSweeps.Add(1)
 	}
 }
 
 // handlePassthrough forwards a request verbatim to the writer —
 // /v1/deltas needs the whole grid in one process, so it is not fanned
-// out.
+// out. The method guard and body bound answer locally, exactly as the
+// writer would, without a round trip.
 func (p *Proxy) handlePassthrough(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now() //sweepvet:allow(timenow) endpoint latency counter
-	sp := p.startSpan("deltas", w, r)
-	defer func() {
-		p.deltasH.Observe(time.Since(t0).Microseconds()) //sweepvet:allow(timenow) endpoint latency counter
-		sp.Finish()
-	}()
-	r = r.WithContext(obs.ContextWithSpan(r.Context(), sp))
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	if !httpapi.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, p.writer.url+r.URL.Path, bytes.NewReader(body))
+	body, ok := httpapi.ReadBody(w, r)
+	if !ok {
+		return
+	}
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, p.writer.url+r.URL.Path, bytes.NewReader(body))
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		httpapi.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
@@ -779,7 +621,7 @@ func (p *Proxy) handlePassthrough(w http.ResponseWriter, r *http.Request) {
 	resp, err := p.client.Do(req)
 	if err != nil {
 		p.writer.errs.Add(1)
-		httpError(w, http.StatusBadGateway, err.Error())
+		httpapi.Error(w, http.StatusBadGateway, err.Error())
 		return
 	}
 	defer resp.Body.Close()

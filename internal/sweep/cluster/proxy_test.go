@@ -16,6 +16,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/obs"
 	"repro/internal/sweep"
+	"repro/internal/sweep/httpapi"
 	"repro/internal/sweep/serve"
 	"repro/internal/sweep/tlv"
 )
@@ -442,6 +443,70 @@ func TestProxyRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestProxyErrorParityWithWriter: a malformed request answers the same
+// status, Allow header and body bytes through the proxy as from the
+// writer directly, whether the proxy validates it itself (/v1/scenario,
+// /v1/sweep) or forwards it (/v1/deltas). Method and body-size rejections
+// never cost a writer round trip.
+func TestProxyErrorParityWithWriter(t *testing.T) {
+	c := newTestCluster(t, 0)
+	p, pts := c.newProxy(t, Options{})
+	pad := strings.Repeat(" ", httpapi.MaxBodyBytes)
+	type row struct{ method, path, body string }
+	var rows []row
+	for _, b := range []string{`{"seed":1,"bogus":true}`, `not json`, `{"profile":"7G"}`, `{"seed":` + pad + `1}`} {
+		rows = append(rows, row{http.MethodPost, "/v1/scenario", b})
+	}
+	for _, path := range []string{"/v1/sweep", "/v1/deltas"} {
+		for _, b := range []string{`{"seeds":[1],"bogus":true}`, `not json`, `{"profiles":["7G"]}`, `{"seeds":[1,1]}`, `{"seeds":[1,` + pad + `2]}`} {
+			rows = append(rows, row{http.MethodPost, path, b})
+		}
+	}
+	for _, path := range []string{"/v1/scenario", "/v1/sweep", "/v1/deltas"} {
+		rows = append(rows, row{http.MethodGet, path, ""})
+	}
+
+	send := func(base string, rw row) (int, string, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(rw.method, base+rw.path, strings.NewReader(rw.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("Allow"), b
+	}
+	forwarded := int64(0)
+	for _, rw := range rows {
+		name := rw.method + " " + rw.path + " " + rw.body
+		if len(name) > 60 {
+			name = name[:60] + "..."
+		}
+		wantCode, wantAllow, wantBody := send(c.writerTS.URL, rw)
+		gotCode, gotAllow, gotBody := send(pts.URL, rw)
+		if wantCode < 400 {
+			t.Fatalf("%s: writer answered %d, want an error", name, wantCode)
+		}
+		if gotCode != wantCode || gotAllow != wantAllow || !bytes.Equal(gotBody, wantBody) {
+			t.Errorf("%s:\nproxy  %d Allow=%q %s\nwriter %d Allow=%q %s",
+				name, gotCode, gotAllow, gotBody, wantCode, wantAllow, wantBody)
+		}
+		if rw.path == "/v1/deltas" && rw.method == http.MethodPost && len(rw.body) < httpapi.MaxBodyBytes {
+			forwarded++
+		}
+	}
+	if got := p.writer.requests.Load(); got != forwarded {
+		t.Fatalf("proxy sent %d requests to the writer, want %d (only well-sized /v1/deltas POSTs)", got, forwarded)
+	}
+}
+
 // TestProxySweepTLVNegotiation: a sweep through the proxy with the
 // binary media type in Accept comes back as batched v3 TLV frames that
 // decode to exactly the records of the JSONL stream — including with a
@@ -468,7 +533,7 @@ func TestProxySweepTLVNegotiation(t *testing.T) {
 	}
 
 	c := newTestCluster(t, 2)
-	_, pts := c.newProxy(t, Options{StreamBatchRecords: 2})
+	_, pts := c.newProxy(t, Options{})
 	spec := `{"seeds":[361,362],"edge_upf":[false,true]}`
 
 	sweepTLV := func() []sweep.Record {

@@ -1,0 +1,63 @@
+package httpapi
+
+import (
+	"net/http/httptest"
+	"testing"
+
+	"repro/internal/sweep/tlv"
+)
+
+func TestETagMatch(t *testing.T) {
+	const etag = `"abc"`
+	cases := []struct {
+		header string
+		want   bool
+	}{
+		{``, false},
+		{`"abc"`, true},
+		{`W/"abc"`, true},
+		{`*`, true},
+		{` * `, true},
+		{`"x", W/"abc"`, true},
+		{`"x",W/"y" , "abc"`, true},
+		{`"x", "y"`, false},
+		{`W/"x"`, false},
+		{`abc`, false},
+		{`"abc`, false},
+		{`w/"abc"`, false}, // the weak prefix is case-sensitive
+	}
+	for _, c := range cases {
+		if got := ETagMatch(c.header, etag); got != c.want {
+			t.Errorf("ETagMatch(%q, %q) = %v, want %v", c.header, etag, got, c.want)
+		}
+	}
+}
+
+func TestAcceptsTLV(t *testing.T) {
+	cases := []struct {
+		accept string
+		want   bool
+	}{
+		{"", false},
+		{tlv.MediaType, true},
+		{"Application/X-Sweep-TLV", true},
+		{tlv.MediaType + ";q=0.9", true},
+		{"  " + tlv.MediaType + " ; v=3", true},
+		{"application/json;q=0.5, " + tlv.MediaType + ";q=0.9", true},
+		{"*/*", false},
+		{"application/*", false},
+		{"application/x-ndjson", false},
+		{"application/x-sweep-tlvx", false},
+		{"application/x-sweep", false},
+		{"text/plain; charset=" + tlv.MediaType, false},
+	}
+	for _, c := range cases {
+		r := httptest.NewRequest("POST", "/v1/sweep", nil)
+		if c.accept != "" {
+			r.Header.Set("Accept", c.accept)
+		}
+		if got := AcceptsTLV(r); got != c.want {
+			t.Errorf("AcceptsTLV(Accept: %q) = %v, want %v", c.accept, got, c.want)
+		}
+	}
+}

@@ -21,11 +21,11 @@ func (s *Server) initObs(tracer *obs.Tracer) {
 	s.reg = reg
 	s.tracer = tracer
 
-	epHist := func(name string) endpoint {
-		return endpoint{h: reg.Histogram(
+	epHist := func(name string) *obs.Histogram {
+		return reg.Histogram(
 			metricNS+"_http_request_duration_us",
 			"Request wall time per endpoint, microseconds.",
-			nil, obs.Label{Key: "endpoint", Value: name})}
+			nil, obs.Label{Key: "endpoint", Value: name})
 	}
 	s.scenarioEP = epHist("scenario")
 	s.sweepEP = epHist("sweep")
@@ -125,13 +125,8 @@ func (f *stageFan) ObserveStage(st obs.Stage, d time.Duration) {
 	}
 }
 
-// startSpan begins the per-request span (nil when tracing is off),
-// echoing the trace ID to the client so a slow response can be joined
-// against exported spans and slow-request logs.
-func (s *Server) startSpan(name string, w http.ResponseWriter, r *http.Request) *obs.Span {
-	sp := s.tracer.StartSpan(name, r.Header.Get(obs.TraceparentHeader))
-	if sp != nil {
-		w.Header().Set(obs.TraceResponseHeader, sp.TraceHex())
-	}
-	return sp
+// stages returns the request's stage sink: the span httpapi.Instrument
+// put in its context, fanned out with the server's stage histograms.
+func (s *Server) stages(r *http.Request) *stageFan {
+	return &stageFan{span: obs.SpanFromContext(r.Context()), s: s}
 }

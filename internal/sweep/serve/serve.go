@@ -18,9 +18,8 @@
 //	                    cmd/sweep -out for the same grid; clients
 //	                    sending "Accept: application/x-sweep-tlv"
 //	                    receive the same records as framed binary TLV
-//	                    (record format v3), written in batches of
-//	                    N records / T bytes per flush instead of one
-//	                    write+flush per record
+//	                    (record format v3), flushed every 64 records or
+//	                    64 KiB instead of once per record
 //	POST /v1/deltas     grid JSON -> recommendation deltas over the
 //	                    completed grid (edge UPF, peering, slicing)
 //	GET  /v1/segments   store segment manifest + generation cursor
@@ -61,11 +60,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net"
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,6 +73,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/obs"
 	"repro/internal/sweep"
+	"repro/internal/sweep/httpapi"
 	"repro/internal/sweep/store"
 	"repro/internal/sweep/tlv"
 )
@@ -88,10 +88,7 @@ const DefaultMaxGridJobs = 16
 
 // DefaultMaxGridScenarios rejects grids that expand past this many
 // scenarios when Options.MaxGridScenarios is zero.
-const DefaultMaxGridScenarios = 1 << 16
-
-// maxBodyBytes bounds request bodies; axes and grid specs are tiny.
-const maxBodyBytes = 1 << 20
+const DefaultMaxGridScenarios = httpapi.DefaultMaxGridScenarios
 
 // ErrShed reports that the simulation admission queue was full and the
 // miss was not simulated. Handlers map it to 429.
@@ -115,14 +112,6 @@ type Options struct {
 	// (meaningful with CacheDir; 0 keeps the store default). Small
 	// values exercise rotation; replication tests lean on it.
 	SegmentBytes int64
-	// StreamBatchRecords / StreamBatchBytes tune the TLV stream batch
-	// thresholds: a batch flushes once it holds this many records or
-	// this many bytes, whichever first (0 selects
-	// tlv.DefaultBatchRecords / tlv.DefaultBatchBytes). JSONL streams
-	// are unaffected — they keep the flush-per-record cadence old
-	// clients' goldens pin.
-	StreamBatchRecords int
-	StreamBatchBytes   int
 	// SimWorkers bounds concurrently running simulations across all
 	// requests (default GOMAXPROCS).
 	SimWorkers int
@@ -150,17 +139,6 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
-// endpoint is one route's latency histogram: the single source of
-// truth behind both the /statsz counters (count/sum/max plus the
-// quantile estimates) and the /metricsz exposition.
-type endpoint struct {
-	h *obs.Histogram
-}
-
-func (e *endpoint) observe(d time.Duration) {
-	e.h.Observe(d.Microseconds())
-}
-
 // EndpointStats is one route's counter snapshot. The quantile fields
 // postdate the flat counters and ride behind omitempty (pinned by the
 // jsontags baseline), so a zero-traffic snapshot marshals exactly the
@@ -174,14 +152,17 @@ type EndpointStats struct {
 	LatencyUsP99   int64 `json:"latency_us_p99,omitempty"`
 }
 
-func (e *endpoint) snapshot() EndpointStats {
+// endpointStats snapshots one route's latency histogram: the single
+// source of truth behind both the /statsz counters (count/sum/max plus
+// the quantile estimates) and the /metricsz exposition.
+func endpointStats(h *obs.Histogram) EndpointStats {
 	return EndpointStats{
-		Requests:       e.h.Count(),
-		LatencyUsTotal: e.h.Sum(),
-		LatencyUsMax:   e.h.Max(),
-		LatencyUsP50:   e.h.Quantile(0.50),
-		LatencyUsP95:   e.h.Quantile(0.95),
-		LatencyUsP99:   e.h.Quantile(0.99),
+		Requests:       h.Count(),
+		LatencyUsTotal: h.Sum(),
+		LatencyUsMax:   h.Max(),
+		LatencyUsP50:   h.Quantile(0.50),
+		LatencyUsP95:   h.Quantile(0.95),
+		LatencyUsP99:   h.Quantile(0.99),
 	}
 }
 
@@ -245,8 +226,6 @@ type Server struct {
 	queueDepth int
 	maxGrid    int
 	retryAfter string
-	batchRecs  int
-	batchBytes int
 
 	// replStats, when set (SetReplicationStats), is snapshotted into
 	// Stats.Replication; the follower's replicator installs it.
@@ -267,7 +246,7 @@ type Server struct {
 	stageHists   [obs.NumStages]*obs.Histogram
 	storeOpHists [3]*obs.Histogram // indexed by store.Op
 
-	scenarioEP, sweepEP, deltasEP, segmentsEP endpoint
+	scenarioEP, sweepEP, deltasEP, segmentsEP *obs.Histogram
 	hits, misses, shed, gridShed              *obs.Counter
 	notModified                               *obs.Counter
 	tlvStreams, tlvRecords, tlvBatches        *obs.Counter
@@ -296,12 +275,6 @@ func New(opts Options) (*Server, error) {
 	if opts.RetryAfter < 0 {
 		return nil, fmt.Errorf("serve: RetryAfter must be >= 0, got %d", opts.RetryAfter)
 	}
-	if opts.StreamBatchRecords < 0 || opts.StreamBatchBytes < 0 {
-		return nil, fmt.Errorf("serve: stream batch thresholds must be >= 0, got %d records / %d bytes",
-			opts.StreamBatchRecords, opts.StreamBatchBytes)
-	}
-	s.batchRecs = opts.StreamBatchRecords
-	s.batchBytes = opts.StreamBatchBytes
 	retryAfter := opts.RetryAfter
 	if retryAfter == 0 {
 		retryAfter = 1
@@ -350,11 +323,11 @@ func New(opts Options) (*Server, error) {
 	s.cache.SetObservedRunner(s.run)
 
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/scenario", s.handleScenario)
-	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("/v1/deltas", s.handleDeltas)
-	s.mux.HandleFunc("/v1/segments", s.handleSegments)
-	s.mux.HandleFunc("/v1/segments/file", s.handleSegmentFile)
+	s.mux.HandleFunc("/v1/scenario", httpapi.Instrument(s.scenarioEP, s.tracer, "scenario", s.handleScenario))
+	s.mux.HandleFunc("/v1/sweep", httpapi.Instrument(s.sweepEP, s.tracer, "sweep", s.handleSweep))
+	s.mux.HandleFunc("/v1/deltas", httpapi.Instrument(s.deltasEP, s.tracer, "deltas", s.handleDeltas))
+	s.mux.HandleFunc("/v1/segments", httpapi.Instrument(s.segmentsEP, s.tracer, "segments", s.handleSegments))
+	s.mux.HandleFunc("/v1/segments/file", httpapi.Instrument(s.segmentsEP, s.tracer, "segments_file", s.handleSegmentFile))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/statsz", s.handleStatsz)
 	s.mux.Handle("/metricsz", s.reg.Handler())
@@ -415,13 +388,7 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Serve serves on ln until Shutdown or a listener error.
-func (s *Server) Serve(ln net.Listener) error {
-	err := s.hs.Serve(ln)
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
-	}
-	return err
-}
+func (s *Server) Serve(ln net.Listener) error { return httpapi.Serve(s.hs, ln) }
 
 // Shutdown drains gracefully: stop accepting, wait for in-flight
 // requests (simulations included) up to ctx, then flush and release
@@ -450,58 +417,26 @@ func (s *Server) Close() error {
 	return err
 }
 
-// decode strictly unmarshals a request body into v.
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return false
-	}
-	return true
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
 // shed429 rejects a request with 429 and the configured Retry-After
 // hint — the one header routing layers key their backoff on.
 func (s *Server) shed429(w http.ResponseWriter, msg string) {
 	w.Header().Set("Retry-After", s.retryAfter)
-	httpError(w, http.StatusTooManyRequests, msg)
-}
-
-func requirePost(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return false
-	}
-	return true
+	httpapi.Error(w, http.StatusTooManyRequests, msg)
 }
 
 // handleScenario resolves one scenario by axes: a store/cache hit is a
 // read; a miss simulates through the admission queue or sheds 429.
 func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now() //sweepvet:allow(timenow) endpoint latency counter
-	sp := s.startSpan("scenario", w, r)
-	defer func() {
-		s.scenarioEP.observe(time.Since(t0)) //sweepvet:allow(timenow) endpoint latency counter
-		sp.Finish()
-	}()
-	if !requirePost(w, r) {
+	if !httpapi.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	var ax sweep.Axes
-	if !decode(w, r, &ax) {
+	if !httpapi.Decode(w, r, &ax) {
 		return
 	}
 	sc, err := ax.Scenario()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpapi.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// Scenario IDs are content hashes of the canonical config, so the ID
@@ -511,14 +446,14 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	// fall through to the full path: a 304 would vouch for bytes this
 	// server never produced.
 	etag := `"` + sc.ID + `"`
-	if inm := r.Header.Get("If-None-Match"); etagMatch(inm, etag) && s.cache.Contains(sc.ID) {
+	if inm := r.Header.Get("If-None-Match"); httpapi.ETagMatch(inm, etag) && s.cache.Contains(sc.ID) {
 		s.notModified.Add(1)
 		w.Header().Set("ETag", etag)
 		w.Header().Set("X-Sweepd-Cache", "hit")
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	fan := &stageFan{span: sp, s: s}
+	fan := s.stages(r)
 	res, cached, err := s.cache.GetOrRunReportObserved(sc.Config, fan)
 	switch {
 	case errors.Is(err, ErrShed):
@@ -528,7 +463,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		// Simulation errors are deterministic config errors (an
 		// off-grid cell, a slicing/target-cells conflict) that no retry
 		// can fix — the same classification the grid endpoints use.
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpapi.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if cached {
@@ -545,48 +480,6 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	fan.ObserveStage(obs.StageEncode, time.Since(tEnc)) //sweepvet:allow(timenow) stage timer: feeds metrics/traces only
 }
 
-// etagMatch reports whether an If-None-Match header names the given
-// entity tag: any listed tag (weak validators compare equal for GET
-// semantics) or the wildcard.
-func etagMatch(header, etag string) bool {
-	if header == "" {
-		return false
-	}
-	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(part)
-		part = strings.TrimPrefix(part, "W/")
-		if part == "*" || part == etag {
-			return true
-		}
-	}
-	return false
-}
-
-// parseGrid decodes and resolves a grid request, applying the size cap
-// before anything proportional to the grid is allocated.
-func (s *Server) parseGrid(w http.ResponseWriter, r *http.Request) (sweep.Grid, bool) {
-	var spec sweep.GridSpec
-	if !decode(w, r, &spec) {
-		return sweep.Grid{}, false
-	}
-	g, err := spec.Grid()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return g, false
-	}
-	size, err := g.Size()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return g, false
-	}
-	if size > s.maxGrid {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("grid expands to %d scenarios, limit %d", size, s.maxGrid))
-		return g, false
-	}
-	return g, true
-}
-
 // acquireGridJob bounds concurrently executing grid requests; a full
 // job table sheds exactly like a full simulation queue.
 func (s *Server) acquireGridJob(w http.ResponseWriter) bool {
@@ -600,39 +493,18 @@ func (s *Server) acquireGridJob(w http.ResponseWriter) bool {
 	}
 }
 
-// acceptsTLV reports whether the request negotiates the binary stream:
-// the Accept header lists the TLV media type. Anything else — absent
-// header, */*, application/x-ndjson — keeps the JSONL default, so old
-// clients' bytes never change under them.
-func acceptsTLV(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		mt, _, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if strings.EqualFold(strings.TrimSpace(mt), tlv.MediaType) {
-			return true
-		}
-	}
-	return false
-}
-
 // handleSweep streams a whole grid in grid order. The default body is
 // JSONL, flushed record by record, byte-identical to cmd/sweep -out
 // for the same grid; clients negotiating "Accept:
 // application/x-sweep-tlv" get the same records as framed v3 TLV,
-// written in batches (StreamBatchRecords records or StreamBatchBytes
-// bytes per flush) instead of one write+flush per record. Cache
-// accounting arrives in HTTP trailers either way (the body is already
-// streaming when the totals are known).
+// flushed in batches instead of once per record (see httpapi.Stream).
+// Cache accounting arrives in HTTP trailers either way (the body is
+// already streaming when the totals are known).
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now() //sweepvet:allow(timenow) endpoint latency counter
-	sp := s.startSpan("sweep", w, r)
-	defer func() {
-		s.sweepEP.observe(time.Since(t0)) //sweepvet:allow(timenow) endpoint latency counter
-		sp.Finish()
-	}()
-	if !requirePost(w, r) {
+	if !httpapi.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
-	g, ok := s.parseGrid(w, r)
+	g, ok := httpapi.ParseGrid(w, r, s.maxGrid)
 	if !ok {
 		return
 	}
@@ -641,93 +513,30 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer func() { <-s.grids }()
 
-	binary := acceptsTLV(r)
-	if binary {
-		w.Header().Set("Content-Type", tlv.MediaType)
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
+	fan := s.stages(r)
+	st := httpapi.NewStream(w, r, fan)
 	w.Header().Set("Trailer", "X-Sweepd-Cache-Hits, X-Sweepd-Cache-Misses")
-	// The ResponseWriter need not be an http.Flusher (HTTP/2 middleware
-	// wrappers, test recorders): stream without explicit flushes then —
-	// net/http still delivers everything at handler return.
-	flusher, _ := w.(http.Flusher)
-	flushFn := func() {}
-	if flusher != nil {
-		flushFn = flusher.Flush
-	}
-
-	fan := &stageFan{span: sp, s: s}
-	var emit func(run sweep.ScenarioRun) error
-	var emitted int
-	var bw *tlv.BatchWriter
-	if binary {
-		// Batch flushes happen inside WriteRecord, so its wall time is
-		// the encode-and-flush cost; the final Flush below is the
-		// stream's flush tail.
-		bw = tlv.NewBatchWriter(w, flushFn, s.batchRecs, s.batchBytes)
-		emit = func(run sweep.ScenarioRun) error {
+	res, err := sweep.RunEach(g, sweep.Options{Workers: s.simWorkers, Cache: s.cache, Stages: fan},
+		func(run sweep.ScenarioRun) error {
 			rec := sweep.RecordOf(run)
-			tEnc := time.Now() //sweepvet:allow(timenow) stage timer: feeds metrics/traces only
-			err := bw.WriteRecord(&rec)
-			fan.ObserveStage(obs.StageEncode, time.Since(tEnc)) //sweepvet:allow(timenow) stage timer: feeds metrics/traces only
-			if err != nil {
-				return err
-			}
-			emitted++
-			return nil
-		}
-	} else {
-		enc := json.NewEncoder(w)
-		emit = func(run sweep.ScenarioRun) error {
-			tEnc := time.Now() //sweepvet:allow(timenow) stage timer: feeds metrics/traces only
-			err := enc.Encode(sweep.RecordOf(run))
-			fan.ObserveStage(obs.StageEncode, time.Since(tEnc)) //sweepvet:allow(timenow) stage timer: feeds metrics/traces only
-			if err != nil {
-				return err
-			}
-			emitted++
-			tFlush := time.Now() //sweepvet:allow(timenow) stage timer: feeds metrics/traces only
-			flushFn()
-			fan.ObserveStage(obs.StageFlush, time.Since(tFlush)) //sweepvet:allow(timenow) stage timer: feeds metrics/traces only
-			return nil
-		}
-	}
-	res, err := sweep.RunEach(g, sweep.Options{Workers: s.simWorkers, Cache: s.cache, Stages: fan}, emit)
-	if err == nil && bw != nil {
-		tFlush := time.Now() //sweepvet:allow(timenow) stage timer: feeds metrics/traces only
-		err = bw.Flush()
-		fan.ObserveStage(obs.StageFlush, time.Since(tFlush)) //sweepvet:allow(timenow) stage timer: feeds metrics/traces only
+			return st.WriteRecord(&rec)
+		})
+	if err == nil {
+		err = st.Flush()
 	}
 	if err != nil {
-		// Batched TLV may hold every emitted record unwritten: the
-		// response is clean-failable exactly until the first batch hits
-		// the wire, not until the first record is emitted.
-		started := emitted > 0
-		if bw != nil {
-			started = bw.Batches > 0
+		st.AbortIfStarted()
+		if errors.Is(err, ErrShed) {
+			s.shed429(w, err.Error())
+		} else {
+			httpapi.Error(w, http.StatusBadRequest, err.Error())
 		}
-		if !started {
-			// Nothing streamed yet: a proper status line is still
-			// possible.
-			if errors.Is(err, ErrShed) {
-				s.shed429(w, err.Error())
-			} else {
-				httpError(w, http.StatusBadRequest, err.Error())
-			}
-			return
-		}
-		// Mid-stream failure: the status line is gone; abort the
-		// connection so the client sees truncation, not a clean EOF
-		// that silently passes for a complete grid. A truncated TLV
-		// stream is equally unambiguous: the reader's final frame cuts
-		// off mid-header or mid-payload.
-		panic(http.ErrAbortHandler)
+		return
 	}
-	if bw != nil {
+	if st.Binary() {
 		s.tlvStreams.Add(1)
-		s.tlvRecords.Add(bw.Records)
-		s.tlvBatches.Add(bw.Batches)
+		s.tlvRecords.Add(st.Records())
+		s.tlvBatches.Add(st.Batches())
 	}
 	s.hits.Add(int64(res.CacheHits))
 	s.misses.Add(int64(res.CacheMisses))
@@ -747,16 +556,10 @@ type DeltasResponse struct {
 // handleDeltas completes a grid (warm grids never simulate) and
 // returns its recommendation deltas.
 func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now() //sweepvet:allow(timenow) endpoint latency counter
-	sp := s.startSpan("deltas", w, r)
-	defer func() {
-		s.deltasEP.observe(time.Since(t0)) //sweepvet:allow(timenow) endpoint latency counter
-		sp.Finish()
-	}()
-	if !requirePost(w, r) {
+	if !httpapi.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
-	g, ok := s.parseGrid(w, r)
+	g, ok := httpapi.ParseGrid(w, r, s.maxGrid)
 	if !ok {
 		return
 	}
@@ -765,12 +568,12 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	}
 	defer func() { <-s.grids }()
 
-	res, err := sweep.Run(g, sweep.Options{Workers: s.simWorkers, Cache: s.cache, Stages: &stageFan{span: sp, s: s}})
+	res, err := sweep.Run(g, sweep.Options{Workers: s.simWorkers, Cache: s.cache, Stages: s.stages(r)})
 	if err != nil {
 		if errors.Is(err, ErrShed) {
 			s.shed429(w, err.Error())
 		} else {
-			httpError(w, http.StatusBadRequest, err.Error())
+			httpapi.Error(w, http.StatusBadRequest, err.Error())
 		}
 		return
 	}
@@ -804,17 +607,11 @@ type SegmentManifest struct {
 // segment-shipping replication. ?cursor=<generation> short-circuits an
 // unchanged store to 304, so idle pollers cost one int compare.
 func (s *Server) handleSegments(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now() //sweepvet:allow(timenow) endpoint latency counter
-	sp := s.startSpan("segments", w, r)
-	defer func() {
-		s.segmentsEP.observe(time.Since(t0)) //sweepvet:allow(timenow) endpoint latency counter
-		sp.Finish()
-	}()
-	if !requireGet(w, r) {
+	if !httpapi.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	if s.st == nil {
-		httpError(w, http.StatusNotFound, "no store attached; segment shipping needs -cache-dir")
+		httpapi.Error(w, http.StatusNotFound, "no store attached; segment shipping needs -cache-dir")
 		return
 	}
 	gen, segs := s.st.Manifest()
@@ -833,25 +630,20 @@ func (s *Server) handleSegments(w http.ResponseWriter, r *http.Request) {
 
 // handleSegmentFile streams one segment's raw bytes. A segment that
 // vanished between manifest and fetch (compaction won the race) is a
-// 404 the follower resolves by re-polling the manifest.
+// 404 the follower resolves by re-polling the manifest; any other read
+// failure is a 500 the follower reports as lag, never skips.
 func (s *Server) handleSegmentFile(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now() //sweepvet:allow(timenow) endpoint latency counter
-	sp := s.startSpan("segments_file", w, r)
-	defer func() {
-		s.segmentsEP.observe(time.Since(t0)) //sweepvet:allow(timenow) endpoint latency counter
-		sp.Finish()
-	}()
-	if !requireGet(w, r) {
+	if !httpapi.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	if s.st == nil {
-		httpError(w, http.StatusNotFound, "no store attached; segment shipping needs -cache-dir")
+		httpapi.Error(w, http.StatusNotFound, "no store attached; segment shipping needs -cache-dir")
 		return
 	}
 	q := r.URL.Query()
 	seg, err := strconv.Atoi(q.Get("seg"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "seg must be an integer")
+		httpapi.Error(w, http.StatusBadRequest, "seg must be an integer")
 		return
 	}
 	// ?format= names the segment encoding from the manifest entry;
@@ -860,11 +652,14 @@ func (s *Server) handleSegmentFile(w http.ResponseWriter, r *http.Request) {
 	format := q.Get("format")
 	data, err := s.st.ReadSegment(q.Get("shard"), seg, format)
 	if err != nil {
-		if strings.Contains(err.Error(), "unknown segment format") {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
+		code := http.StatusInternalServerError
+		switch {
+		case errors.Is(err, store.ErrBadSegmentRef):
+			code = http.StatusBadRequest
+		case errors.Is(err, fs.ErrNotExist):
+			code = http.StatusNotFound
 		}
-		httpError(w, http.StatusNotFound, err.Error())
+		httpapi.Error(w, code, err.Error())
 		return
 	}
 	if format == store.FormatTLV {
@@ -873,15 +668,6 @@ func (s *Server) handleSegmentFile(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	w.Write(data)
-}
-
-func requireGet(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return false
-	}
-	return true
 }
 
 // Store returns the disk store the server owns (nil when serving a
@@ -917,10 +703,10 @@ func (s *Server) StatsSnapshot() Stats {
 	var st Stats
 	st.UptimeS = time.Since(s.start).Seconds() //sweepvet:allow(timenow) /statsz uptime
 	st.Version = buildinfo.Version()
-	st.Scenario = s.scenarioEP.snapshot()
-	st.Sweep = s.sweepEP.snapshot()
-	st.Deltas = s.deltasEP.snapshot()
-	st.Segments = s.segmentsEP.snapshot()
+	st.Scenario = endpointStats(s.scenarioEP)
+	st.Sweep = endpointStats(s.sweepEP)
+	st.Deltas = endpointStats(s.deltasEP)
+	st.Segments = endpointStats(s.segmentsEP)
 	st.Cache.Hits = s.hits.Value()
 	st.Cache.Misses = s.misses.Value()
 	st.Cache.NotModified = s.notModified.Value()

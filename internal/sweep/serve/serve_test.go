@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -652,7 +654,8 @@ func TestRetryAfterConfigurable(t *testing.T) {
 
 // TestSegmentFeed: the writer-side replication feed — manifest with a
 // working 304 cursor, raw segment bytes identical to the files on
-// disk, traversal-shaped refs rejected, and 404 without a store.
+// disk, traversal-shaped refs rejected with 400, and 404 without a
+// store.
 func TestSegmentFeed(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := New(Options{CacheDir: dir, SimWorkers: 2})
@@ -713,8 +716,8 @@ func TestSegmentFeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.Body.Close()
-		if r.StatusCode != http.StatusBadRequest && r.StatusCode != http.StatusNotFound {
-			t.Errorf("query %q: status %d, want 400/404", q, r.StatusCode)
+		if r.StatusCode != http.StatusBadRequest {
+			t.Errorf("query %q: status %d, want 400", q, r.StatusCode)
 		}
 	}
 
@@ -733,6 +736,39 @@ func TestSegmentFeed(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusNotFound {
 		t.Fatalf("storeless manifest: status %d, want 404", r.StatusCode)
+	}
+}
+
+// TestSegmentFileReadFailureIs500: a segment the store cannot read for
+// any reason but absence answers 500, so a follower reports the failure
+// as lag instead of skipping the segment as compacted away (404).
+func TestSegmentFileReadFailureIs500(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := New(Options{CacheDir: dir, SimWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// A directory where a segment file should be: the read fails with
+	// "is a directory", the shape of EIO, EACCES or EMFILE.
+	if err := os.MkdirAll(filepath.Join(dir, "segments", "ab", "seg-0007.tlv"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for q, want := range map[string]int{
+		"shard=ab&seg=7&format=tlv": http.StatusInternalServerError,
+		"shard=ab&seg=8&format=tlv": http.StatusNotFound,
+	} {
+		r, err := http.Get(ts.URL + "/v1/segments/file?" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != want {
+			t.Errorf("query %q: status %d, want %d", q, r.StatusCode, want)
+		}
 	}
 }
 
@@ -759,9 +795,7 @@ func decodeTLVBody(t *testing.T, body io.Reader) []sweep.Record {
 // values. Wildcard or absent Accept headers keep the JSONL bytes
 // untouched, so negotiation never changes what old clients see.
 func TestSweepStreamTLVNegotiation(t *testing.T) {
-	// Batch after every 2 records so a single response exercises
-	// multiple flushes.
-	srv, err := New(Options{SimWorkers: 2, StreamBatchRecords: 2})
+	srv, err := New(Options{SimWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -820,7 +854,7 @@ func TestSweepStreamTLVNegotiation(t *testing.T) {
 	}
 
 	// The stream stats counted it: one TLV stream, every record framed,
-	// multiple batches (records/batch = 2 forces > 1).
+	// one batch (4 records stay under the 64-record flush point).
 	var stats Stats
 	sresp, err := http.Get(ts.URL + "/statsz")
 	if err != nil {
@@ -833,9 +867,8 @@ func TestSweepStreamTLVNegotiation(t *testing.T) {
 	if stats.Stream.TLVStreams != 1 || stats.Stream.TLVRecords != int64(len(goldenRecs)) {
 		t.Fatalf("stream stats = %+v, want 1 stream / %d records", stats.Stream, len(goldenRecs))
 	}
-	if stats.Stream.TLVBatches < 2 {
-		t.Fatalf("2-record batching flushed %d batches for %d records, want >= 2",
-			stats.Stream.TLVBatches, len(goldenRecs))
+	if stats.Stream.TLVBatches != 1 {
+		t.Fatalf("%d records flushed %d batches, want 1", len(goldenRecs), stats.Stream.TLVBatches)
 	}
 
 	// Non-negotiating clients — absent Accept, wildcards, unrelated

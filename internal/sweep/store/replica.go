@@ -24,6 +24,7 @@ package store
 // diff entirely; the serve layer maps that to 304 Not Modified.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -46,6 +47,10 @@ type SegmentInfo struct {
 // so pre-TLV peers interoperate unchanged.
 const FormatTLV = formatTLV
 
+// ErrBadSegmentRef marks a shard, segment number or wire format that
+// cannot name a segment file: a caller error, unlike a read failure.
+var ErrBadSegmentRef = errors.New("store: bad segment reference")
+
 // parseWireFormat maps a format carried in a manifest entry or query
 // parameter. An absent wire format means JSONL: every segment shipped
 // before formats existed was JSONL.
@@ -56,7 +61,7 @@ func parseWireFormat(format string) (isTLV bool, err error) {
 	case formatTLV:
 		return true, nil
 	default:
-		return false, fmt.Errorf("store: unknown segment format %q", format)
+		return false, fmt.Errorf("%w: unknown segment format %q", ErrBadSegmentRef, format)
 	}
 }
 
@@ -130,10 +135,10 @@ func (s *Store) manifestLocked() []SegmentInfo {
 // other than a segment file (path traversal, negative numbers).
 func validSegmentRef(shard string, seg int) error {
 	if len(shard) != 2 || !isHexLower(shard[0]) || !isHexLower(shard[1]) {
-		return fmt.Errorf("store: invalid shard %q", shard)
+		return fmt.Errorf("%w: invalid shard %q", ErrBadSegmentRef, shard)
 	}
 	if seg < 0 {
-		return fmt.Errorf("store: invalid segment number %d", seg)
+		return fmt.Errorf("%w: invalid segment number %d", ErrBadSegmentRef, seg)
 	}
 	return nil
 }

@@ -80,7 +80,7 @@ func (sr *StreamReader) NextRecord() (sweep.Record, error) {
 // batches — kcp-go's batch-loop idea applied to an HTTP stream: instead
 // of one Write plus one chunked-encoding Flush per record, many records
 // ride one write. flush, when non-nil, runs after every batch write
-// (an http.Flusher for streaming responses; nil degrades to plain
+// (a streaming response's Flush method; nil degrades to plain
 // buffered writes, which is also the non-Flusher ResponseWriter path).
 type BatchWriter struct {
 	w        io.Writer
