@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -222,5 +224,44 @@ func TestVirtualDurationPlausible(t *testing.T) {
 	}
 	if res.TotalMeasurements < 3000 {
 		t.Errorf("only %d measurements", res.TotalMeasurements)
+	}
+}
+
+// TestConcurrentRunsMatchSequential runs two configs at once and
+// compares each with its sequential twin. Every run builds its own
+// topology and policy router (a router memoizes routes and is not safe
+// for concurrent use), so under -race this also proves runs share no
+// mutable routing state.
+func TestConcurrentRunsMatchSequential(t *testing.T) {
+	cfgs := []Config{
+		{Seed: 3, LocalPeering: true, TargetCells: []string{"B2", "E2"}},
+		{Seed: 4, EdgeUPF: true, MobileNodes: 1, WiredRounds: 2},
+	}
+	want := make([]*Result, len(cfgs))
+	for i, cfg := range cfgs {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	got := make([]*Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = Run(cfg)
+		}()
+	}
+	wg.Wait()
+	for i := range cfgs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("config %d: concurrent run differs from the sequential run", i)
+		}
 	}
 }

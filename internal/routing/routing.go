@@ -15,7 +15,6 @@
 package routing
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -149,82 +148,151 @@ var ErrNoRoute = errors.New("routing: no route")
 
 // --- Shortest-delay routing (Dijkstra) ----------------------------------
 
+// upLink and upInternalLink are the two link filters a Dijkstra run
+// takes: any link in service, and in-service links inside one AS.
+func upLink(l *topo.Link) bool { return l.Up() }
+
+func upInternalLink(l *topo.Link) bool { return l.Rel == topo.RelInternal && l.Up() }
+
+// pqItem is one frontier entry of the Dijkstra heap.
 type pqItem struct {
-	node  *topo.Node
-	dist  time.Duration
-	index int
+	node *topo.Node
+	dist time.Duration
 }
 
-type pq []*pqItem
-
-func (q pq) Len() int           { return len(q) }
-func (q pq) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i]; q[i].index = i; q[j].index = j }
-func (q *pq) Push(x any)        { it := x.(*pqItem); it.index = len(*q); *q = append(*q, it) }
-func (q *pq) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
+// dijkstra holds the scratch of one shortest-delay search, indexed by
+// node ID (IDs are dense: topo.Network.AddNode numbers nodes 0..n-1).
+// A PolicyRouter keeps one and reuses it across searches.
+type dijkstra struct {
+	dist    []time.Duration
+	prev    []*topo.Link
+	settled []bool
+	heap    []pqItem
+}
 
 // ShortestDelay returns the minimum-delay path between src and dst,
 // ignoring AS policy. Cost is link delay plus downstream node processing.
 func ShortestDelay(nw *topo.Network, src, dst *topo.Node) (Path, error) {
-	if src == dst {
-		return Path{Nodes: []*topo.Node{src}}, nil
+	var d dijkstra
+	p, ok := d.run(nw, src, dst, upLink)
+	if !ok {
+		return Path{}, fmt.Errorf("%w: %s -> %s", ErrNoRoute, src.Name, dst.Name)
 	}
-	dist := map[int]time.Duration{src.ID: 0}
-	prevLink := map[int]*topo.Link{}
-	q := &pq{}
-	heap.Push(q, &pqItem{node: src, dist: 0})
-	settled := map[int]bool{}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(*pqItem)
-		if settled[it.node.ID] {
+	return p, nil
+}
+
+// run finds the minimum-delay path from src to dst over the links use
+// admits, reporting false when dst is unreachable. The heap is a binary
+// heap with container/heap's exact sift order, so equal-delay ties
+// break the same way on every run.
+func (d *dijkstra) run(nw *topo.Network, src, dst *topo.Node, use func(*topo.Link) bool) (Path, bool) {
+	if src == dst {
+		return Path{Nodes: []*topo.Node{src}}, true
+	}
+	d.reset(len(nw.Nodes()))
+	d.dist[src.ID] = 0
+	d.push(pqItem{node: src})
+	for len(d.heap) > 0 {
+		it := d.pop()
+		if d.settled[it.node.ID] {
 			continue
 		}
-		settled[it.node.ID] = true
+		d.settled[it.node.ID] = true
 		if it.node == dst {
 			break
 		}
 		for _, l := range nw.LinksOf(it.node) {
-			if !l.Up() {
+			if !use(l) {
 				continue
 			}
 			next := l.Other(it.node)
-			if settled[next.ID] {
+			if d.settled[next.ID] {
 				continue
 			}
 			nd := it.dist + l.Delay() + next.ProcDelay
-			if cur, ok := dist[next.ID]; !ok || nd < cur {
-				dist[next.ID] = nd
-				prevLink[next.ID] = l
-				heap.Push(q, &pqItem{node: next, dist: nd})
+			if nd < d.dist[next.ID] {
+				d.dist[next.ID] = nd
+				d.prev[next.ID] = l
+				d.push(pqItem{node: next, dist: nd})
 			}
 		}
 	}
-	if !settled[dst.ID] {
-		return Path{}, fmt.Errorf("%w: %s -> %s", ErrNoRoute, src.Name, dst.Name)
+	if !d.settled[dst.ID] {
+		return Path{}, false
 	}
-	return reconstruct(src, dst, prevLink), nil
+	return d.reconstruct(src, dst), true
 }
 
-func reconstruct(src, dst *topo.Node, prevLink map[int]*topo.Link) Path {
-	var nodes []*topo.Node
-	var links []*topo.Link
-	for at := dst; ; {
-		nodes = append(nodes, at)
-		if at == src {
+// reset sizes the scratch for n nodes and marks every node unreached.
+func (d *dijkstra) reset(n int) {
+	if cap(d.dist) < n {
+		d.dist = make([]time.Duration, n)
+		d.prev = make([]*topo.Link, n)
+		d.settled = make([]bool, n)
+		d.heap = make([]pqItem, 0, n)
+	}
+	d.dist, d.prev, d.settled = d.dist[:n], d.prev[:n], d.settled[:n]
+	for i := range d.dist {
+		d.dist[i] = math.MaxInt64
+	}
+	clear(d.prev)
+	clear(d.settled)
+	d.heap = d.heap[:0]
+}
+
+func (d *dijkstra) push(it pqItem) {
+	d.heap = append(d.heap, it)
+	// Sift up, as container/heap.up.
+	for j := len(d.heap) - 1; ; {
+		i := (j - 1) / 2
+		if i == j || d.heap[j].dist >= d.heap[i].dist {
 			break
 		}
-		l := prevLink[at.ID]
-		links = append(links, l)
+		d.heap[i], d.heap[j] = d.heap[j], d.heap[i]
+		j = i
+	}
+}
+
+func (d *dijkstra) pop() pqItem {
+	h := d.heap
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	// Sift down over h[:n], as container/heap.down.
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n || j < 0 {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2
+		}
+		if h[j].dist >= h[i].dist {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	d.heap = h[:n]
+	return h[n]
+}
+
+// reconstruct walks the predecessor links back from dst and fills the
+// path front to back in exactly sized slices.
+func (d *dijkstra) reconstruct(src, dst *topo.Node) Path {
+	hops := 0
+	for at := dst; at != src; at = d.prev[at.ID].Other(at) {
+		hops++
+	}
+	p := Path{Nodes: make([]*topo.Node, hops+1), Links: make([]*topo.Link, hops)}
+	at := dst
+	for i := hops; i > 0; i-- {
+		p.Nodes[i] = at
+		l := d.prev[at.ID]
+		p.Links[i-1] = l
 		at = l.Other(at)
 	}
-	// Reverse into src -> dst order.
-	for i, j := 0, len(nodes)-1; i < j; i, j = i+1, j-1 {
-		nodes[i], nodes[j] = nodes[j], nodes[i]
-	}
-	for i, j := 0, len(links)-1; i < j; i, j = i+1, j-1 {
-		links[i], links[j] = links[j], links[i]
-	}
-	return Path{Nodes: nodes, Links: links}
+	p.Nodes[0] = src
+	return p
 }
 
 // --- Policy (valley-free BGP) routing ------------------------------------
@@ -250,12 +318,28 @@ type asRoute struct {
 
 // PolicyRouter computes valley-free AS-level routes and expands them to
 // router-level paths over the wired graph.
+//
+// Route memoizes each (src, dst) path until the network's version
+// changes, so a router is not safe for concurrent use: give each run
+// (each goroutine) its own router, as campaign, argame, recommend and
+// oran do.
 type PolicyRouter struct {
 	nw *topo.Network
 	// asAdj[asn] lists inter-AS adjacencies with their relationship as
 	// read from asn's side, and the concrete border links implementing
 	// each adjacency.
 	asAdj map[int]map[int]*asAdjacency
+	// memo holds Route's answers, keyed by (src.ID, dst.ID), for the
+	// network state memoVersion.
+	memo        map[[2]int]routeResult
+	memoVersion uint64
+	sp          dijkstra
+}
+
+// routeResult is one memoized Route answer.
+type routeResult struct {
+	path Path
+	err  error
 }
 
 type asAdjacency struct {
@@ -276,7 +360,12 @@ func (a *asAdjacency) usable() bool {
 
 // NewPolicyRouter indexes the network's AS-level structure.
 func NewPolicyRouter(nw *topo.Network) *PolicyRouter {
-	pr := &PolicyRouter{nw: nw, asAdj: make(map[int]map[int]*asAdjacency)}
+	pr := &PolicyRouter{
+		nw:          nw,
+		asAdj:       make(map[int]map[int]*asAdjacency),
+		memo:        make(map[[2]int]routeResult),
+		memoVersion: nw.Version(),
+	}
 	for _, l := range nw.Links() {
 		if l.Rel == topo.RelInternal {
 			continue
@@ -440,7 +529,38 @@ func (pr *PolicyRouter) ASPath(srcAS, dstAS *topo.AS) ([]*topo.AS, error) {
 // the ingress router to the chosen egress border router; across ASes it
 // picks the border link minimizing (distance to egress + link delay),
 // a deterministic cold-potato approximation.
+//
+// Each (src, dst) answer, path or error, is computed once per network
+// version and then served from the memo. A returned path shares its
+// slices with the memo; they are capacity-clipped, so appending to them
+// copies instead of writing into the cached path.
 func (pr *PolicyRouter) Route(src, dst *topo.Node) (Path, error) {
+	if r, ok := pr.cached(src, dst); ok {
+		return r.path, r.err
+	}
+	p, err := pr.route(src, dst)
+	p.Nodes = p.Nodes[:len(p.Nodes):len(p.Nodes)]
+	p.Links = p.Links[:len(p.Links):len(p.Links)]
+	pr.memo[[2]int{src.ID, dst.ID}] = routeResult{path: p, err: err}
+	return p, err
+}
+
+// cached returns the memoized answer for (src, dst), first dropping the
+// whole memo if the network changed since it was filled.
+//
+//sweepvet:hotpath
+func (pr *PolicyRouter) cached(src, dst *topo.Node) (routeResult, bool) {
+	if v := pr.nw.Version(); v != pr.memoVersion {
+		clear(pr.memo)
+		pr.memoVersion = v
+		return routeResult{}, false
+	}
+	r, ok := pr.memo[[2]int{src.ID, dst.ID}]
+	return r, ok
+}
+
+// route computes Route's answer from scratch.
+func (pr *PolicyRouter) route(src, dst *topo.Node) (Path, error) {
 	if src.AS == nil || dst.AS == nil {
 		return Path{}, errors.New("routing: host without AS")
 	}
@@ -496,46 +616,14 @@ func (pr *PolicyRouter) Route(src, dst *topo.Node) (Path, error) {
 
 // intraAS runs shortest-delay routing constrained to links of one AS.
 func (pr *PolicyRouter) intraAS(src, dst *topo.Node) (Path, error) {
-	if src == dst {
-		return Path{Nodes: []*topo.Node{src}}, nil
-	}
-	if src.AS != dst.AS {
+	if src != dst && src.AS != dst.AS {
 		return Path{}, errors.New("routing: intraAS across ASes")
 	}
-	dist := map[int]time.Duration{src.ID: 0}
-	prevLink := map[int]*topo.Link{}
-	q := &pq{}
-	heap.Push(q, &pqItem{node: src, dist: 0})
-	settled := map[int]bool{}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(*pqItem)
-		if settled[it.node.ID] {
-			continue
-		}
-		settled[it.node.ID] = true
-		if it.node == dst {
-			break
-		}
-		for _, l := range pr.nw.LinksOf(it.node) {
-			if l.Rel != topo.RelInternal || !l.Up() {
-				continue
-			}
-			next := l.Other(it.node)
-			if settled[next.ID] {
-				continue
-			}
-			nd := it.dist + l.Delay() + next.ProcDelay
-			if cur, ok := dist[next.ID]; !ok || nd < cur {
-				dist[next.ID] = nd
-				prevLink[next.ID] = l
-				heap.Push(q, &pqItem{node: next, dist: nd})
-			}
-		}
-	}
-	if !settled[dst.ID] {
+	p, ok := pr.sp.run(pr.nw, src, dst, upInternalLink)
+	if !ok {
 		return Path{}, fmt.Errorf("%w: intra-AS %s -> %s", ErrNoRoute, src.Name, dst.Name)
 	}
-	return reconstruct(src, dst, prevLink), nil
+	return p, nil
 }
 
 // appendPath extends dst with seg, assuming seg starts at dst's tail.
