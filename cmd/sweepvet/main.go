@@ -1,8 +1,8 @@
 // Command sweepvet runs the repo's invariant analyzers (package
 // repro/internal/analysis): determinism, appendonlyhash, jsontags,
-// tlvtags, lockdiscipline, closecheck, hotpath, goroutineleak and
-// atomicdiscipline. It is both a standalone checker and a vettool
-// speaking the go command's unit-check protocol.
+// tlvtags, lockdiscipline, closecheck, hotpath, goroutineleak,
+// atomicdiscipline and sharedresult. It is both a standalone checker
+// and a vettool speaking the go command's unit-check protocol.
 //
 // Usage:
 //

@@ -23,10 +23,11 @@
 //	t0 := time.Now() //sweepvet:allow(timenow) serve latency counter, never folded into records
 //
 // The marker names the check it silences — timenow, maporder, iolock,
-// close, hotpath, goroutineleak, atomics — so an annotation never
-// suppresses more than it argues for. The reason text after the marker
-// is mandatory: `sweepvet -allows` audits every active marker and fails
-// on an empty reason, so suppressions cannot rot silently.
+// close, hotpath, goroutineleak, atomics, sharedresult — so an
+// annotation never suppresses more than it argues for. The reason text
+// after the marker is mandatory: `sweepvet -allows` audits every active
+// marker and fails on an empty reason, so suppressions cannot rot
+// silently.
 package analysis
 
 import (
@@ -148,6 +149,7 @@ func All() []*Analyzer {
 		Hotpath,
 		GoroutineLeak,
 		AtomicDiscipline,
+		SharedResult,
 	}
 }
 

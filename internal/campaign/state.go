@@ -222,9 +222,19 @@ func (st ResultState) Restore() (*Result, error) {
 // Clone returns an independent deep copy of the result: the caller may
 // mutate samples, reports or config freely without affecting the
 // original. The sector grid and density model are shared — they are
-// immutable topology. The sweep cache clones on both insert and lookup
-// so no caller ever holds a pointer into cached state.
-func (r *Result) Clone() *Result {
+// immutable topology. Cloned samples are exact-size. The sweep cache
+// keeps one copy of each fresh result, to shed its sample growth
+// slack, and clones per lookup only for Want.Raw callers; every other
+// hit shares the cached result read-only.
+func (r *Result) Clone() *Result { return r.clone(false) }
+
+// SummaryClone is Clone without the raw per-cell samples: the copy is
+// SummaryOnly, exactly like a result restored from a compact record,
+// and every summary and report is exact. The sweep cache keeps such a
+// copy in memory when a backing store holds the raw samples.
+func (r *Result) SummaryClone() *Result { return r.clone(true) }
+
+func (r *Result) clone(summaryOnly bool) *Result {
 	if r == nil {
 		return nil
 	}
@@ -240,8 +250,13 @@ func (r *Result) Clone() *Result {
 	}
 	cp.Samples = make(map[geo.CellID]*stats.Sample, len(r.Samples))
 	for c, s := range r.Samples {
-		cp.Samples[c] = s.Clone()
+		if summaryOnly {
+			cp.Samples[c] = stats.RestoreSample(s.Summary, nil)
+		} else {
+			cp.Samples[c] = s.Clone()
+		}
 	}
+	cp.SummaryOnly = r.SummaryOnly || summaryOnly
 	cp.Reports = append([]CellReport(nil), r.Reports...)
 	return &cp
 }

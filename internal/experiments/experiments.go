@@ -98,19 +98,23 @@ func IDs() []string {
 // hash — not the bare seed — so drivers never conflate differing
 // configs, and sweeps that already ran a scenario hand the drivers a
 // free hit (and vice versa). Concurrent drivers asking for the same
-// seed de-duplicate to one simulation (singleflight in GetOrRun), and
-// every caller gets an independent copy it may mutate freely.
+// seed de-duplicate to one simulation. The result is the cache's own
+// shared copy: drivers read summaries, reports and extremes from it
+// and must not modify it — a driver that sorts or mutates samples
+// goes through campaignRaw instead.
 func campaignFor(seed uint64) (*campaign.Result, error) {
-	return sweep.Shared.GetOrRun(campaign.Config{Seed: seed})
+	res, _, err := sweep.Shared.Resolve(campaign.Config{Seed: seed}, sweep.Want{})
+	return res, err
 }
 
 // campaignRaw is campaignFor for drivers that derive quantiles, CDFs or
-// histograms from raw per-cell samples. A summary-only cache hit — a
-// compact disk record — is treated as a miss and the campaign
-// re-simulates, so such drivers never compute tails over silently
-// absent samples.
+// histograms from raw per-cell samples. It returns a private copy the
+// driver may sort in place, and a summary-only cache hit — a compact
+// disk record — is treated as a miss and the campaign re-simulates, so
+// such drivers never compute tails over silently absent samples.
 func campaignRaw(seed uint64) (*campaign.Result, error) {
-	return sweep.Shared.GetOrRunFull(campaign.Config{Seed: seed})
+	res, _, err := sweep.Shared.Resolve(campaign.Config{Seed: seed}, sweep.Want{Raw: true})
+	return res, err
 }
 
 // UseDiskCache layers a persistent result store under the shared

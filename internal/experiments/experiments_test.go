@@ -111,22 +111,31 @@ func TestCampaignCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The cache hands out defensive copies: same statistics, distinct
-	// objects, so a driver mutating its result can't poison later hits.
-	if a == b {
-		t.Fatal("cache hit must be an independent copy")
+	// Drivers share the cache's one read-only result; only campaignRaw
+	// hands out a private copy, which a driver may sort or mutate
+	// without poisoning later hits.
+	if a != b {
+		t.Fatal("campaignFor hits must share the cached result")
 	}
-	if a.MobileAll.Snapshot() != b.MobileAll.Snapshot() ||
-		a.TotalMeasurements != b.TotalMeasurements {
+	raw, err := campaignRaw(123)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw == b {
+		t.Fatal("campaignRaw must return a private copy")
+	}
+	if raw.MobileAll.Snapshot() != b.MobileAll.Snapshot() ||
+		raw.TotalMeasurements != b.TotalMeasurements {
 		t.Fatal("campaign cache not reused: statistics differ")
 	}
-	a.TotalMeasurements = -1
+	want := b.TotalMeasurements
+	raw.TotalMeasurements = -1
 	c, err := campaignFor(123)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.TotalMeasurements != b.TotalMeasurements {
-		t.Fatal("mutating a returned result leaked into the cache")
+	if c.TotalMeasurements != want {
+		t.Fatal("mutating a raw result leaked into the cache")
 	}
 }
 

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -112,6 +113,21 @@ func TestCellIDString(t *testing.T) {
 		parsed, err := ParseCellID(want)
 		if err != nil || parsed != c {
 			t.Errorf("ParseCellID(%q) = %v, %v", want, parsed, err)
+		}
+	}
+}
+
+// TestCellIDStringMatchesSprintf: String builds its bytes by hand, and
+// must produce exactly what the fmt rendering did — including columns
+// past 'Z' and zero or negative rows — since cell names feed scenario
+// records and store keys.
+func TestCellIDStringMatchesSprintf(t *testing.T) {
+	for col := 0; col <= 30; col++ {
+		for row := -1; row <= 120; row++ {
+			c := CellID{Col: col, Row: row}
+			if got, want := c.String(), fmt.Sprintf("%c%d", 'A'+rune(c.Col), c.Row); got != want {
+				t.Fatalf("CellID{%d, %d}.String() = %q, want %q", col, row, got, want)
+			}
 		}
 	}
 }

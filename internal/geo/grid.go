@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"unicode/utf8"
 )
 
 // CellID identifies one cell of a sector grid. Columns are lettered from
@@ -15,9 +17,13 @@ type CellID struct {
 	Row int // 1-based: 1 = northernmost row
 }
 
-// String renders the cell in the paper's "C3" notation.
+// String renders the cell in the paper's "C3" notation. It builds the
+// bytes in a stack buffer (one rune, at most 4 bytes, then a base-10
+// int64, at most 20), so the returned string is its only allocation.
 func (c CellID) String() string {
-	return fmt.Sprintf("%c%d", 'A'+rune(c.Col), c.Row)
+	var buf [utf8.UTFMax + 20]byte
+	b := utf8.AppendRune(buf[:0], 'A'+rune(c.Col))
+	return string(strconv.AppendInt(b, int64(c.Row), 10))
 }
 
 // ParseCellID parses the "C3" notation back into a CellID.

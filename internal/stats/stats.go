@@ -230,11 +230,16 @@ func (s *Sample) AddDuration(d time.Duration) {
 func (s *Sample) Values() []float64 { return s.xs }
 
 // Clone returns an independent deep copy: mutating the clone (Add,
-// Quantile's in-place sort) never affects the original, which is what
-// lets the sweep cache hand out defensive copies of cached results.
+// Quantile's in-place sort) never affects the original. The copy's
+// backing slice is exact-size (cap == len), so cloning also sheds the
+// growth slack of a sample that is done collecting.
 func (s *Sample) Clone() *Sample {
 	cp := *s
-	cp.xs = append([]float64(nil), s.xs...)
+	cp.xs = nil
+	if len(s.xs) > 0 {
+		cp.xs = make([]float64, len(s.xs))
+		copy(cp.xs, s.xs)
+	}
 	return &cp
 }
 
@@ -258,6 +263,10 @@ func (s *Sample) ensureSorted() {
 
 // Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation
 // between order statistics. It returns NaN for an empty sample.
+//
+// Quantile sorts in place (as do Median, CDF and FractionBelow): never
+// call it on a shared result, such as one the sweep cache serves
+// without Want.Raw — Clone first.
 func (s *Sample) Quantile(q float64) float64 {
 	if len(s.xs) == 0 {
 		return math.NaN()

@@ -29,16 +29,23 @@ const DefaultSharedLimit = 1024
 // Campaigns are deterministic, so a hit is indistinguishable from a
 // re-run; caching only removes wall-clock.
 //
-// Results are defensively copied on both insert and lookup: no caller
-// ever holds a pointer into cached state, so mutating a returned result
-// (or even calling Quantile, which sorts samples in place) cannot
-// corrupt later hits.
+// Cached results are shared and read-only: Resolve and Get hand every
+// caller the cache's own pointer, so a warm read copies nothing. A
+// caller must not write through it — no field or map stores, and no
+// Sample method that sorts in place (Quantile, Median, CDF,
+// FractionBelow) or appends (Add). Callers that need raw samples ask
+// for Want.Raw and get a private Clone they may sort.
+// sweepvet's sharedresult check flags writes through a non-raw
+// Resolve result.
 //
 // A cache may be bounded (SetLimit) — entries evict least-recently-used
 // — and may be layered over a BackingStore (AttachStore), which makes
-// Get read-through and Put write-through: misses consult disk before
-// reporting failure, inserts persist before returning. The zero value
-// is not usable; construct with NewCache or NewPersistentCache.
+// reads read-through and inserts write-through: misses consult disk
+// before simulating, fresh results persist before Resolve returns.
+// With a store attached, a fresh result that no raw caller asked for
+// stays in memory summary-only: the store keeps its raw samples. The
+// zero value is not usable; construct with NewCache or
+// NewPersistentCache.
 type Cache struct {
 	mu       sync.Mutex
 	m        map[string]*list.Element // id → lru element holding *entry
@@ -46,13 +53,32 @@ type Cache struct {
 	limit    int                      // ≤ 0 means unbounded
 	store    BackingStore
 	inflight map[string]*flight
-	runner   func(campaign.Config) (*campaign.Result, error) // nil means campaign.Run
-	// runnerObs, when set, wins over runner and receives the caller's
-	// per-request stage observer so the serving layer can attribute
+	// runner simulates a miss (campaign.Run when nil). It receives the
+	// caller's stage observer so the serving layer can attribute
 	// admission-queue wait and simulation time to the request that
 	// paid for them.
-	runnerObs func(campaign.Config, obs.StageObserver) (*campaign.Result, error)
+	runner    func(campaign.Config, obs.StageObserver) (*campaign.Result, error)
 	storeErrs atomic.Int64
+}
+
+// Want says what a Resolve caller needs beyond a read-only result.
+type Want struct {
+	// Raw asks for a private copy carrying raw per-cell samples, for
+	// callers deriving quantiles, CDFs or histograms (which sort the
+	// samples in place). A summary-only entry does not serve it: the
+	// read falls through to the store, and when that holds no full
+	// record either (a compact store) the scenario re-simulates instead
+	// of handing back quantiles that silently read as zero. The full
+	// result replaces the summary-only entry in memory; a compact-mode
+	// backing store still persists it summary-only, so over a compact
+	// store raw callers re-simulate once per process rather than once
+	// per call. Without Raw, a result may be summary-only.
+	Raw bool
+	// Stages, when non-nil, receives the cache's read and
+	// singleflight-wait phases, and reaches the runner (SetRunner) so
+	// admission wait and simulation time join the same request
+	// timeline. Timings feed metrics and traces only, never results.
+	Stages obs.StageObserver
 }
 
 type entry struct {
@@ -60,11 +86,10 @@ type entry struct {
 	res *campaign.Result
 }
 
-// flight is one in-progress GetOrRun execution; concurrent callers for
-// the same key wait on it instead of re-running the campaign. Only the
-// error is shared through the flight — on success followers re-read the
-// now-warm cache, so they never touch the result object the leader's
-// caller owns (and may already be mutating).
+// flight is one in-progress simulation; concurrent callers for the
+// same key wait on it instead of re-running the campaign. Only the
+// error is shared through the flight — on success followers re-read
+// the now-warm cache.
 type flight struct {
 	done chan struct{}
 	err  error
@@ -122,8 +147,9 @@ func (c *Cache) AttachStore(s BackingStore) {
 // so failures count rather than propagate.
 func (c *Cache) StoreErrors() int64 { return c.storeErrs.Load() }
 
-// Get returns an independent copy of the cached result for a scenario
-// ID, consulting the backing store on a memory miss.
+// Get returns the cached result for a scenario ID, consulting the
+// backing store on a memory miss. The result is shared and read-only
+// (see Cache).
 func (c *Cache) Get(id string) (*campaign.Result, bool) {
 	return c.get(id, false)
 }
@@ -151,70 +177,83 @@ func (c *Cache) Contains(id string) bool {
 	return ok
 }
 
-// GetFull is Get restricted to results carrying raw per-cell samples: a
-// summary-only entry (restored from a compact disk record) is reported
-// as a miss instead of served, so callers deriving quantiles, CDFs or
-// histograms never compute them over silently absent data.
-func (c *Cache) GetFull(id string) (*campaign.Result, bool) {
-	return c.get(id, true)
-}
-
-func (c *Cache) get(id string, needRaw bool) (*campaign.Result, bool) {
+// get looks id up in memory, then in the backing store. With raw set,
+// summary-only entries miss and a hit is a private Clone; otherwise a
+// hit is the cache's own pointer.
+func (c *Cache) get(id string, raw bool) (*campaign.Result, bool) {
 	c.mu.Lock()
 	el, ok := c.m[id]
-	var cached *campaign.Result
+	var res *campaign.Result
 	if ok {
-		res := el.Value.(*entry).res
-		if needRaw && res.SummaryOnly {
+		res = el.Value.(*entry).res
+		if raw && res.SummaryOnly {
 			// A compact entry cannot serve a raw-samples caller; fall
 			// through to the store, which may hold a full record.
 			ok = false
 		} else {
 			c.lru.MoveToFront(el)
-			cached = res
 		}
 	}
 	st := c.store
 	c.mu.Unlock()
-	if ok {
-		// Cache-owned results are only ever replaced, never mutated in
-		// place, so cloning outside the lock is safe and keeps a large
-		// copy from serializing every other cache access.
-		return cached.Clone(), true
-	}
-	if st == nil {
-		return nil, false
-	}
-	res, ok := st.Get(id)
 	if !ok {
-		return nil, false
+		if st == nil {
+			return nil, false
+		}
+		if res, ok = st.Get(id); !ok {
+			return nil, false
+		}
+		if raw && res.SummaryOnly {
+			// Don't insert: memoizing the compact record would evict
+			// nothing useful and the caller is about to re-simulate a
+			// full result that will land in this slot anyway.
+			return nil, false
+		}
+		c.insert(id, res) // restored from disk: the cache owns it
 	}
-	if needRaw && res.SummaryOnly {
-		// Don't insert: memoizing the compact record would evict
-		// nothing useful and the caller is about to re-simulate a full
-		// result that will land in this slot anyway.
-		return nil, false
+	if raw {
+		// Cache-owned results are never mutated in place, so cloning
+		// outside the lock is safe and keeps a large copy from
+		// serializing every other cache access.
+		return res.Clone(), true
 	}
-	c.insert(id, res) // takes ownership of res; returns a copy below
-	return res.Clone(), true
+	return res, true
 }
 
-// Put stores a copy of a completed result under its scenario ID and,
-// when a store is attached, persists it.
-func (c *Cache) Put(id string, res *campaign.Result) {
+// put caches a freshly simulated result and, when a store is attached,
+// persists it. The cache keeps one copy, never fresh itself: a fresh
+// result's samples carry campaign.Run's growth slack, which would
+// otherwise stay resident for the entry's lifetime. The copy is an
+// exact-size Clone, or — when a store keeps the raw samples and no raw
+// caller asked for them — a SummaryClone, since shared readers need
+// only summaries and reports and raw callers read the store. put
+// returns the copy a caller of the given kind may hold: the cached one
+// for shared callers, the fresh one (already private) for raw callers.
+func (c *Cache) put(id string, fresh *campaign.Result, raw bool) *campaign.Result {
 	c.mu.Lock()
 	st := c.store
 	c.mu.Unlock()
-	c.insert(id, res.Clone())
+	var cached *campaign.Result
+	if st != nil && !raw {
+		cached = fresh.SummaryClone()
+	} else {
+		cached = fresh.Clone()
+	}
+	c.insert(id, cached)
 	if st != nil {
-		if err := st.Put(id, res); err != nil {
+		if err := st.Put(id, fresh); err != nil {
 			c.storeErrs.Add(1)
 		}
 	}
+	if raw {
+		return fresh
+	}
+	return cached
 }
 
-// insert adds an entry the cache owns outright (already copied or
-// freshly restored from disk) and applies the LRU bound.
+// insert adds an entry the cache owns outright (put's copy of a fresh
+// result, or a result just restored from disk) and applies the LRU
+// bound.
 func (c *Cache) insert(id string, res *campaign.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -249,87 +288,42 @@ func (c *Cache) Len() int {
 var runCampaign = campaign.Run
 
 // SetRunner replaces the function a cache miss uses to simulate the
-// scenario (campaign.Run when nil). Serving layers wrap it to bound
-// simulation concurrency and shed load under pressure: an error the
-// runner returns propagates to every caller waiting on that flight,
-// and nothing is cached. Set it before the cache sees traffic; it is
-// not synchronized against in-flight GetOrRun calls.
-func (c *Cache) SetRunner(run func(campaign.Config) (*campaign.Result, error)) {
+// scenario (campaign.Run when nil). The runner receives the resolving
+// caller's Want.Stages, which may be nil. Serving layers wrap it to
+// bound simulation concurrency and shed load under pressure: an error
+// the runner returns propagates to every caller waiting on that
+// flight, and nothing is cached. Set it before the cache sees traffic;
+// it is not synchronized against in-flight Resolve calls.
+func (c *Cache) SetRunner(run func(campaign.Config, obs.StageObserver) (*campaign.Result, error)) {
 	c.runner = run
 }
 
-// SetObservedRunner is SetRunner for runners that report per-stage
-// timings (admission wait, simulation) to the requesting caller's
-// stage observer. When set it wins over SetRunner; the observer passed
-// through GetOrRunReportObserved (or Options.Stages on a sweep)
-// reaches the runner unchanged, and may be nil for unobserved callers.
-// Same caveat as SetRunner: set before traffic, not synchronized.
-func (c *Cache) SetObservedRunner(run func(campaign.Config, obs.StageObserver) (*campaign.Result, error)) {
-	c.runnerObs = run
-}
-
-// GetOrRun returns the result for cfg's scenario hash, running the
-// campaign on a miss. Concurrent misses on the same key are
-// de-duplicated: exactly one caller simulates, the rest wait and share
-// the outcome. Every caller gets an independent copy.
-func (c *Cache) GetOrRun(cfg campaign.Config) (*campaign.Result, error) {
-	res, _, err := c.getOrRun(cfg, false, nil)
-	return res, err
-}
-
-// GetOrRunFull is GetOrRun for callers that derive quantiles, CDFs or
-// histograms from raw per-cell samples: a hit whose result is
-// summary-only (a compact disk record) is treated as a miss and the
-// scenario re-simulates, instead of handing the caller a result whose
-// quantiles silently read as zero. The fresh full result replaces the
-// compact entry in memory; a compact-mode backing store still persists
-// it summary-only, so over a compact store such callers re-simulate
-// once per process rather than once per call.
-func (c *Cache) GetOrRunFull(cfg campaign.Config) (*campaign.Result, error) {
-	res, _, err := c.getOrRun(cfg, true, nil)
-	return res, err
-}
-
-// GetOrRunReport is GetOrRun plus the hit report the sweep executor
-// uses internally: cached is true when the result was served — from
+// Resolve returns the result for cfg's scenario hash, running the
+// campaign on a miss; cached is true when the result was served — from
 // memory, disk, or another caller's completed flight — without this
-// call simulating. It is the request-level entry point for serving
-// layers that resolve one scenario at a time (no grid) and account
-// hits and misses per request.
-func (c *Cache) GetOrRunReport(cfg campaign.Config) (res *campaign.Result, cached bool, err error) {
-	return c.getOrRun(cfg, false, nil)
+// call simulating. Concurrent misses on the same key are
+// de-duplicated: exactly one caller simulates, the rest wait and share
+// the outcome. The result is shared and read-only unless want.Raw asks
+// for a private copy (see Cache and Want).
+func (c *Cache) Resolve(cfg campaign.Config, want Want) (res *campaign.Result, cached bool, err error) {
+	return c.resolve(ScenarioID(cfg), cfg, want)
 }
 
-// GetOrRunReportObserved is GetOrRunReport with a per-request stage
-// observer: the cache attributes its internal phases — store/cache
-// read time, time spent waiting on another caller's in-flight
-// simulation — to the observer, and hands it to an observed runner
-// (SetObservedRunner) so admission wait and simulation time join the
-// same request timeline. A nil observer degrades to GetOrRunReport.
-func (c *Cache) GetOrRunReportObserved(cfg campaign.Config, so obs.StageObserver) (res *campaign.Result, cached bool, err error) {
-	return c.getOrRun(cfg, false, so)
-}
-
-// getOrRun is GetOrRun plus a hit report: cached is true when the
-// result was served — from memory, disk, or another caller's completed
-// flight — without this call simulating. The sweep executor uses it so
-// its misses join the same de-duplication as every other cache user.
-// With needRaw set, summary-only entries never count as hits. A
-// non-nil stage observer receives the read and singleflight-wait
-// phases; observation is off the determinism-sensitive path (timings
-// feed metrics and traces, never results).
-func (c *Cache) getOrRun(cfg campaign.Config, needRaw bool, so obs.StageObserver) (res *campaign.Result, cached bool, err error) {
-	id := ScenarioID(cfg)
+// resolve is Resolve for a caller that already holds cfg's scenario
+// ID; the sweep executor passes the one its grid expansion computed.
+func (c *Cache) resolve(id string, cfg campaign.Config, want Want) (res *campaign.Result, cached bool, err error) {
+	so := want.Stages
 	for {
-		if res, ok := c.getObserved(id, needRaw, so); ok {
+		if res, ok := c.getObserved(id, want.Raw, so); ok {
 			return res, true, nil
 		}
 		c.mu.Lock()
 		if f, ok := c.inflight[id]; ok {
 			// Someone is already simulating this scenario: wait, then
-			// loop back to Get — the cache is warm on their success.
-			// (In the pathological case where the entry was already
-			// evicted again, the loop simply elects a new leader.)
+			// loop back to the read — the cache is warm on their
+			// success. (In the pathological case where the entry was
+			// already evicted again, the loop simply elects a new
+			// leader.)
 			c.mu.Unlock()
 			waitStart := stageStart(so)
 			<-f.done
@@ -353,21 +347,17 @@ func (c *Cache) getOrRun(cfg campaign.Config, needRaw bool, so obs.StageObserver
 			close(f.done)
 		}()
 
-		// Leader: re-check the cache (a racing Put may have landed
+		// Leader: re-check the cache (a racing insert may have landed
 		// between our miss and claiming the flight), then simulate.
-		res, ok := c.getObserved(id, needRaw, so)
+		res, ok := c.getObserved(id, want.Raw, so)
 		if !ok {
-			if runObs := c.runnerObs; runObs != nil {
-				res, err = runObs(cfg, so)
+			if c.runner != nil {
+				res, err = c.runner(cfg, so)
 			} else {
-				run := c.runner
-				if run == nil {
-					run = runCampaign
-				}
-				res, err = run(cfg)
+				res, err = runCampaign(cfg)
 			}
 			if err == nil {
-				c.Put(id, res)
+				res = c.put(id, res, want.Raw)
 			}
 			f.err = err
 		}
@@ -377,15 +367,15 @@ func (c *Cache) getOrRun(cfg campaign.Config, needRaw bool, so obs.StageObserver
 
 // getObserved is get with the read time attributed to the caller's
 // stage observer (memory lookup plus any disk ReadAt + decode).
-func (c *Cache) getObserved(id string, needRaw bool, so obs.StageObserver) (*campaign.Result, bool) {
+func (c *Cache) getObserved(id string, raw bool, so obs.StageObserver) (*campaign.Result, bool) {
 	start := stageStart(so)
-	res, ok := c.get(id, needRaw)
+	res, ok := c.get(id, raw)
 	stageDone(so, obs.StageStoreRead, start)
 	return res, ok
 }
 
 // stageStart and stageDone bracket one observed stage; both collapse
-// to nothing for unobserved callers, so the plain GetOrRun path never
+// to nothing for unobserved callers, so an unobserved Resolve never
 // touches the clock.
 func stageStart(so obs.StageObserver) time.Time {
 	if so == nil {

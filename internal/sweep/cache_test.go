@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -10,7 +12,7 @@ import (
 	"repro/internal/campaign"
 )
 
-// countRuns redirects GetOrRun/executor campaign execution through a
+// countRuns redirects Resolve/executor campaign execution through a
 // counter for the duration of a test.
 func countRuns(t *testing.T) *atomic.Int64 {
 	t.Helper()
@@ -24,41 +26,94 @@ func countRuns(t *testing.T) *atomic.Int64 {
 	return &n
 }
 
-// TestCacheHitIsImmuneToCallerMutation is the regression test for the
-// shared-pointer bug: Get used to return the cached *campaign.Result
-// itself, so any caller mutation silently corrupted every later hit.
-func TestCacheHitIsImmuneToCallerMutation(t *testing.T) {
-	cache := NewCache()
-	first, err := cache.GetOrRun(campaign.Config{Seed: 3})
+// stateJSON is the cached result's full serialized state, raw samples
+// in their stored order included: any write through a shared result —
+// a field store, an Add, an in-place sort — changes these bytes.
+func stateJSON(t *testing.T, res *campaign.Result) []byte {
+	t.Helper()
+	b, err := json.Marshal(res.State(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMeasurements := first.TotalMeasurements
-	wantSnap := first.MobileAll.Snapshot()
-	wantMedian := first.Samples[first.Reports[0].Cell].Median()
+	return b
+}
 
-	// Trash a hit every way a consumer plausibly could, including the
-	// subtle one: Quantile sorts the sample's backing slice in place.
-	hit, ok := cache.Get(ScenarioID(campaign.Config{Seed: 3}))
+// TestCacheHitsShareOneReadOnlyResult: a warm read copies nothing. The
+// miss that filled the entry, every later non-raw Resolve and Get all
+// hold the cache's one pointer.
+func TestCacheHitsShareOneReadOnlyResult(t *testing.T) {
+	cache := NewCache()
+	cfg := campaign.Config{Seed: 3}
+	first, cached, err := cache.Resolve(cfg, Want{})
+	if err != nil || cached {
+		t.Fatalf("first Resolve: cached=%v err=%v, want a miss", cached, err)
+	}
+	again, cached, err := cache.Resolve(cfg, Want{})
+	if err != nil || !cached {
+		t.Fatalf("second Resolve: cached=%v err=%v, want a hit", cached, err)
+	}
+	got, ok := cache.Get(ScenarioID(cfg))
 	if !ok {
 		t.Fatal("expected a cache hit")
 	}
-	hit.TotalMeasurements = 0
-	hit.MobileAll = first.Wired
-	hit.Reports[0] = campaign.CellReport{}
-	for _, s := range hit.Samples {
-		s.Add(-1e6)
-		s.Quantile(0.5)
+	if first != again || again != got {
+		t.Fatal("non-raw hits must share the cached result")
 	}
+}
 
-	again, ok := cache.Get(ScenarioID(campaign.Config{Seed: 3}))
-	if !ok {
-		t.Fatal("expected a cache hit after mutation")
+// TestRawResolveIsPrivate: a Want.Raw result is the caller's own copy,
+// hit or miss. Sorting it (Quantile) or appending to it leaves the
+// cached entry's serialized state byte-identical.
+func TestRawResolveIsPrivate(t *testing.T) {
+	cache := NewCache()
+	cfg := campaign.Config{Seed: 3}
+	id := ScenarioID(cfg)
+	for _, step := range []string{"raw miss", "raw hit"} {
+		raw, _, err := cache.Resolve(cfg, Want{Raw: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, ok := cache.Get(id)
+		if !ok {
+			t.Fatalf("%s: entry not cached", step)
+		}
+		if raw == shared {
+			t.Fatalf("%s: Want.Raw returned the shared result", step)
+		}
+		want := stateJSON(t, shared)
+		for _, s := range raw.Samples {
+			s.Quantile(0.5)
+			s.Add(-1e6)
+		}
+		raw.Reports[0] = campaign.CellReport{}
+		if !bytes.Equal(stateJSON(t, shared), want) {
+			t.Fatalf("%s: mutating the raw copy changed the cached entry", step)
+		}
 	}
-	if again.TotalMeasurements != wantMeasurements ||
-		again.MobileAll.Snapshot() != wantSnap ||
-		again.Samples[again.Reports[0].Cell].Median() != wantMedian {
-		t.Fatal("mutating one hit corrupted the cache for the next Get")
+}
+
+// TestCachedEntryIsExactSize pins the memory finding behind the one copy
+// on insert: campaign.Run grows each cell's sample from a 512-slot
+// buffer, and an entry that kept those buffers would hold several times
+// its data for its whole lifetime. Whichever kind of caller misses,
+// the cached entry's samples are exact-size.
+func TestCachedEntryIsExactSize(t *testing.T) {
+	for _, want := range []Want{{}, {Raw: true}} {
+		cache := NewCache()
+		cfg := campaign.Config{Seed: 5}
+		if _, _, err := cache.Resolve(cfg, want); err != nil {
+			t.Fatal(err)
+		}
+		res, ok := cache.Get(ScenarioID(cfg))
+		if !ok {
+			t.Fatal("miss did not cache its result")
+		}
+		for c, s := range res.Samples {
+			if n, k := len(s.Values()), cap(s.Values()); n != k {
+				t.Fatalf("Raw=%v: cached sample %v has len %d, cap %d: the entry kept the run's growth slack",
+					want.Raw, c, n, k)
+			}
+		}
 	}
 }
 
@@ -78,7 +133,7 @@ func TestGetOrRunSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			res, err := cache.GetOrRun(cfg)
+			res, _, err := cache.Resolve(cfg, Want{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -93,11 +148,8 @@ func TestGetOrRunSingleflight(t *testing.T) {
 		t.Fatalf("%d concurrent misses ran the campaign %d times, want 1", callers, got)
 	}
 	for i := 1; i < callers; i++ {
-		if results[i] == nil || results[i] == results[0] {
-			t.Fatal("every caller must get its own independent copy")
-		}
-		if results[i].MobileAll.Snapshot() != results[0].MobileAll.Snapshot() {
-			t.Fatal("callers received diverging results")
+		if results[i] == nil || results[i] != results[0] {
+			t.Fatal("every caller must share the one cached result")
 		}
 	}
 }
@@ -114,7 +166,7 @@ func TestGetOrRunSingleflightSharesError(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = cache.GetOrRun(cfg)
+			_, _, errs[i] = cache.Resolve(cfg, Want{})
 		}(i)
 	}
 	wg.Wait()
@@ -124,7 +176,7 @@ func TestGetOrRunSingleflightSharesError(t *testing.T) {
 		}
 	}
 	// Failures are not cached: a later call retries.
-	if _, err := cache.GetOrRun(cfg); err == nil {
+	if _, _, err := cache.Resolve(cfg, Want{}); err == nil {
 		t.Fatal("failure must not be cached as success")
 	}
 	if runs.Load() < 2 {
@@ -154,12 +206,12 @@ func TestGetOrRunReleasesFlightOnPanic(t *testing.T) {
 				t.Error("expected the injected panic to propagate")
 			}
 		}()
-		cache.GetOrRun(cfg)
+		cache.Resolve(cfg, Want{})
 	}()
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := cache.GetOrRun(cfg)
+		_, _, err := cache.Resolve(cfg, Want{})
 		done <- err
 	}()
 	select {
@@ -168,7 +220,7 @@ func TestGetOrRunReleasesFlightOnPanic(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("GetOrRun deadlocked on a key whose leader panicked")
+		t.Fatal("Resolve deadlocked on a key whose leader panicked")
 	}
 }
 
@@ -179,7 +231,7 @@ func TestCacheLimitEvictsLRU(t *testing.T) {
 	for i, seed := range []uint64{1, 2, 3} {
 		cfg := campaign.Config{Seed: seed}
 		ids[i] = ScenarioID(cfg)
-		if _, err := cache.GetOrRun(cfg); err != nil {
+		if _, _, err := cache.Resolve(cfg, Want{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +248,7 @@ func TestCacheLimitEvictsLRU(t *testing.T) {
 	}
 	// Touching an entry protects it from the next eviction.
 	cache.Get(ids[1])
-	if _, err := cache.GetOrRun(campaign.Config{Seed: 4}); err != nil {
+	if _, _, err := cache.Resolve(campaign.Config{Seed: 4}, Want{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := cache.Get(ids[1]); !ok {
@@ -245,7 +297,7 @@ func TestPersistentCacheReadsThroughAndWritesThrough(t *testing.T) {
 	st := newFakeStore()
 	warm := NewPersistentCache(st)
 	cfg := campaign.Config{Seed: 6}
-	orig, err := warm.GetOrRun(cfg)
+	orig, _, err := warm.Resolve(cfg, Want{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,11 +329,44 @@ func TestPersistentCacheReadsThroughAndWritesThrough(t *testing.T) {
 	}
 }
 
+// TestPersistentCacheKeepsRawSamplesInTheStore: with a store behind
+// the cache, a shared miss keeps only a summary-only copy in memory —
+// warm reads need nothing more — while the store gets the full record,
+// so a raw caller is served from disk instead of re-simulating.
+func TestPersistentCacheKeepsRawSamplesInTheStore(t *testing.T) {
+	runs := countRuns(t)
+	st := newFakeStore()
+	cache := NewPersistentCache(st)
+	cfg := campaign.Config{Seed: 6}
+	shared, _, err := cache.Resolve(cfg, Want{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !shared.SummaryOnly {
+		t.Fatal("a store-backed shared miss should cache a summary-only copy")
+	}
+	for c, s := range shared.Samples {
+		if len(s.Values()) != 0 {
+			t.Fatalf("summary-only entry kept %d raw samples for %v", len(s.Values()), c)
+		}
+	}
+	raw, cached, err := cache.Resolve(cfg, Want{Raw: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cached || runs.Load() != 1 {
+		t.Fatalf("raw read: cached=%v after %d runs, want a store hit after 1", cached, runs.Load())
+	}
+	if raw.SummaryOnly || raw.MobileAll.Snapshot() != shared.MobileAll.Snapshot() {
+		t.Fatal("raw read did not return the full stored result")
+	}
+}
+
 func TestPersistentCacheSurvivesStoreFailure(t *testing.T) {
 	st := newFakeStore()
 	st.failed = true
 	cache := NewPersistentCache(st)
-	if _, err := cache.GetOrRun(campaign.Config{Seed: 8}); err != nil {
+	if _, _, err := cache.Resolve(campaign.Config{Seed: 8}, Want{}); err != nil {
 		t.Fatalf("a failing store must not fail the run: %v", err)
 	}
 	if cache.StoreErrors() != 1 {

@@ -21,14 +21,15 @@ type Options struct {
 	// every scenario to run.
 	Cache *Cache
 	// NeedRawSamples forces every scenario result to carry raw per-cell
-	// samples: a summary-only cache hit (a compact disk record) is
-	// treated as a miss and re-simulated. Set it when downstream
-	// consumers derive quantiles, CDFs or histograms from the sweep;
-	// the default JSONL export and variant aggregates need only
-	// moments, which every record mode preserves.
+	// samples, as a private copy: a summary-only cache hit (a compact
+	// disk record) is treated as a miss and re-simulated (Want.Raw).
+	// Set it when downstream consumers derive quantiles, CDFs or
+	// histograms from the sweep; the default JSONL export and variant
+	// aggregates need only moments, which every record mode preserves.
+	// Without it, results served by Cache are shared and read-only.
 	NeedRawSamples bool
 	// Stages, when non-nil, receives per-stage timings (store read,
-	// singleflight wait, and — through an observed runner — admission
+	// singleflight wait, and — through the cache's runner — admission
 	// wait and simulation) for every scenario in the sweep. Stage
 	// durations from concurrent workers accumulate into the same
 	// observer, so implementations must be goroutine-safe; obs.Span
@@ -41,6 +42,8 @@ type ScenarioRun struct {
 	Scenario
 	// Cached reports that the result was served from the cache.
 	Cached bool
+	// Result is shared and read-only when a Cache served it, unless
+	// Options.NeedRawSamples asked for private copies.
 	Result *campaign.Result
 }
 
@@ -63,22 +66,48 @@ type Result struct {
 // interleaving; the output (scenario order, aggregates, JSONL bytes) is
 // byte-identical for any Workers value.
 func Run(g Grid, opt Options) (*Result, error) {
-	return RunEach(g, opt, nil)
+	runs, err := execute(g, opt, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := &Result{Grid: g, Scenarios: runs, Variants: aggregate(runs)}
+	out.CacheHits, out.CacheMisses = countCached(runs)
+	return out, nil
 }
 
-// RunEach is Run with a streaming hook: emit (when non-nil) is invoked
-// once per scenario, in grid order, as soon as that scenario and all
-// its predecessors have completed — workers keep simulating ahead while
-// earlier scenarios stream out. It exists for serving layers that
-// stream JSONL over a connection: the emitted sequence is exactly the
-// final Result.Scenarios order, so a stream written record-by-record is
-// byte-identical to WriteJSONL on the returned Result.
+// RunEach is Run with a streaming hook and without the aggregates: emit
+// is invoked once per scenario, in grid order, as soon as that scenario
+// and all its predecessors have completed — workers keep simulating
+// ahead while earlier scenarios stream out. It exists for serving
+// layers that stream records over a connection: the emitted sequence is
+// exactly Run's Result.Scenarios order, so a stream written
+// record-by-record is byte-identical to WriteJSONL on Run's Result. It
+// returns only the run's cache accounting; a streaming caller has
+// already consumed every scenario, so nothing aggregates them.
 //
 // emit runs on the calling goroutine. An error it returns cancels the
 // sweep and is returned; a scenario failure stops emission after the
 // last cleanly completed prefix, so consumers always see a grid-order
 // prefix, never a gap.
-func RunEach(g Grid, opt Options, emit func(ScenarioRun) error) (*Result, error) {
+func RunEach(g Grid, opt Options, emit func(ScenarioRun) error) (hits, misses int, err error) {
+	runs, err := execute(g, opt, emit)
+	hits, misses = countCached(runs) // 0, 0 when runs is nil on error
+	return hits, misses, err
+}
+
+// countCached splits a completed run into cache hits and misses.
+func countCached(runs []ScenarioRun) (hits, misses int) {
+	for _, r := range runs {
+		if r.Cached {
+			hits++
+		}
+	}
+	return hits, len(runs) - hits
+}
+
+// execute expands the grid and runs every scenario on the worker pool,
+// calling emit (when non-nil) in grid order as scenarios complete.
+func execute(g Grid, opt Options, emit func(ScenarioRun) error) ([]ScenarioRun, error) {
 	scenarios, err := g.Scenarios()
 	if err != nil {
 		return nil, err
@@ -147,7 +176,8 @@ func RunEach(g Grid, opt Options, emit func(ScenarioRun) error) (*Result, error)
 					// this sweep misses while another sweep or an
 					// experiment driver is already simulating it is
 					// waited for, not simulated twice.
-					res, cached, err = opt.Cache.getOrRun(sc.Config, opt.NeedRawSamples, opt.Stages)
+					res, cached, err = opt.Cache.resolve(sc.ID, sc.Config,
+						Want{Raw: opt.NeedRawSamples, Stages: opt.Stages})
 				} else {
 					res, err = runCampaign(sc.Config)
 				}
@@ -180,15 +210,5 @@ func RunEach(g Grid, opt Options, emit func(ScenarioRun) error) (*Result, error)
 	if runErr != nil {
 		return nil, runErr
 	}
-
-	out := &Result{Grid: g, Scenarios: runs}
-	for _, r := range runs {
-		if r.Cached {
-			out.CacheHits++
-		} else {
-			out.CacheMisses++
-		}
-	}
-	out.Variants = aggregate(runs)
-	return out, nil
+	return runs, nil
 }

@@ -10,3 +10,7 @@ import (
 // in-package import of the store would cycle store → tlv → sweep back
 // into the test binary.
 func CountRuns(t *testing.T) *atomic.Int64 { return countRuns(t) }
+
+// Aggregate exposes the variant aggregation to the external sweep_test
+// package, which can import the TLV codec.
+func Aggregate(runs []ScenarioRun) []Variant { return aggregate(runs) }

@@ -80,7 +80,7 @@ func TestDefaultAndExplicitCellsShareBytes(t *testing.T) {
 	}
 	cache := NewCache()
 	marshal := func(cfg campaign.Config) []byte {
-		res, err := cache.GetOrRun(cfg)
+		res, _, err := cache.Resolve(cfg, Want{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -135,18 +135,26 @@ func TestGridSpecResolvesNamedAxes(t *testing.T) {
 // TestRunEachStreamsGridOrderByteIdentical: the emitted sequence is the
 // final grid order, and JSONL written record-by-record from the stream
 // matches the batch export byte-for-byte — the contract the /v1/sweep
-// endpoint's chunked stream rests on.
+// endpoint's chunked stream rests on. The returned accounting matches
+// Run's.
 func TestRunEachStreamsGridOrderByteIdentical(t *testing.T) {
 	g := Grid{Seeds: []uint64{1, 2, 3}, LocalPeering: []bool{false, true}}
 	var stream bytes.Buffer
 	enc := json.NewEncoder(&stream)
 	var emitted []string
-	res, err := RunEach(g, Options{Workers: 3}, func(run ScenarioRun) error {
+	hits, misses, err := RunEach(g, Options{Workers: 3}, func(run ScenarioRun) error {
 		emitted = append(emitted, run.ID)
 		return enc.Encode(RecordOf(run))
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	res, err := Run(g, Options{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits != res.CacheHits || misses != res.CacheMisses {
+		t.Fatalf("RunEach hits/misses = %d/%d, Run = %d/%d", hits, misses, res.CacheHits, res.CacheMisses)
 	}
 	if len(emitted) != len(res.Scenarios) {
 		t.Fatalf("emitted %d of %d scenarios", len(emitted), len(res.Scenarios))
@@ -171,7 +179,7 @@ func TestRunEachStreamsGridOrderByteIdentical(t *testing.T) {
 func TestRunEachEmitErrorCancelsSweep(t *testing.T) {
 	sentinel := errors.New("client went away")
 	calls := 0
-	_, err := RunEach(Grid{Seeds: []uint64{4, 5, 6, 7}}, Options{Workers: 1}, func(ScenarioRun) error {
+	_, _, err := RunEach(Grid{Seeds: []uint64{4, 5, 6, 7}}, Options{Workers: 1}, func(ScenarioRun) error {
 		calls++
 		if calls == 2 {
 			return sentinel

@@ -16,7 +16,7 @@ import (
 )
 
 // TestSegmentedStoreSingleflightUnderConcurrency hammers Put/Get/
-// GetOrRun across shards from many goroutines (run under -race in CI)
+// Resolve across shards from many goroutines (run under -race in CI)
 // and asserts the cache's singleflight still runs each scenario exactly
 // once with the segmented backend underneath — and that a fresh cache
 // over the same store then serves everything from segments.
@@ -42,13 +42,13 @@ func TestSegmentedStoreSingleflightUnderConcurrency(t *testing.T) {
 				// Spread the goroutines over the keys in different
 				// orders so flights overlap across shards.
 				cfg := cfgs[(i+w)%len(cfgs)]
-				res, err := cache.GetOrRun(cfg)
+				res, _, err := cache.Resolve(cfg, sweep.Want{})
 				if err != nil {
-					t.Errorf("GetOrRun(seed %d): %v", cfg.Seed, err)
+					t.Errorf("Resolve(seed %d): %v", cfg.Seed, err)
 					return
 				}
 				if res == nil {
-					t.Errorf("GetOrRun(seed %d) returned nil result", cfg.Seed)
+					t.Errorf("Resolve(seed %d) returned nil result", cfg.Seed)
 					return
 				}
 				// Interleave plain Gets; hit or miss both legal while
@@ -81,9 +81,9 @@ func TestSegmentedStoreSingleflightUnderConcurrency(t *testing.T) {
 }
 
 // TestGetOrRunFullReSimulatesCompactHit is the regression test for the
-// raw-samples gap: a driver that needs quantiles must not accept a
-// compact (summary-only) disk hit — it has to re-simulate — while plain
-// GetOrRun keeps serving the cheap compact record.
+// raw-samples gap: a driver that needs quantiles (Want.Raw) must not
+// accept a compact (summary-only) disk hit — it has to re-simulate —
+// while a plain Resolve keeps serving the cheap compact record.
 func TestGetOrRunFullReSimulatesCompactHit(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{Compact: true})
@@ -92,7 +92,7 @@ func TestGetOrRunFullReSimulatesCompactHit(t *testing.T) {
 	}
 	cfg := campaign.Config{Seed: 31}
 	warm := sweep.NewPersistentCache(st)
-	if _, err := warm.GetOrRun(cfg); err != nil {
+	if _, _, err := warm.Resolve(cfg, sweep.Want{}); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -107,7 +107,7 @@ func TestGetOrRunFullReSimulatesCompactHit(t *testing.T) {
 	runs := sweep.CountRuns(t)
 
 	// The summary-only hit is fine for moment consumers...
-	res, err := cache.GetOrRun(cfg)
+	res, _, err := cache.Resolve(cfg, sweep.Want{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,22 +115,22 @@ func TestGetOrRunFullReSimulatesCompactHit(t *testing.T) {
 		t.Fatal("compact store should serve a summary-only record")
 	}
 	if runs.Load() != 0 {
-		t.Fatal("plain GetOrRun must accept the compact hit")
+		t.Fatal("a plain Resolve must accept the compact hit")
 	}
 	if q := res.Samples[res.Reports[0].Cell].Quantile(0.95); !math.IsNaN(q) {
 		t.Fatalf("summary-only result yielded quantile %v, expected NaN", q)
 	}
 
 	// ...but a quantile consumer must get the real thing.
-	full, err := cache.GetOrRunFull(cfg)
+	full, _, err := cache.Resolve(cfg, sweep.Want{Raw: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != 1 {
-		t.Fatalf("GetOrRunFull ran %d campaigns, want 1 (re-simulation)", runs.Load())
+		t.Fatalf("a raw Resolve ran %d campaigns, want 1 (re-simulation)", runs.Load())
 	}
 	if full.SummaryOnly {
-		t.Fatal("GetOrRunFull returned a summary-only result")
+		t.Fatal("a raw Resolve returned a summary-only result")
 	}
 	q := full.Samples[full.Reports[0].Cell].Quantile(0.95)
 	if math.IsNaN(q) || q <= 0 {
@@ -139,11 +139,11 @@ func TestGetOrRunFullReSimulatesCompactHit(t *testing.T) {
 
 	// The full result replaced the compact entry in memory: another
 	// full request is free.
-	if _, err := cache.GetOrRunFull(cfg); err != nil {
+	if _, _, err := cache.Resolve(cfg, sweep.Want{Raw: true}); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != 1 {
-		t.Fatalf("second GetOrRunFull re-simulated (%d runs)", runs.Load())
+		t.Fatalf("second raw Resolve re-simulated (%d runs)", runs.Load())
 	}
 }
 

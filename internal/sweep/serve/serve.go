@@ -310,17 +310,16 @@ func New(opts Options) (*Server, error) {
 	}
 	s.grids = make(chan struct{}, maxJobs)
 
-	// Metrics and tracing wire up before the runner: the observed
-	// runner and the store-op observer both write into registry-owned
-	// histograms.
+	// Metrics and tracing wire up before the runner: the runner and
+	// the store-op observer both write into registry-owned histograms.
 	s.initObs(opts.Tracer)
 
 	// The server owns the cache's miss path: every simulation — from
 	// /v1/scenario misses and from grid runs alike — funnels through
-	// the admission queue and the bounded worker pool. The observed
-	// runner variant carries the requesting caller's stage observer so
-	// queue wait and simulation time land on the right request.
-	s.cache.SetObservedRunner(s.run)
+	// the admission queue and the bounded worker pool. The runner
+	// receives the requesting caller's stage observer so queue wait and
+	// simulation time land on the right request.
+	s.cache.SetRunner(s.run)
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/scenario", httpapi.Instrument(s.scenarioEP, s.tracer, "scenario", s.handleScenario))
@@ -340,9 +339,9 @@ func New(opts Options) (*Server, error) {
 // concurrent identical misses share one admission slot and one 429
 // outcome, exactly as they share one simulation on success. Queue wait
 // and simulation wall time are attributed to the caller's stage
-// observer; an unobserved caller (a plain GetOrRun on the shared
-// cache) still feeds the process-wide stage histograms through a
-// span-less fan.
+// observer; an unobserved caller (a Resolve without Want.Stages on
+// the shared cache) still feeds the process-wide stage histograms
+// through a span-less fan.
 func (s *Server) run(cfg campaign.Config, so obs.StageObserver) (*campaign.Result, error) {
 	if so == nil {
 		so = &stageFan{s: s}
@@ -454,7 +453,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fan := s.stages(r)
-	res, cached, err := s.cache.GetOrRunReportObserved(sc.Config, fan)
+	res, cached, err := s.cache.Resolve(sc.Config, sweep.Want{Stages: fan})
 	switch {
 	case errors.Is(err, ErrShed):
 		s.shed429(w, "simulation queue full; retry later")
@@ -516,7 +515,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	fan := s.stages(r)
 	st := httpapi.NewStream(w, r, fan)
 	w.Header().Set("Trailer", "X-Sweepd-Cache-Hits, X-Sweepd-Cache-Misses")
-	res, err := sweep.RunEach(g, sweep.Options{Workers: s.simWorkers, Cache: s.cache, Stages: fan},
+	hits, misses, err := sweep.RunEach(g, sweep.Options{Workers: s.simWorkers, Cache: s.cache, Stages: fan},
 		func(run sweep.ScenarioRun) error {
 			rec := sweep.RecordOf(run)
 			return st.WriteRecord(&rec)
@@ -538,10 +537,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.tlvRecords.Add(st.Records())
 		s.tlvBatches.Add(st.Batches())
 	}
-	s.hits.Add(int64(res.CacheHits))
-	s.misses.Add(int64(res.CacheMisses))
-	w.Header().Set("X-Sweepd-Cache-Hits", fmt.Sprint(res.CacheHits))
-	w.Header().Set("X-Sweepd-Cache-Misses", fmt.Sprint(res.CacheMisses))
+	s.hits.Add(int64(hits))
+	s.misses.Add(int64(misses))
+	w.Header().Set("X-Sweepd-Cache-Hits", strconv.Itoa(hits))
+	w.Header().Set("X-Sweepd-Cache-Misses", strconv.Itoa(misses))
 }
 
 // DeltasResponse is the /v1/deltas payload.

@@ -244,8 +244,8 @@ func TestCacheSkipsCompletedScenarios(t *testing.T) {
 	}
 	for i := range first.Scenarios {
 		f, s := first.Scenarios[i].Result, second.Scenarios[i].Result
-		if f == s {
-			t.Fatal("cache must hand out defensive copies, not the stored pointer")
+		if f != s {
+			t.Fatal("a miss and the later hit must share the cached result")
 		}
 		if f.MobileAll.Snapshot() != s.MobileAll.Snapshot() ||
 			f.Wired.Snapshot() != s.Wired.Snapshot() ||
@@ -260,23 +260,23 @@ func TestCacheSkipsCompletedScenarios(t *testing.T) {
 
 func TestCacheGetOrRunKeyedByFullConfig(t *testing.T) {
 	cache := NewCache()
-	base, err := cache.GetOrRun(campaign.Config{Seed: 5})
+	base, _, err := cache.Resolve(campaign.Config{Seed: 5}, Want{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := cache.GetOrRun(campaign.Config{Seed: 5})
+	again, _, err := cache.Resolve(campaign.Config{Seed: 5}, Want{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A hit is an independent copy carrying identical statistics.
-	if base == again {
-		t.Fatal("cache hit must be a defensive copy")
+	// A hit is the cached result itself, shared read-only.
+	if base != again {
+		t.Fatal("a non-raw hit must share the cached result, not copy it")
 	}
 	if base.MobileAll.Snapshot() != again.MobileAll.Snapshot() ||
 		base.TotalMeasurements != again.TotalMeasurements {
 		t.Fatal("same config must hit the cache")
 	}
-	edge, err := cache.GetOrRun(campaign.Config{Seed: 5, EdgeUPF: true})
+	edge, _, err := cache.Resolve(campaign.Config{Seed: 5, EdgeUPF: true}, Want{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,9 @@ type SweepOptions = sweep.Options
 
 // SweepResult holds every scenario run in grid order, per-variant
 // aggregates merged across replications, and recommendation deltas; its
-// JSONL export is byte-identical at any worker count.
+// JSONL export is byte-identical at any worker count. Scenario results
+// served by a cache are shared and read-only unless
+// SweepOptions.NeedRawSamples asked for private copies.
 type SweepResult = sweep.Result
 
 // RunSweep executes a scenario sweep over a bounded worker pool.
