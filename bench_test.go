@@ -465,3 +465,17 @@ func BenchmarkCampaignFull(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCampaignSmall runs the scenario shape of a benchmark cold
+// miss (cmd/sweepbench's small config): one mobile node, one wired
+// round, probes in B2 and C4. At this size the per-run set-up (topology,
+// router, plans) weighs as much as the pings.
+func BenchmarkCampaignSmall(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		cfg := campaign.Config{Seed: uint64(i) + 1, MobileNodes: 1, WiredRounds: 1,
+			TargetCells: []string{"B2", "C4"}}
+		if _, err := campaign.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -6,6 +6,10 @@
 // the data behind Figure 2 (mean round-trip latency) and Figure 3
 // (standard deviation); probe-to-probe pings yield the wired baseline for
 // the paper's "mobile exceeds wired by a factor of seven" comparison.
+//
+// A run schedules nothing while it runs, so it needs no event calendar:
+// pings are a merge of streams laid out in time order up front, with
+// equal times going to the earlier stream, as a calendar would order them.
 package campaign
 
 import (
@@ -20,6 +24,7 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/probe"
 	"repro/internal/ran"
+	"repro/internal/routing"
 	"repro/internal/slicing"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -150,7 +155,12 @@ func (r *Result) Report(c geo.CellID) (CellReport, bool) {
 	return CellReport{}, false
 }
 
-// Run executes the campaign.
+// Run executes the campaign. It fires the pings as a merge of
+// pre-ordered streams (see pingStreams and merge): equal times go to the
+// earlier stream, nodes in plan order, then wired. Each target's session
+// path and each wired pair's path is resolved on its first ping, so the
+// first routing error in firing order is the one returned, and AR mode,
+// which never pings a target, never establishes a session.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 
@@ -171,13 +181,11 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	var arSampler *argame.Sampler
-	var ghostHits map[geo.CellID]int
 	if cfg.ARGame != nil {
 		var err error
 		if arSampler, err = argame.NewSampler(cfg.ARGame.Deployment); err != nil {
 			return nil, err
 		}
-		ghostHits = make(map[geo.CellID]int)
 	}
 	targets, err := AddSectorProbes(ce, grid, targetCells)
 	if err != nil {
@@ -190,115 +198,92 @@ func Run(cfg Config) (*Result, error) {
 	}
 	eng := probe.NewEngine(up, cfg.Profile)
 
-	sim := des.NewSimulator(cfg.Seed)
-	res := &Result{
-		Config:  cfg,
-		Grid:    grid,
-		Density: density,
-		Samples: make(map[geo.CellID]*stats.Sample),
-	}
-	for _, c := range density.TraversalCells() {
-		res.Samples[c] = stats.NewSample(512)
-	}
-
-	// Pre-resolve per-cell radio conditions.
-	cond := make(map[geo.CellID]ran.Conditions)
-	for _, c := range density.TraversalCells() {
-		cond[c] = ran.Conditions{
+	// Traversed cells, row-major, with their radio conditions; pings
+	// refer to a cell by its index here.
+	cells := density.TraversalCells()
+	cellIdx := make(map[geo.CellID]int, len(cells))
+	cond := make([]ran.Conditions, len(cells))
+	for i, c := range cells {
+		cellIdx[c] = i
+		cond[i] = ran.Conditions{
 			Load:   density.LoadFactor(c),
 			SiteKm: geo.NearestSiteKm(grid, c),
 		}
 	}
 
-	plans := mobility.PlanRoutes(density, cfg.MobileNodes, sim.Stream("mobility"))
-	var pingErr error
-	for _, plan := range plans {
-		plan := plan
-		rng := sim.Stream(fmt.Sprintf("node-%d", plan.Node))
-		at := time.Duration(0)
-		targetIdx := plan.Node // desynchronize target cycling across nodes
-		for _, stop := range plan.Stops {
-			at += mobility.TravelTime
-			pings := stop.Rounds*len(targets) + stop.PartialPings
-			for k := 0; k < pings; k++ {
-				stop := stop
-				tgt := targets[targetIdx%len(targets)]
-				targetIdx++
-				fireAt := at + time.Duration(k/len(targets))*mobility.RoundInterval
-				sim.ScheduleAt(fireAt, func() {
-					// AR mode samples the game's motion-to-photon chain
-					// from this cell; the plain campaign pings the wired
-					// probe. Both fold into the same per-cell grid.
-					var rtt time.Duration
-					var err error
-					if arSampler != nil {
-						rtt, err = arSampler.M2P(rng, stop.Cell)
-						// A chain over the motion-to-photon budget is a
-						// ghost-hit risk (argame's throw rule, applied to
-						// every sampled frame).
-						if err == nil && rtt > argame.Deadline {
-							ghostHits[stop.Cell]++
-						}
-					} else {
-						rtt, err = eng.MobileRTT(rng, cond[stop.Cell], upf, tgt.Host)
-					}
-					if err != nil {
-						if pingErr == nil {
-							pingErr = err
-							sim.Stop()
-						}
-						return
-					}
-					res.Samples[stop.Cell].AddDuration(rtt)
-					res.TotalMeasurements++
-				})
-			}
-			at += time.Duration(stop.Rounds) * mobility.RoundInterval
-			if stop.PartialPings > 0 {
-				at += mobility.RoundInterval / 2
-			}
-		}
+	root := des.NewRNG(cfg.Seed)
+	plans := mobility.PlanRoutes(density, cfg.MobileNodes, root.Stream("mobility"))
+	streams, perCell := pingStreams(plans, cellIdx, len(targets), cfg.WiredRounds)
+	wiredStream := len(plans)
+	rngs := make([]*des.RNG, len(streams))
+	for s, plan := range plans {
+		rngs[s] = root.Stream(fmt.Sprintf("node-%d", plan.Node))
 	}
+	rngs[wiredStream] = root.Stream("wired")
 
-	// Wired baseline: full mesh between the sector probes.
-	wiredRng := sim.Stream("wired")
-	for round := 0; round < cfg.WiredRounds; round++ {
-		at := time.Duration(round) * time.Minute
-		for i := range targets {
-			for j := range targets {
-				if i == j {
-					continue
+	res := &Result{
+		Config:  cfg,
+		Grid:    grid,
+		Density: density,
+		Samples: make(map[geo.CellID]*stats.Sample, len(cells)),
+	}
+	samples := make([]*stats.Sample, len(cells))
+	for i, c := range cells {
+		samples[i] = stats.NewSample(perCell[i])
+		res.Samples[c] = samples[i]
+	}
+	ghostHits := make([]int, len(cells))
+	sessions := make([]corenet.SessionPath, len(targets))         // by target; UPF nil until established
+	wiredPaths := make([]routing.Path, len(targets)*len(targets)) // by src*len+dst; nil Nodes until routed
+
+	m := newMerge(streams)
+	for {
+		s, p, ok := m.next()
+		if !ok {
+			break
+		}
+		res.VirtualDuration = p.at
+		if s == wiredStream {
+			path := &wiredPaths[p.src*len(targets)+p.tgt]
+			if path.Nodes == nil {
+				if *path, err = eng.WiredPath(targets[p.src].Host, targets[p.tgt].Host); err != nil {
+					return nil, err
 				}
-				i, j := i, j
-				sim.ScheduleAt(at, func() {
-					rtt, err := eng.WiredRTT(wiredRng, targets[i].Host, targets[j].Host)
-					if err != nil {
-						if pingErr == nil {
-							pingErr = err
-							sim.Stop()
-						}
-						return
-					}
-					res.Wired.AddDuration(rtt)
-				})
 			}
+			res.Wired.AddDuration(eng.WiredRTTOn(rngs[s], *path))
+			continue
 		}
+		// AR mode samples the game's motion-to-photon chain from this
+		// cell; the plain campaign pings the wired probe. Both fold into
+		// the same per-cell grid.
+		var rtt time.Duration
+		if arSampler != nil {
+			if rtt, err = arSampler.M2P(rngs[s], cells[p.cell]); err != nil {
+				return nil, err
+			}
+			// A chain over the motion-to-photon budget is a ghost-hit
+			// risk (argame's throw rule, applied to every sampled frame).
+			if rtt > argame.Deadline {
+				ghostHits[p.cell]++
+			}
+		} else {
+			sp := &sessions[p.tgt]
+			if sp.UPF == nil {
+				if *sp, err = up.Establish(upf, targets[p.tgt].Host); err != nil {
+					return nil, err
+				}
+			}
+			rtt = eng.MobileRTTOn(rngs[s], cond[p.cell], *sp)
+		}
+		samples[p.cell].AddDuration(rtt)
+		res.TotalMeasurements++
 	}
-
-	if err := sim.Run(); err != nil && pingErr == nil {
-		return nil, err
-	}
-	if pingErr != nil {
-		return nil, pingErr
-	}
-	res.VirtualDuration = sim.Now()
 
 	// Aggregate per cell.
-	cells := density.TraversalCells()
-	geo.SortCells(cells)
-	for _, c := range cells {
-		s := res.Samples[c]
-		rep := CellReport{Cell: c, N: s.N(), GhostHits: ghostHits[c]}
+	res.Reports = make([]CellReport, 0, len(cells))
+	for i, c := range cells {
+		s := samples[i]
+		rep := CellReport{Cell: c, N: s.N(), GhostHits: ghostHits[i]}
 		if s.N() >= MinMeasurements {
 			rep.Reported = true
 			rep.MeanMs = s.Mean()
@@ -313,6 +298,99 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// ping is one scheduled measurement. In a mobile node's stream it runs
+// from the node's cell (an index into Run's traversal cells) to
+// targets[tgt]; in the wired stream it runs from probe targets[src] to
+// probe targets[tgt].
+type ping struct {
+	at       time.Duration
+	cell     int
+	src, tgt int
+}
+
+// pingStreams lays out every ping of a campaign: one stream per mobile
+// plan, in plan order, then one for the wired rounds. Each stream is in
+// non-decreasing time and sized exactly. perCell counts the mobile
+// pings per traversal cell, which is every cell's final sample size.
+func pingStreams(plans []mobility.Plan, cellIdx map[geo.CellID]int, nTargets, wiredRounds int) (streams [][]ping, perCell []int) {
+	streams = make([][]ping, 0, len(plans)+1)
+	perCell = make([]int, len(cellIdx))
+	for _, plan := range plans {
+		n := 0
+		for _, stop := range plan.Stops {
+			n += stop.Rounds*nTargets + stop.PartialPings
+		}
+		pings := make([]ping, 0, n)
+		at := time.Duration(0)
+		targetIdx := plan.Node // desynchronize target cycling across nodes
+		for _, stop := range plan.Stops {
+			at += mobility.TravelTime
+			cell := cellIdx[stop.Cell]
+			k := stop.Rounds*nTargets + stop.PartialPings
+			perCell[cell] += k
+			for i := 0; i < k; i++ {
+				pings = append(pings, ping{
+					at:   at + time.Duration(i/nTargets)*mobility.RoundInterval,
+					cell: cell,
+					tgt:  targetIdx % nTargets,
+				})
+				targetIdx++
+			}
+			at += time.Duration(stop.Rounds) * mobility.RoundInterval
+			if stop.PartialPings > 0 {
+				at += mobility.RoundInterval / 2
+			}
+		}
+		streams = append(streams, pings)
+	}
+
+	// Wired baseline: full mesh between the sector probes.
+	wired := make([]ping, 0, wiredRounds*nTargets*(nTargets-1))
+	for round := 0; round < wiredRounds; round++ {
+		at := time.Duration(round) * time.Minute
+		for i := 0; i < nTargets; i++ {
+			for j := 0; j < nTargets; j++ {
+				if i != j {
+					wired = append(wired, ping{at: at, src: i, tgt: j})
+				}
+			}
+		}
+	}
+	return append(streams, wired), perCell
+}
+
+// merge fires pre-ordered ping streams in (time, stream index, position)
+// order. With the streams in scheduling order, that is the order a des
+// calendar fires the same pings in when they are all queued up front
+// at one priority: by time, then by insertion sequence. It takes the
+// linear minimum over the stream heads (a campaign has one stream per
+// mobile node plus one), keeping the first on equal times. Every stream
+// must be non-decreasing in time.
+type merge struct {
+	streams [][]ping
+	heads   []int
+}
+
+func newMerge(streams [][]ping) merge {
+	return merge{streams: streams, heads: make([]int, len(streams))}
+}
+
+// next returns the next ping to fire and its stream index; ok is false
+// once every stream is drained.
+func (m *merge) next() (stream int, p ping, ok bool) {
+	stream = -1
+	for s, st := range m.streams {
+		if h := m.heads[s]; h < len(st) && (stream < 0 || st[h].at < p.at) {
+			stream, p = s, st[h]
+		}
+	}
+	if stream < 0 {
+		return 0, ping{}, false
+	}
+	m.heads[stream]++
+	return stream, p, true
 }
 
 // computeExtremes derives the Min/Max report fields from Reports. It is

@@ -133,7 +133,8 @@ func TestCellIDStringMatchesSprintf(t *testing.T) {
 }
 
 func TestParseCellIDErrors(t *testing.T) {
-	for _, bad := range []string{"", "3", "a3", "C0", "Cx", "C-1"} {
+	for _, bad := range []string{"", "3", "a3", "C0", "Cx", "C-1", "C0x3", "C00", "C+", "C ", "C\n3",
+		"C99999999999999999999"} {
 		if _, err := ParseCellID(bad); err == nil {
 			t.Errorf("ParseCellID(%q) succeeded, want error", bad)
 		}
@@ -323,5 +324,56 @@ func TestSortCells(t *testing.T) {
 		if cells[i].String() != w {
 			t.Fatalf("sorted = %v, want %v", cells, want)
 		}
+	}
+}
+
+// parseCellIDSscanf is ParseCellID as it read rows before the
+// plain-digit fast path: fmt.Sscanf's "%d". It is the reference the
+// fast path must agree with, lenient cases included.
+func parseCellIDSscanf(s string) (CellID, error) {
+	if len(s) < 2 {
+		return CellID{}, fmt.Errorf("geo: malformed cell id %q", s)
+	}
+	col := int(s[0] - 'A')
+	if col < 0 || col > 25 {
+		return CellID{}, fmt.Errorf("geo: malformed cell column in %q", s)
+	}
+	var row int
+	if _, err := fmt.Sscanf(s[1:], "%d", &row); err != nil || row < 1 {
+		return CellID{}, fmt.Errorf("geo: malformed cell row in %q", s)
+	}
+	return CellID{Col: col, Row: row}, nil
+}
+
+// FuzzParseCellID checks ParseCellID against the fmt.Sscanf reference
+// on arbitrary input: the same cell or the same error. Cell names are
+// store keys, so the seeds include what "%d" leniently accepts ("C3x",
+// "C+3", "C 3", "C03", "C1_0") next to what it rejects.
+func FuzzParseCellID(f *testing.F) {
+	for _, s := range []string{"", "C", "A1", "F7", "C3x", "C+3", "C 3", "C03", "C1_0", "C0x3",
+		"C-1", "C\t3", "C\n3", "C 3", "C9223372036854775807", "C9223372036854775808",
+		"C123456789012345678", "C1234567890123456789", "a1", "[1", "C٣"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, gotErr := ParseCellID(s)
+		want, wantErr := parseCellIDSscanf(s)
+		if got != want || (gotErr == nil) != (wantErr == nil) ||
+			(gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("ParseCellID(%q) = %v, %v; Sscanf reference = %v, %v", s, got, gotErr, want, wantErr)
+		}
+	})
+}
+
+// TestParseCellIDPlainDigitsDoNotAllocate: GNBSites parses every site
+// for every cell of every campaign, and restoring a stored result
+// parses every cell name, so the common form must not allocate.
+func TestParseCellIDPlainDigitsDoNotAllocate(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ParseCellID("C12"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("ParseCellID(\"C12\") allocates %.0f times, want 0", n)
 	}
 }

@@ -35,11 +35,45 @@ func ParseCellID(s string) (CellID, error) {
 	if col < 0 || col > 25 {
 		return CellID{}, fmt.Errorf("geo: malformed cell column in %q", s)
 	}
-	var row int
-	if _, err := fmt.Sscanf(s[1:], "%d", &row); err != nil || row < 1 {
+	row, ok := parseDigits(s[1:])
+	if !ok {
+		row = scanRow(s[1:])
+	}
+	if row < 1 {
 		return CellID{}, fmt.Errorf("geo: malformed cell row in %q", s)
 	}
 	return CellID{Col: col, Row: row}, nil
+}
+
+// parseDigits reads s as a base-10 row number when s is nothing but
+// ASCII digits, few enough that the value cannot overflow an int; it
+// reports false for anything else.
+func parseDigits(s string) (int, bool) {
+	if len(s) == 0 || len(s) > 18 {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(s); i++ {
+		d := s[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		n = n*10 + int(d)
+	}
+	return n, true
+}
+
+// scanRow is the lenient reading of anything but plain digits: fmt's
+// "%d", which skips leading spaces, takes a sign and ignores whatever
+// follows the number. It returns 0 when there is no number. It is kept
+// out of ParseCellID so that the escaping row only costs this path an
+// allocation.
+func scanRow(s string) int {
+	var row int
+	if _, err := fmt.Sscanf(s, "%d", &row); err != nil {
+		return 0
+	}
+	return row
 }
 
 // Grid is a rectangular partition of a sector into square cells, anchored

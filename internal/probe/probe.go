@@ -11,6 +11,7 @@ import (
 	"repro/internal/corenet"
 	"repro/internal/des"
 	"repro/internal/ran"
+	"repro/internal/routing"
 	"repro/internal/topo"
 )
 
@@ -41,14 +42,31 @@ func (e *Engine) wiredJitter(rng *des.RNG, hops int) time.Duration {
 	return time.Duration(us) * time.Microsecond
 }
 
+// WiredPath returns the policy-routed path a wired ping between two
+// hosts takes, with the error WiredRTT reports when there is none.
+func (e *Engine) WiredPath(from, to *topo.Node) (routing.Path, error) {
+	p, err := e.UP.Router.Route(from, to)
+	if err != nil {
+		return routing.Path{}, fmt.Errorf("probe: wired ping: %w", err)
+	}
+	return p, nil
+}
+
 // WiredRTT measures one wired round trip between two hosts over the
 // policy-routed path.
 func (e *Engine) WiredRTT(rng *des.RNG, from, to *topo.Node) (time.Duration, error) {
-	p, err := e.UP.Router.Route(from, to)
+	p, err := e.WiredPath(from, to)
 	if err != nil {
-		return 0, fmt.Errorf("probe: wired ping: %w", err)
+		return 0, err
 	}
-	return p.RTT() + e.wiredJitter(rng, p.Hops()), nil
+	return e.WiredRTTOn(rng, p), nil
+}
+
+// WiredRTTOn measures one wired round trip over a path resolved by
+// WiredPath: the same draws and the same sum as WiredRTT, so a caller
+// pinging one pair many times routes it once.
+func (e *Engine) WiredRTTOn(rng *des.RNG, p routing.Path) time.Duration {
+	return p.RTT() + e.wiredJitter(rng, p.Hops())
 }
 
 // MobileRTT measures one round trip from a mobile UE (attached under the
@@ -59,8 +77,16 @@ func (e *Engine) MobileRTT(rng *des.RNG, cond ran.Conditions, upf *corenet.UPF,
 	if err != nil {
 		return 0, err
 	}
+	return e.MobileRTTOn(rng, cond, sp), nil
+}
+
+// MobileRTTOn measures one mobile round trip over a session path
+// resolved by UserPlane.Establish: the same draws and the same sum as
+// MobileRTT, so a caller pinging one target many times establishes its
+// session once.
+func (e *Engine) MobileRTTOn(rng *des.RNG, cond ran.Conditions, sp corenet.SessionPath) time.Duration {
 	rtt := e.UP.SampleRTT(rng, e.Profile, cond, sp, e.OfferedMpps)
-	return rtt + e.wiredJitter(rng, sp.Backhaul.Hops()+sp.Breakout.Hops()), nil
+	return rtt + e.wiredJitter(rng, sp.Backhaul.Hops()+sp.Breakout.Hops())
 }
 
 // MobileMeanRTT returns the analytic expectation of MobileRTT (wired

@@ -92,11 +92,13 @@ func TestRawResolveIsPrivate(t *testing.T) {
 	}
 }
 
-// TestCachedEntryIsExactSize pins the memory finding behind the one copy
-// on insert: campaign.Run grows each cell's sample from a 512-slot
-// buffer, and an entry that kept those buffers would hold several times
-// its data for its whole lifetime. Whichever kind of caller misses,
-// the cached entry's samples are exact-size.
+// TestCachedEntryIsExactSize pins that an entry holds no growth slack:
+// one that did would keep several times its data for its whole
+// lifetime. Whichever kind of caller misses, the cached entry's samples
+// are exact-size. campaign.Run now sizes every sample exactly itself
+// (campaign.TestRunSizesSamplesExactly), so this test no longer fails
+// when the cache's insert copy is removed; it fails if either the run
+// or the insert copy starts leaving slack again.
 func TestCachedEntryIsExactSize(t *testing.T) {
 	for _, want := range []Want{{}, {Raw: true}} {
 		cache := NewCache()
