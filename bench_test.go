@@ -283,11 +283,11 @@ func BenchmarkDESEventThroughput(b *testing.B) {
 	tick = func() {
 		count++
 		if count < b.N {
-			sim.Schedule(time.Microsecond, tick)
+			sim.ScheduleAt(sim.Now()+time.Microsecond, tick)
 		}
 	}
 	b.ResetTimer()
-	sim.Schedule(0, tick)
+	sim.ScheduleAt(0, tick)
 	if err := sim.Run(); err != nil {
 		b.Fatal(err)
 	}

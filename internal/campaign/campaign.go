@@ -363,8 +363,8 @@ func pingStreams(plans []mobility.Plan, cellIdx map[geo.CellID]int, nTargets, wi
 
 // merge fires pre-ordered ping streams in (time, stream index, position)
 // order. With the streams in scheduling order, that is the order a des
-// calendar fires the same pings in when they are all queued up front
-// at one priority: by time, then by insertion sequence. It takes the
+// calendar fires the same pings in when they are all queued up front:
+// by time, then by insertion sequence. It takes the
 // linear minimum over the stream heads (a campaign has one stream per
 // mobile node plus one), keeping the first on equal times. Every stream
 // must be non-decreasing in time.

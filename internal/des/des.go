@@ -1,7 +1,7 @@
 // Package des implements a deterministic discrete-event simulation kernel.
 //
 // The kernel provides a virtual clock, an event calendar ordered by
-// (time, priority, insertion sequence), and seeded, splittable random
+// (time, insertion sequence), and seeded, splittable random
 // number streams. All simulations in this repository are built on top of
 // it, which makes every experiment exactly reproducible for a fixed seed.
 package des
@@ -24,22 +24,15 @@ type Handler func()
 // Event is a scheduled occurrence in the simulation calendar.
 type Event struct {
 	at       Time
-	priority int
 	seq      uint64
 	fn       Handler
 	canceled bool
 	index    int // heap index, -1 when not queued
 }
 
-// At reports the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // Cancel marks the event so that it will not fire. Cancelling an event
 // that already fired (or was already cancelled) is a no-op.
 func (e *Event) Cancel() { e.canceled = true }
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
 
 type eventQueue []*Event
 
@@ -48,9 +41,6 @@ func (q eventQueue) Len() int { return len(q) }
 func (q eventQueue) Less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
-	}
-	if q[i].priority != q[j].priority {
-		return q[i].priority < q[j].priority
 	}
 	return q[i].seq < q[j].seq
 }
@@ -89,7 +79,6 @@ type Simulator struct {
 	queue   eventQueue
 	seq     uint64
 	stopped bool
-	fired   uint64
 	rng     *RNG
 }
 
@@ -102,48 +91,22 @@ func NewSimulator(seed uint64) *Simulator {
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Fired returns the number of events executed so far.
-func (s *Simulator) Fired() uint64 { return s.fired }
-
-// Pending returns the number of events currently in the calendar,
-// including cancelled events that have not yet been discarded.
-func (s *Simulator) Pending() int { return len(s.queue) }
-
-// RNG returns the simulator's root random stream.
-func (s *Simulator) RNG() *RNG { return s.rng }
-
 // Stream derives an independent, deterministic random stream for the
 // named subsystem. Streams with distinct names are statistically
 // independent; the same name always yields an identically-seeded stream.
 func (s *Simulator) Stream(name string) *RNG { return s.rng.Stream(name) }
 
-// Schedule queues fn to run after delay units of virtual time.
-// A negative delay is treated as zero (fire "now", after currently
-// executing events at the same timestamp).
-func (s *Simulator) Schedule(delay Time, fn Handler) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return s.ScheduleAt(s.now+delay, fn)
-}
-
-// ScheduleAt queues fn to run at absolute virtual time at. Scheduling in
-// the past panics: it indicates a causality bug in the caller.
+// ScheduleAt queues fn to run at absolute virtual time at; events with
+// equal timestamps fire in insertion order. Scheduling in the past
+// panics: it indicates a causality bug in the caller.
 func (s *Simulator) ScheduleAt(at Time, fn Handler) *Event {
-	return s.ScheduleAtPriority(at, 0, fn)
-}
-
-// ScheduleAtPriority queues fn at time at with an explicit tie-breaking
-// priority; among events with equal timestamps, lower priorities fire
-// first, and equal priorities fire in insertion order.
-func (s *Simulator) ScheduleAtPriority(at Time, priority int, fn Handler) *Event {
 	if at < s.now {
 		panic(fmt.Sprintf("des: scheduling into the past: at=%v now=%v", at, s.now))
 	}
 	if fn == nil {
 		panic("des: nil event handler")
 	}
-	e := &Event{at: at, priority: priority, seq: s.seq, fn: fn, index: -1}
+	e := &Event{at: at, seq: s.seq, fn: fn, index: -1}
 	s.seq++
 	heap.Push(&s.queue, e)
 	return e
@@ -151,11 +114,11 @@ func (s *Simulator) ScheduleAtPriority(at Time, priority int, fn Handler) *Event
 
 // Reschedule re-queues a fired (or cancelled-and-popped) event to run
 // again after delay units of virtual time, reusing its allocation. The
-// event keeps its priority; it is assigned a fresh insertion sequence,
-// exactly as if Schedule had returned a new event, so tie-breaking
-// order is unchanged. Rescheduling an event that is still queued
-// panics: the calendar would hold the same *Event twice and corrupt
-// the heap. A negative delay is treated as zero.
+// event is assigned a fresh insertion sequence, exactly as if
+// ScheduleAt had returned a new event, so tie-breaking order is
+// unchanged. Rescheduling an event that is still queued panics: the
+// calendar would hold the same *Event twice and corrupt the heap. A
+// negative delay is treated as zero.
 //
 //sweepvet:hotpath
 func (s *Simulator) Reschedule(e *Event, delay Time) {
@@ -205,7 +168,6 @@ func (s *Simulator) RunUntil(horizon Time) error {
 			continue
 		}
 		s.now = next.at
-		s.fired++
 		next.fn()
 	}
 	if horizon >= 0 && horizon > s.now {
@@ -214,32 +176,16 @@ func (s *Simulator) RunUntil(horizon Time) error {
 	return nil
 }
 
-// Step fires exactly one (non-cancelled) event, if any, and reports
-// whether an event fired.
-//
-//sweepvet:hotpath
-func (s *Simulator) Step() bool {
-	for len(s.queue) > 0 {
-		next := heap.Pop(&s.queue).(*Event)
-		if next.canceled {
-			continue
-		}
-		s.now = next.at
-		s.fired++
-		next.fn()
-		return true
-	}
-	return false
-}
-
 // Every schedules fn at now+start and then every interval thereafter,
-// until the returned Ticker is stopped or the calendar drains.
+// until the returned Ticker is stopped or the calendar drains. A
+// negative start is treated as zero (fire "now", after events already
+// queued for the current time).
 func (s *Simulator) Every(start, interval Time, fn Handler) *Ticker {
 	if interval <= 0 {
 		panic("des: non-positive ticker interval")
 	}
 	t := &Ticker{sim: s, interval: interval, fn: fn}
-	t.event = s.Schedule(start, t.tick)
+	t.event = s.ScheduleAt(s.now+max(start, 0), t.tick)
 	return t
 }
 
@@ -250,7 +196,6 @@ type Ticker struct {
 	fn       Handler
 	event    *Event
 	stopped  bool
-	ticks    uint64
 }
 
 // tick fires the handler and re-queues the ticker's single Event in
@@ -262,7 +207,6 @@ func (t *Ticker) tick() {
 	if t.stopped {
 		return
 	}
-	t.ticks++
 	t.fn()
 	if !t.stopped {
 		t.sim.Reschedule(t.event, t.interval)
@@ -276,6 +220,3 @@ func (t *Ticker) Stop() {
 		t.event.Cancel()
 	}
 }
-
-// Ticks returns the number of times the handler has fired.
-func (t *Ticker) Ticks() uint64 { return t.ticks }

@@ -10,9 +10,9 @@ import (
 func TestScheduleOrdering(t *testing.T) {
 	s := NewSimulator(1)
 	var got []int
-	s.Schedule(3*time.Millisecond, func() { got = append(got, 3) })
-	s.Schedule(1*time.Millisecond, func() { got = append(got, 1) })
-	s.Schedule(2*time.Millisecond, func() { got = append(got, 2) })
+	s.ScheduleAt(3*time.Millisecond, func() { got = append(got, 3) })
+	s.ScheduleAt(1*time.Millisecond, func() { got = append(got, 1) })
+	s.ScheduleAt(2*time.Millisecond, func() { got = append(got, 2) })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestTieBreakBySequence(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.Schedule(time.Millisecond, func() { got = append(got, i) })
+		s.ScheduleAt(time.Millisecond, func() { got = append(got, i) })
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -44,24 +44,10 @@ func TestTieBreakBySequence(t *testing.T) {
 	}
 }
 
-func TestTieBreakByPriority(t *testing.T) {
-	s := NewSimulator(1)
-	var got []int
-	s.ScheduleAtPriority(time.Millisecond, 5, func() { got = append(got, 5) })
-	s.ScheduleAtPriority(time.Millisecond, -1, func() { got = append(got, -1) })
-	s.ScheduleAtPriority(time.Millisecond, 0, func() { got = append(got, 0) })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != -1 || got[1] != 0 || got[2] != 5 {
-		t.Fatalf("priority order wrong: %v", got)
-	}
-}
-
 func TestCancel(t *testing.T) {
 	s := NewSimulator(1)
 	fired := false
-	e := s.Schedule(time.Millisecond, func() { fired = true })
+	e := s.ScheduleAt(time.Millisecond, func() { fired = true })
 	e.Cancel()
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -69,14 +55,11 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
-	}
 }
 
 func TestSchedulePastPanics(t *testing.T) {
 	s := NewSimulator(1)
-	s.Schedule(time.Second, func() {})
+	s.ScheduleAt(time.Second, func() {})
 	_ = s.Run()
 	defer func() {
 		if recover() == nil {
@@ -93,13 +76,14 @@ func TestNilHandlerPanics(t *testing.T) {
 			t.Fatal("nil handler did not panic")
 		}
 	}()
-	s.Schedule(0, nil)
+	s.ScheduleAt(0, nil)
 }
 
 func TestNegativeDelayClamps(t *testing.T) {
 	s := NewSimulator(1)
 	fired := false
-	s.Schedule(-time.Second, func() { fired = true })
+	var tk *Ticker
+	tk = s.Every(-time.Second, time.Second, func() { fired = true; tk.Stop() })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +97,7 @@ func TestRunUntilHorizon(t *testing.T) {
 	var fired []time.Duration
 	for _, d := range []time.Duration{time.Millisecond, 5 * time.Millisecond, 9 * time.Millisecond} {
 		d := d
-		s.Schedule(d, func() { fired = append(fired, d) })
+		s.ScheduleAt(d, func() { fired = append(fired, d) })
 	}
 	if err := s.RunUntil(5 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -145,8 +129,8 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 func TestStop(t *testing.T) {
 	s := NewSimulator(1)
 	count := 0
-	s.Schedule(time.Millisecond, func() { count++; s.Stop() })
-	s.Schedule(2*time.Millisecond, func() { count++ })
+	s.ScheduleAt(time.Millisecond, func() { count++; s.Stop() })
+	s.ScheduleAt(2*time.Millisecond, func() { count++ })
 	if err := s.Run(); err != ErrStopped {
 		t.Fatalf("err = %v, want ErrStopped", err)
 	}
@@ -155,19 +139,21 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// TestStep steps the calendar one event at a time with RunUntil: each
+// horizon fires exactly the events due by then, and running an empty
+// calendar fires nothing.
 func TestStep(t *testing.T) {
 	s := NewSimulator(1)
 	count := 0
-	s.Schedule(time.Millisecond, func() { count++ })
-	s.Schedule(2*time.Millisecond, func() { count++ })
-	if !s.Step() || count != 1 {
-		t.Fatalf("first step: count=%d", count)
+	s.ScheduleAt(time.Millisecond, func() { count++ })
+	s.ScheduleAt(2*time.Millisecond, func() { count++ })
+	for step := 1; step <= 2; step++ {
+		if err := s.RunUntil(time.Duration(step) * time.Millisecond); err != nil || count != step {
+			t.Fatalf("step %d: count=%d err=%v", step, count, err)
+		}
 	}
-	if !s.Step() || count != 2 {
-		t.Fatalf("second step: count=%d", count)
-	}
-	if s.Step() {
-		t.Fatal("step on empty calendar returned true")
+	if err := s.Run(); err != nil || count != 2 {
+		t.Fatalf("empty calendar: count=%d err=%v", count, err)
 	}
 }
 
@@ -177,7 +163,7 @@ func TestTicker(t *testing.T) {
 	tk := s.Every(10*time.Millisecond, 20*time.Millisecond, func() {
 		times = append(times, s.Now())
 	})
-	s.Schedule(100*time.Millisecond, func() { tk.Stop() })
+	s.ScheduleAt(100*time.Millisecond, func() { tk.Stop() })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +176,6 @@ func TestTicker(t *testing.T) {
 			t.Fatalf("tick %d at %v, want %vms", i, times[i], w)
 		}
 	}
-	if tk.Ticks() != 5 {
-		t.Fatalf("Ticks() = %d, want 5", tk.Ticks())
-	}
 }
 
 func TestSelfSchedulingCascade(t *testing.T) {
@@ -202,10 +185,10 @@ func TestSelfSchedulingCascade(t *testing.T) {
 	step = func() {
 		count++
 		if count < 100 {
-			s.Schedule(time.Microsecond, step)
+			s.ScheduleAt(s.Now()+time.Microsecond, step)
 		}
 	}
-	s.Schedule(0, step)
+	s.ScheduleAt(0, step)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,9 +197,6 @@ func TestSelfSchedulingCascade(t *testing.T) {
 	}
 	if s.Now() != 99*time.Microsecond {
 		t.Fatalf("clock = %v", s.Now())
-	}
-	if s.Fired() != 100 {
-		t.Fatalf("Fired() = %d", s.Fired())
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 
 // TestRescheduleReusesEvent: the ticker's whole point — one Event
 // allocation carries every tick, and ordering semantics match what a
-// fresh Schedule would have produced.
+// fresh ScheduleAt would have produced.
 func TestRescheduleReusesEvent(t *testing.T) {
 	s := NewSimulator(1)
 	var fires []Time
-	e := s.Schedule(time.Millisecond, func() {})
+	e := s.ScheduleAt(time.Millisecond, func() {})
 	s.Run()
 	fires = append(fires, s.Now())
 	for i := 0; i < 3; i++ {
@@ -36,21 +36,21 @@ func TestRescheduleQueuedPanics(t *testing.T) {
 		}
 	}()
 	s := NewSimulator(1)
-	e := s.Schedule(time.Second, func() {})
+	e := s.ScheduleAt(time.Second, func() {})
 	s.Reschedule(e, time.Second)
 }
 
 // TestRescheduleSequenceOrdering: a rescheduled event gets a fresh
 // insertion sequence, so it ties with newly scheduled events exactly as
-// a fresh Schedule would (first-rescheduled fires first).
+// a fresh ScheduleAt would (first-rescheduled fires first).
 func TestRescheduleSequenceOrdering(t *testing.T) {
 	s := NewSimulator(1)
 	var order []string
-	a := s.Schedule(0, func() { order = append(order, "a") })
+	a := s.ScheduleAt(0, func() { order = append(order, "a") })
 	s.Run()
 	order = order[:0]
 	s.Reschedule(a, time.Second)
-	s.Schedule(time.Second, func() { order = append(order, "b") })
+	s.ScheduleAt(time.Second, func() { order = append(order, "b") })
 	a.fn = func() { order = append(order, "a") }
 	s.Run()
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
@@ -77,7 +77,7 @@ func TestTickerZeroAllocSteadyState(t *testing.T) {
 
 // BenchmarkHotEventLoop drives the DES event loop through a
 // self-rescheduling ticker: one event per iteration, zero allocations
-// per op. CI parses this into BENCH_alloc.json and fails on any
+// per op. CI's bench job records it in BENCH.json and fails on any
 // allocs/op > 0.
 func BenchmarkHotEventLoop(b *testing.B) {
 	s := NewSimulator(42)

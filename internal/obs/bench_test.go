@@ -6,8 +6,8 @@ import (
 )
 
 // BenchmarkHot* twins for the //sweepvet:hotpath annotations in this
-// package: CI runs them with -benchmem and fails the obs-allocs step
-// on any allocs/op > 0.
+// package: CI's bench job runs them with -benchmem and fails on any
+// allocs/op > 0.
 
 func BenchmarkHotObserve(b *testing.B) {
 	h := NewHistogram(nil)

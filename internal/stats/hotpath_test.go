@@ -3,8 +3,8 @@ package stats
 import "testing"
 
 // BenchmarkHotSummaryAdd exercises the per-observation fold that runs
-// once per sample in the DES measurement loops. CI parses the
-// -benchmem output into BENCH_alloc.json and fails on allocs/op > 0.
+// once per sample in the DES measurement loops. CI's bench job records
+// the -benchmem output in BENCH.json and fails on allocs/op > 0.
 func BenchmarkHotSummaryAdd(b *testing.B) {
 	var s Summary
 	b.ReportAllocs()

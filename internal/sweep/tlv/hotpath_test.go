@@ -53,8 +53,8 @@ func TestAppendRecordZeroAllocWarm(t *testing.T) {
 }
 
 // BenchmarkHotAppendRecord measures the steady-state record encode: a
-// reused buffer, one frame per op. CI parses the -benchmem output into
-// BENCH_alloc.json and fails on allocs/op > 0.
+// reused buffer, one frame per op. CI's bench job records the -benchmem
+// output in BENCH.json and fails on allocs/op > 0.
 func BenchmarkHotAppendRecord(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	rec := randRecord(rng)

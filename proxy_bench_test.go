@@ -2,9 +2,9 @@ package sixgedge
 
 // Benchmarks for the cluster tier (internal/sweep/cluster): a proxy in
 // front of a writer and two warm replicas, real HTTP on both hops.
-// CI's proxy-smoke job records them into BENCH_proxy.json next to
-// BenchmarkServeWarm, so the artifact answers "what does the extra hop
-// cost, and what does the response cache buy back" in one file.
+// CI's bench job records them in BENCH.json next to BenchmarkServeWarm,
+// so the record answers "what does the extra hop cost, and what does
+// the response cache buy back" in one file.
 
 import (
 	"context"

@@ -4,8 +4,8 @@ package sixgedge
 // round-trips against an httptest server, so the numbers include JSON
 // decode, scenario-ID resolution, cache lookup, record encode and the
 // loopback transport — what a sweepd client actually pays. CI's bench
-// job records them into BENCH_serve.json; the warm number is the
-// headline "queries/sec a warm replica sustains".
+// job records them in BENCH.json; the warm number is the headline
+// "queries/sec a warm replica sustains".
 
 import (
 	"fmt"
@@ -159,7 +159,7 @@ func benchSweepStream(b *testing.B, accept, wantCT string) {
 // BenchmarkSweepStreamTLV measures a warm 16-scenario sweep streamed
 // over the negotiated binary TLV transport; its JSONL twin below is
 // the baseline the encoding issue's >=3x target is judged against
-// (CI records both into BENCH_encoding.json).
+// (CI's bench job records both in BENCH.json).
 func BenchmarkSweepStreamTLV(b *testing.B) {
 	benchSweepStream(b, tlv.MediaType, tlv.MediaType)
 }
