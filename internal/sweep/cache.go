@@ -13,10 +13,13 @@ import (
 // BackingStore is a persistent layer under a Cache: the disk store
 // (internal/sweep/store) implements it. Get misses must be cheap and
 // never fatal; Put errors are surfaced to the cache's error counter but
-// never fail a sweep.
+// never fail a sweep. Has answers warmth checks without reading or
+// decoding a record; it may over-report one that turns out corrupt on
+// Get, never under-report.
 type BackingStore interface {
 	Get(id string) (*campaign.Result, bool)
 	Put(id string, res *campaign.Result) error
+	Has(id string) bool
 }
 
 // DefaultSharedLimit bounds the process-wide Shared cache. Before the
@@ -167,14 +170,7 @@ func (c *Cache) Contains(id string) bool {
 	if ok {
 		return true
 	}
-	if st == nil {
-		return false
-	}
-	if h, ok := st.(interface{ Has(string) bool }); ok {
-		return h.Has(id)
-	}
-	_, ok = st.Get(id)
-	return ok
+	return st != nil && st.Has(id)
 }
 
 // get looks id up in memory, then in the backing store. With raw set,

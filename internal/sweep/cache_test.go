@@ -284,6 +284,13 @@ func (f *fakeStore) Get(id string) (*campaign.Result, bool) {
 	return res, true
 }
 
+func (f *fakeStore) Has(id string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	_, ok := f.m[id]
+	return ok
+}
+
 func (f *fakeStore) Put(id string, res *campaign.Result) error {
 	f.puts.Add(1)
 	if f.failed {

@@ -67,6 +67,12 @@ type ReplicationStats struct {
 // compacted away. Append-only segments make size a sufficient change
 // detector, and content-hash IDs make every shipped record correct even
 // mid-sync — a lagging replica serves misses, never wrong bytes.
+//
+// Segments travel as TLV only. Roll a fleet out writer first: an
+// upgraded writer lists and ships every segment as "tlv", which older
+// followers fetch unchanged, while an upgraded follower refuses (and
+// reports as a sync error) any segment an older writer lists without
+// that format — a v2 JSONL segment that writer has not yet transcoded.
 type Replicator struct {
 	writer   string
 	st       *store.Store
@@ -230,9 +236,8 @@ func (r *Replicator) SyncOnce(ctx context.Context) error {
 	}
 
 	type segRef struct {
-		shard  string
-		seg    int
-		format string
+		shard string
+		seg   int
 	}
 	_, localSegs := r.st.Manifest()
 	local := make(map[store.SegmentInfo]bool, len(localSegs))
@@ -242,7 +247,7 @@ func (r *Replicator) SyncOnce(ctx context.Context) error {
 	remote := make(map[segRef]bool, len(man.Segments))
 	var toShip []store.SegmentInfo
 	for _, si := range man.Segments {
-		remote[segRef{si.Shard, si.Seg, si.Format}] = true
+		remote[segRef{si.Shard, si.Seg}] = true
 		if !local[si] {
 			toShip = append(toShip, si)
 		}
@@ -265,12 +270,9 @@ func (r *Replicator) SyncOnce(ctx context.Context) error {
 		r.mu.Unlock()
 	}
 	// Segments the writer no longer lists were compacted away; their
-	// surviving records arrived above in the compacted segment. The
-	// format is part of the identity: when the writer's compaction
-	// transcodes a JSONL segment range into TLV, the JSONL files vanish
-	// from the manifest and are dropped here by (shard, seg, format).
+	// surviving records arrived above in the compacted segment.
 	for _, si := range localSegs {
-		if remote[segRef{si.Shard, si.Seg, si.Format}] {
+		if remote[segRef{si.Shard, si.Seg}] {
 			continue
 		}
 		if err := r.st.DropSegment(si.Shard, si.Seg, si.Format); err != nil {
@@ -297,10 +299,7 @@ func (r *Replicator) SyncOnce(ctx context.Context) error {
 // installed; a longer one just means the writer appended since the
 // manifest, and those extra committed lines are welcome.
 func (r *Replicator) shipSegment(ctx context.Context, si store.SegmentInfo) error {
-	url := fmt.Sprintf("%s/v1/segments/file?shard=%s&seg=%d", r.writer, si.Shard, si.Seg)
-	if si.Format != "" {
-		url += "&format=" + si.Format
-	}
+	url := fmt.Sprintf("%s/v1/segments/file?shard=%s&seg=%d&format=%s", r.writer, si.Shard, si.Seg, si.Format)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -313,5 +314,82 @@ func TestReplicaServesIngestedRecordsAsHits(t *testing.T) {
 	sresp.Body.Close()
 	if st.Replication == nil || st.Replication.Writer != wts.URL || st.Replication.SegmentsBehind != 0 {
 		t.Fatalf("replica statsz replication block wrong: %+v", st.Replication)
+	}
+}
+
+// copyGoldenV2 copies the store's checked-in v2 JSONL layout into a
+// fresh directory.
+func copyGoldenV2(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("..", "store", "testdata", "v2-layout"))); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestUpgradedV2CopiesAreAlreadyConverged: a writer and a follower
+// sweepd opened on separate copies of one v2 directory transcode it to
+// identical bytes, so the follower's first sync ships and drops nothing.
+func TestUpgradedV2CopiesAreAlreadyConverged(t *testing.T) {
+	writer, err := serve.New(serve.Options{CacheDir: copyGoldenV2(t), SimWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	wts := httptest.NewServer(writer.Handler())
+	defer wts.Close()
+	replica, err := serve.New(serve.Options{CacheDir: copyGoldenV2(t), QueueDepth: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+
+	rep, err := NewReplicator(ReplicatorOptions{Writer: wts.URL, Store: replica.Store()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.SyncOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := rep.Stats(); st.SegmentsShipped != 0 || st.SegmentsDropped != 0 || st.SyncErrors != 0 {
+		t.Fatalf("first sync between upgraded copies moved segments: %+v", st)
+	}
+	assertConverged(t, writer.Store(), replica.Store())
+	if _, segs := writer.Store().Manifest(); len(segs) != 3 {
+		t.Fatalf("upgraded golden layout lists %d segments, want 3", len(segs))
+	}
+}
+
+// TestFollowerRefusesWriterJSONLSegment: a writer from before the v2
+// upgrade lists a JSONL segment without a format and serves it for an
+// empty ?format=. The follower must fail the sync loudly rather than
+// install JSONL bytes as a TLV segment.
+func TestFollowerRefusesWriterJSONLSegment(t *testing.T) {
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/segments" {
+			fmt.Fprint(w, `{"generation":7,"segments":[{"shard":"aa","seg":0,"size":3}]}`)
+			return
+		}
+		fmt.Fprint(w, "{}\n")
+	}))
+	defer old.Close()
+	replica, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	rep, err := NewReplicator(ReplicatorOptions{Writer: old.URL, Store: replica})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.SyncOnce(context.Background()); !errors.Is(err, store.ErrBadSegmentRef) {
+		t.Fatalf("sync against a JSONL segment: %v, want ErrBadSegmentRef", err)
+	}
+	if st := rep.Stats(); st.SyncErrors != 1 || st.SegmentsShipped != 0 || st.Cursor != 0 {
+		t.Fatalf("refused sync recorded as progress: %+v", st)
+	}
+	if _, segs := replica.Manifest(); len(segs) != 0 {
+		t.Fatalf("follower installed %d segments from a JSONL writer", len(segs))
 	}
 }

@@ -25,7 +25,8 @@
 //	GET  /v1/segments   store segment manifest + generation cursor
 //	                    (304 when ?cursor matches); the writer side of
 //	                    segment-shipping replication
-//	GET  /v1/segments/file?shard=..&seg=..  raw segment bytes
+//	GET  /v1/segments/file?shard=..&seg=..&format=tlv
+//	                    raw segment bytes; any other format is a 400
 //	GET  /healthz       liveness + record count
 //	GET  /statsz        hit/miss/inflight/shed/latency counters, build
 //	                    version, uptime, replication lag when following
@@ -645,11 +646,10 @@ func (s *Server) handleSegmentFile(w http.ResponseWriter, r *http.Request) {
 		httpapi.Error(w, http.StatusBadRequest, "seg must be an integer")
 		return
 	}
-	// ?format= names the segment encoding from the manifest entry;
-	// absent means JSONL, the only encoding that existed before formats
-	// traveled on the wire.
-	format := q.Get("format")
-	data, err := s.st.ReadSegment(q.Get("shard"), seg, format)
+	// ?format= echoes the manifest entry's "tlv"; the store refuses any
+	// other, absent included (a follower from before TLV asking for
+	// JSONL), as a bad reference.
+	data, err := s.st.ReadSegment(q.Get("shard"), seg, q.Get("format"))
 	if err != nil {
 		code := http.StatusInternalServerError
 		switch {
@@ -661,11 +661,7 @@ func (s *Server) handleSegmentFile(w http.ResponseWriter, r *http.Request) {
 		httpapi.Error(w, code, err.Error())
 		return
 	}
-	if format == store.FormatTLV {
-		w.Header().Set("Content-Type", tlv.MediaType)
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
+	w.Header().Set("Content-Type", tlv.MediaType)
 	w.Write(data)
 }
 

@@ -652,6 +652,64 @@ func TestRetryAfterConfigurable(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestSegmentWireIsTLVOnly is the mixed-version wire contract: every
+// manifest entry still marshals "format":"tlv", which followers from
+// before the v2 upgrade echo back, and the file endpoint refuses any
+// other format — absent included — with 400.
+func TestSegmentWireIsTLVOnly(t *testing.T) {
+	srv, err := New(Options{CacheDir: t.TempDir(), SimWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, seed := range []string{"91", "92", "93"} {
+		resp := post(t, ts.Client(), ts.URL+"/v1/scenario", `{"seed":`+seed+`}`)
+		resp.Body.Close()
+	}
+
+	mresp, err := http.Get(ts.URL + "/v1/segments")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man struct {
+		Segments []map[string]any `json:"segments"`
+	}
+	if err := json.Unmarshal(readAll(t, mresp), &man); err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Segments) == 0 {
+		t.Fatal("manifest lists no segments")
+	}
+	for _, e := range man.Segments {
+		if e["format"] != "tlv" {
+			t.Fatalf("manifest entry %v does not carry \"format\":\"tlv\"", e)
+		}
+	}
+
+	ref := fmt.Sprintf("%s/v1/segments/file?shard=%s&seg=%v", ts.URL, man.Segments[0]["shard"], man.Segments[0]["seg"])
+	for query, want := range map[string]int{
+		"":                 http.StatusBadRequest,
+		"&format=":         http.StatusBadRequest,
+		"&format=jsonl":    http.StatusBadRequest,
+		"&format=protobuf": http.StatusBadRequest,
+		"&format=tlv":      http.StatusOK,
+	} {
+		resp, err := http.Get(ref + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("segment fetch %q: status %d, want %d", query, resp.StatusCode, want)
+		}
+		if want == http.StatusOK && resp.Header.Get("Content-Type") != tlv.MediaType {
+			t.Errorf("segment fetch %q: Content-Type %q", query, resp.Header.Get("Content-Type"))
+		}
+	}
+}
+
 // TestSegmentFeed: the writer-side replication feed — manifest with a
 // working 304 cursor, raw segment bytes identical to the files on
 // disk, traversal-shaped refs rejected with 400, and 404 without a

@@ -66,7 +66,7 @@ func crashTail(t *testing.T, dir string, pick int) bool {
 		if err != nil || d.IsDir() {
 			return nil
 		}
-		if _, isTLV, ok := parseSegName(d.Name()); ok && isTLV {
+		if _, ok := parseSegName(d.Name()); ok {
 			segs = append(segs, p)
 		}
 		return nil

@@ -1,11 +1,9 @@
 package store
 
-// Read-only support for the layouts the store no longer writes: v2
-// segments of one JSON line per record, served in place and transcoded
-// to TLV by Compact, and the v1 one-file-per-record layout, folded into
-// TLV segments at Open. Nothing here appends to a legacy file; the read
-// fallback, the rescan, replica ingestion and Compact are the only
-// callers.
+// Upgrades for the layouts the store no longer reads or writes, both run
+// once at Open: v2 segments of one JSON line per record are transcoded
+// to TLV segments in place, and the v1 one-file-per-record layout is
+// folded into TLV segments. Nothing below load ever sees either layout.
 
 import (
 	"bytes"
@@ -14,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/campaign"
@@ -23,9 +22,6 @@ import (
 const (
 	recordsDirV1   = "records"
 	segSuffixJSONL = ".jsonl"
-	// formatJSONL is accepted wherever a segment format travels on the
-	// wire, alongside the empty string every pre-TLV peer sends.
-	formatJSONL = "jsonl"
 )
 
 // record is the v1/v2 on-disk envelope around a result state: one JSON
@@ -36,44 +32,57 @@ type record struct {
 	Result campaign.ResultState `json:"result"`
 }
 
-// parseRecordLine validates one v2 segment line as a live record of the
-// given shard, returning its id. Garbage lines (crash debris, foreign
-// versions, misfiled ids) report false and stay dead bytes.
-func parseRecordLine(line []byte, shard string) (string, bool) {
-	var rec record
-	if json.Unmarshal(line, &rec) != nil || rec.V != FormatVersion ||
-		validID(rec.ID) != nil || shardOf(rec.ID) != shard {
-		return "", false
+// upgradeV2 transcodes every v2 segment, segments/<shard>/seg-NNNN.jsonl,
+// into the TLV segment of the same number and removes the JSONL file,
+// reporting whether anything moved. Each valid line (current envelope
+// version, valid id, sharded where it sits) becomes the frame Put
+// writes, in line order; garbage lines, which always read as misses,
+// are dropped. Records keep their stored state: a full v2 record stays
+// full under a compact-mode Open.
+//
+// The same number is always free: v2-era stores started a shard's TLV
+// appends after its highest JSONL segment, so cross-segment order, and
+// with it "last copy wins", is unchanged. The TLV file lands by
+// temp+Sync+rename before the JSONL one is unlinked, so a crash leaves
+// either the untouched JSONL, or both files — and the next Open
+// transcodes again to the identical bytes.
+func (s *Store) upgradeV2() (bool, error) {
+	paths, err := filepath.Glob(filepath.Join(s.dir, segmentsDir, "*", segPrefix+"*"+segSuffixJSONL))
+	if err != nil {
+		return false, fmt.Errorf("store: scan v2 segments: %w", err)
 	}
-	return rec.ID, true
-}
-
-// scanLegacyBytes is scanSegmentBytes for a v2 segment: it folds each
-// valid line into the location map (and passes it to visit when
-// non-nil). A torn final line without its newline parses as garbage.
-func (s *Store) scanLegacyBytes(shard string, seg int, data []byte, visit func(id string, l location)) {
-	var off int64
-	for len(data) > 0 {
-		line, rest, _ := bytes.Cut(data, []byte{'\n'})
-		if id, ok := parseRecordLine(line, shard); ok {
-			l := location{shard: shard, seg: seg, off: off, n: int64(len(line))}
-			s.loc[id] = l
-			if visit != nil {
-				visit(id, l)
-			}
+	moved := false
+	for _, p := range paths {
+		num := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), segPrefix), segSuffixJSONL)
+		n, err := strconv.Atoi(num)
+		if err != nil || n < 0 {
+			continue
 		}
-		off += int64(len(data) - len(rest))
-		data = rest
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return moved, fmt.Errorf("store: upgrade %s: %w", p, err)
+		}
+		shard := filepath.Base(filepath.Dir(p))
+		var out []byte
+		for len(data) > 0 {
+			var line []byte
+			line, data, _ = bytes.Cut(data, []byte{'\n'})
+			var rec record
+			if json.Unmarshal(line, &rec) != nil || rec.V != FormatVersion ||
+				validID(rec.ID) != nil || shardOf(rec.ID) != shard {
+				continue
+			}
+			out = tlv.AppendEnvelope(out, rec.ID, &rec.Result)
+		}
+		if err := s.writeSegment("put-upgrade-*.tmp", shard, n, out); err != nil {
+			return moved, fmt.Errorf("store: upgrade %s: %w", p, err)
+		}
+		if err := os.Remove(p); err != nil {
+			return moved, fmt.Errorf("store: upgrade %s: %w", p, err)
+		}
+		moved = true
 	}
-}
-
-// decodeLegacyRecord is decodeRecord for one v2 line.
-func decodeLegacyRecord(buf []byte, id string) (campaign.ResultState, bool) {
-	var rec record
-	if json.Unmarshal(buf, &rec) != nil || rec.V != FormatVersion || rec.ID != id {
-		return campaign.ResultState{}, false
-	}
-	return rec.Result, true
+	return moved, nil
 }
 
 // migrateV1 folds a v1 one-file-per-record layout (records/<id>.json)

@@ -32,9 +32,8 @@ import (
 )
 
 // SegmentInfo describes one on-disk segment file: its shard, number,
-// current committed size in bytes, and encoding ("tlv" for v3 binary
-// segments, omitted for v2 JSONL ones — so manifests of all-JSONL
-// stores keep their exact pre-TLV bytes).
+// current committed size in bytes, and encoding. Format is always
+// "tlv"; it stays in the manifest for followers that still check it.
 type SegmentInfo struct {
 	Shard  string `json:"shard"`
 	Seg    int    `json:"seg"`
@@ -42,28 +41,13 @@ type SegmentInfo struct {
 	Format string `json:"format,omitempty"`
 }
 
-// FormatTLV names the v3 segment encoding in wire parameters and
-// manifests. The empty string (or "jsonl") names a legacy v2 segment,
-// so pre-TLV peers interoperate unchanged.
+// FormatTLV names the segment encoding in wire parameters and
+// manifests. It is the only one a segment reference may carry.
 const FormatTLV = formatTLV
 
 // ErrBadSegmentRef marks a shard, segment number or wire format that
 // cannot name a segment file: a caller error, unlike a read failure.
 var ErrBadSegmentRef = errors.New("store: bad segment reference")
-
-// parseWireFormat maps a format carried in a manifest entry or query
-// parameter. An absent wire format means JSONL: every segment shipped
-// before formats existed was JSONL.
-func parseWireFormat(format string) (isTLV bool, err error) {
-	switch format {
-	case "", formatJSONL:
-		return false, nil
-	case formatTLV:
-		return true, nil
-	default:
-		return false, fmt.Errorf("%w: unknown segment format %q", ErrBadSegmentRef, format)
-	}
-}
 
 // ShardOf reports the shard a scenario id lives in — the id's first two
 // hex characters for content-hash ids, a hash-derived pair otherwise.
@@ -108,7 +92,7 @@ func (s *Store) manifestLocked() []SegmentInfo {
 			continue
 		}
 		for _, e := range entries {
-			n, isTLV, ok := parseSegName(e.Name())
+			n, ok := parseSegName(e.Name())
 			if !ok || e.IsDir() {
 				continue
 			}
@@ -116,29 +100,31 @@ func (s *Store) manifestLocked() []SegmentInfo {
 			if err != nil {
 				continue
 			}
-			segs = append(segs, SegmentInfo{Shard: sh.Name(), Seg: n, Size: fi.Size(), Format: formatName(isTLV)})
+			segs = append(segs, SegmentInfo{Shard: sh.Name(), Seg: n, Size: fi.Size(), Format: formatTLV})
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool {
 		if segs[i].Shard != segs[j].Shard {
 			return segs[i].Shard < segs[j].Shard
 		}
-		if segs[i].Seg != segs[j].Seg {
-			return segs[i].Seg < segs[j].Seg
-		}
-		return segs[i].Format < segs[j].Format
+		return segs[i].Seg < segs[j].Seg
 	})
 	return segs
 }
 
-// validSegmentRef refuses shard/segment pairs that could name anything
-// other than a segment file (path traversal, negative numbers).
-func validSegmentRef(shard string, seg int) error {
+// validSegmentRef refuses references that could name anything other
+// than a segment file (path traversal, negative numbers), and any format
+// but "tlv" — the empty one included, which a peer from before TLV
+// means as JSONL, so a follower never installs JSONL bytes as TLV.
+func validSegmentRef(shard string, seg int, format string) error {
 	if len(shard) != 2 || !isHexLower(shard[0]) || !isHexLower(shard[1]) {
 		return fmt.Errorf("%w: invalid shard %q", ErrBadSegmentRef, shard)
 	}
 	if seg < 0 {
 		return fmt.Errorf("%w: invalid segment number %d", ErrBadSegmentRef, seg)
+	}
+	if format != formatTLV {
+		return fmt.Errorf("%w: segment format %q is not %q", ErrBadSegmentRef, format, formatTLV)
 	}
 	return nil
 }
@@ -146,16 +132,12 @@ func validSegmentRef(shard string, seg int) error {
 // ReadSegment returns a segment file's current bytes. The snapshot is
 // taken in one ReadFile, so it always ends on a committed record
 // boundary or inside the final append — and a final partial record is
-// exactly what ingestion already tolerates, in either encoding.
+// exactly what ingestion already tolerates.
 func (s *Store) ReadSegment(shard string, seg int, format string) ([]byte, error) {
-	if err := validSegmentRef(shard, seg); err != nil {
+	if err := validSegmentRef(shard, seg, format); err != nil {
 		return nil, err
 	}
-	isTLV, err := parseWireFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(s.segPath(shard, seg, isTLV))
+	data, err := os.ReadFile(s.segPath(shard, seg))
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +145,7 @@ func (s *Store) ReadSegment(shard string, seg int, format string) ([]byte, error
 }
 
 // IngestSegment atomically installs shipped segment bytes as
-// segments/<shard>/seg-NNNN.<format> and folds the records they hold
+// segments/<shard>/seg-NNNN.tlv and folds the records they hold
 // into the index — the replica-side half of segment shipping. The install is
 // temp+rename, so a crash mid-ingest leaves either the old file or the
 // new one, never a splice; the scan that follows derives the same
@@ -178,11 +160,7 @@ func (s *Store) ReadSegment(shard string, seg int, format string) ([]byte, error
 // replica mode guarantees this — every miss sheds before it reaches a
 // Put).
 func (s *Store) IngestSegment(shard string, seg int, format string, data []byte) error {
-	if err := validSegmentRef(shard, seg); err != nil {
-		return err
-	}
-	isTLV, err := parseWireFormat(format)
-	if err != nil {
+	if err := validSegmentRef(shard, seg, format); err != nil {
 		return err
 	}
 	if err := os.MkdirAll(s.shardDir(shard), 0o755); err != nil {
@@ -204,7 +182,7 @@ func (s *Store) IngestSegment(shard string, seg int, format string, data []byte)
 	// The rename happens under the store mutex deliberately: the install
 	// and the location-map rewrite below must be one atomic step from a
 	// concurrent Get's point of view.
-	if err := os.Rename(tmp.Name(), s.segPath(shard, seg, isTLV)); err != nil { //sweepvet:allow(iolock) atomic install; one rename, not a transfer
+	if err := os.Rename(tmp.Name(), s.segPath(shard, seg)); err != nil { //sweepvet:allow(iolock) atomic install; one rename, not a transfer
 		os.Remove(tmp.Name()) //sweepvet:allow(iolock) cleanup of the failed install's temp
 		return fmt.Errorf("store: ingest %s/%d: %w", shard, seg, err)
 	}
@@ -220,17 +198,17 @@ func (s *Store) IngestSegment(shard string, seg int, format string, data []byte)
 		ss.tail.Close() //sweepvet:allow(close) handle names a file the rename above already replaced
 		ss.tail = nil
 	}
-	ss.tailSeg = max(ss.tailSeg, appendSeg(seg, isTLV))
+	ss.tailSeg = max(ss.tailSeg, seg)
 	// Recompute this segment's contribution to the location map from the
 	// fresh bytes: forget what pointed here, then fold the scan and
 	// append the index lines. A failed index append is recovered by the
 	// next open's rescan.
 	for id, l := range s.loc {
-		if l.shard == shard && l.seg == seg && l.tlv == isTLV {
+		if l.shard == shard && l.seg == seg {
 			delete(s.loc, id)
 		}
 	}
-	s.scanSegmentBytes(shard, seg, isTLV, data, func(id string, l location) {
+	s.scanSegmentBytes(shard, seg, data, func(id string, l location) {
 		s.appendIndexLocked(id, l) //nolint:errcheck
 	})
 	s.bumpGenLocked(int64(len(data)))
@@ -242,27 +220,23 @@ func (s *Store) IngestSegment(shard string, seg int, format string, data []byte)
 // it are forgotten first, so a concurrent Get degrades to a miss, never
 // reads a recycled offset.
 func (s *Store) DropSegment(shard string, seg int, format string) error {
-	if err := validSegmentRef(shard, seg); err != nil {
-		return err
-	}
-	isTLV, err := parseWireFormat(format)
-	if err != nil {
+	if err := validSegmentRef(shard, seg, format); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for id, l := range s.loc {
-		if l.shard == shard && l.seg == seg && l.tlv == isTLV {
+		if l.shard == shard && l.seg == seg {
 			delete(s.loc, id)
 		}
 	}
-	if ss := s.shards[shard]; ss != nil && ss.tail != nil && ss.tailSeg == seg && isTLV {
+	if ss := s.shards[shard]; ss != nil && ss.tail != nil && ss.tailSeg == seg {
 		ss.tail.Close() //sweepvet:allow(close) handle names the segment being dropped
 		ss.tail = nil
 	}
 	// Removal stays under the mutex so it cannot interleave with a Get
 	// re-reading a location the loop above just forgot.
-	if err := os.Remove(s.segPath(shard, seg, isTLV)); err != nil && !os.IsNotExist(err) { //sweepvet:allow(iolock) one unlink, atomic with the location forget
+	if err := os.Remove(s.segPath(shard, seg)); err != nil && !os.IsNotExist(err) { //sweepvet:allow(iolock) one unlink, atomic with the location forget
 		return fmt.Errorf("store: drop %s/%d: %w", shard, seg, err)
 	}
 	s.bumpGenLocked(1)

@@ -2,8 +2,8 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -30,7 +30,7 @@ func TestManifestTracksMutations(t *testing.T) {
 	if segs[0].Format != FormatTLV {
 		t.Fatalf("default-format store must list TLV segments, got %q", segs[0].Format)
 	}
-	fi, err := os.Stat(s.segPath("aa", 0, true))
+	fi, err := os.Stat(s.segPath("aa", 0))
 	if err != nil || fi.Size() != segs[0].Size {
 		t.Fatalf("manifest size %d, file size %v (%v)", segs[0].Size, fi, err)
 	}
@@ -101,59 +101,43 @@ func TestIngestShipsRecordsByteIdentically(t *testing.T) {
 	}
 }
 
-// TestIngestTornSnapshotHeals covers a snapshot cut mid-record in both
-// encodings: the partial tail (a garbage line, or a truncated frame)
-// hides only itself, every complete record still serves, and a later
-// re-ingest of the full segment heals the missing record.
+// TestIngestTornSnapshotHeals covers a snapshot cut mid-record: the
+// truncated frame hides only itself, every complete record still
+// serves, and a later re-ingest of the full segment heals the missing
+// record.
 func TestIngestTornSnapshotHeals(t *testing.T) {
-	for _, format := range []string{formatJSONL, FormatTLV} {
-		t.Run(format, func(t *testing.T) {
-			shard, kept, lost := "ee", "ee11", "ee22"
-			var full []byte
-			if format == FormatTLV {
-				writer := open(t, t.TempDir(), Options{})
-				if err := writer.Put(kept, testResult(t, 3)); err != nil {
-					t.Fatal(err)
-				}
-				if err := writer.Put(lost, testResult(t, 4)); err != nil {
-					t.Fatal(err)
-				}
-				var err error
-				if full, err = writer.ReadSegment(shard, 0, format); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				// The store no longer writes JSONL: build a two-record v2
-				// segment from the golden layout's aa01 line and a copy of
-				// it renamed to aa02.
-				shard, kept, lost = "aa", "aa01", "aa02"
-				line, err := os.ReadFile(filepath.Join("testdata", "v2-layout", "segments", "aa", "seg-0000.jsonl"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				renamed := bytes.Replace(line, []byte(`"id":"aa01"`), []byte(`"id":"aa02"`), 1)
-				full = append(append([]byte(nil), line...), renamed...)
-			}
-			torn := full[:len(full)-10] // cuts into the second record
+	t.Run(FormatTLV, func(t *testing.T) {
+		shard, kept, lost := "ee", "ee11", "ee22"
+		writer := open(t, t.TempDir(), Options{})
+		if err := writer.Put(kept, testResult(t, 3)); err != nil {
+			t.Fatal(err)
+		}
+		if err := writer.Put(lost, testResult(t, 4)); err != nil {
+			t.Fatal(err)
+		}
+		full, err := writer.ReadSegment(shard, 0, FormatTLV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		torn := full[:len(full)-10] // cuts into the second record
 
-			replica := open(t, t.TempDir(), Options{})
-			if err := replica.IngestSegment(shard, 0, format, torn); err != nil {
-				t.Fatal(err)
-			}
-			if !replica.Has(kept) {
-				t.Fatal("complete record must survive a torn snapshot")
-			}
-			if replica.Has(lost) {
-				t.Fatal("torn record must not be acknowledged")
-			}
-			if err := replica.IngestSegment(shard, 0, format, full); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := replica.Get(lost); !ok {
-				t.Fatal("re-ingest of the full segment must heal the record")
-			}
-		})
-	}
+		replica := open(t, t.TempDir(), Options{})
+		if err := replica.IngestSegment(shard, 0, FormatTLV, torn); err != nil {
+			t.Fatal(err)
+		}
+		if !replica.Has(kept) {
+			t.Fatal("complete record must survive a torn snapshot")
+		}
+		if replica.Has(lost) {
+			t.Fatal("torn record must not be acknowledged")
+		}
+		if err := replica.IngestSegment(shard, 0, FormatTLV, full); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := replica.Get(lost); !ok {
+			t.Fatal("re-ingest of the full segment must heal the record")
+		}
+	})
 }
 
 // TestDropSegmentForgetsRecords: dropping a segment the writer
@@ -175,7 +159,7 @@ func TestDropSegmentForgetsRecords(t *testing.T) {
 	if replica.Has("ff77") {
 		t.Fatal("dropped segment's record still registered")
 	}
-	if _, err := os.Stat(replica.segPath("ff", 0, true)); !os.IsNotExist(err) {
+	if _, err := os.Stat(replica.segPath("ff", 0)); !os.IsNotExist(err) {
 		t.Fatalf("segment file survived the drop: %v", err)
 	}
 	gen2, _ := replica.Manifest()
@@ -208,14 +192,18 @@ func TestSegmentRefValidation(t *testing.T) {
 			t.Errorf("DropSegment(%q,%d) accepted", c.shard, c.seg)
 		}
 	}
-	// An unknown format is rejected everywhere a format travels.
-	if _, err := s.ReadSegment("ab", 0, "protobuf"); err == nil {
-		t.Error("ReadSegment accepted an unknown format")
-	}
-	if err := s.IngestSegment("ab", 0, "protobuf", nil); err == nil {
-		t.Error("IngestSegment accepted an unknown format")
-	}
-	if err := s.DropSegment("ab", 0, "protobuf"); err == nil {
-		t.Error("DropSegment accepted an unknown format")
+	// Any format but TLV is rejected everywhere a format travels: the
+	// empty one and "jsonl" name v2 segments, which no store holds after
+	// Open.
+	for _, format := range []string{"", "jsonl", "protobuf"} {
+		if _, err := s.ReadSegment("ab", 0, format); !errors.Is(err, ErrBadSegmentRef) {
+			t.Errorf("ReadSegment accepted format %q: %v", format, err)
+		}
+		if err := s.IngestSegment("ab", 0, format, nil); !errors.Is(err, ErrBadSegmentRef) {
+			t.Errorf("IngestSegment accepted format %q: %v", format, err)
+		}
+		if err := s.DropSegment("ab", 0, format); !errors.Is(err, ErrBadSegmentRef) {
+			t.Errorf("DropSegment accepted format %q: %v", format, err)
+		}
 	}
 }

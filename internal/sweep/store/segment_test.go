@@ -15,8 +15,7 @@ import (
 	"repro/internal/campaign"
 )
 
-// countSegments walks segments/ and returns how many pack files exist,
-// in either encoding.
+// countSegments walks segments/ and returns how many pack files exist.
 func countSegments(t *testing.T, dir string) int {
 	t.Helper()
 	n := 0
@@ -24,7 +23,7 @@ func countSegments(t *testing.T, dir string) int {
 		if err != nil {
 			return err
 		}
-		if _, _, ok := parseSegName(filepath.Base(p)); !d.IsDir() && ok {
+		if _, ok := parseSegName(filepath.Base(p)); !d.IsDir() && ok {
 			n++
 		}
 		return nil
@@ -105,7 +104,7 @@ func TestSegmentRotation(t *testing.T) {
 		}
 	}
 	for i := range ids {
-		if _, err := os.Stat(filepath.Join(dir, segmentsDir, "ab", segName(i, true))); err != nil {
+		if _, err := os.Stat(filepath.Join(dir, segmentsDir, "ab", segName(i))); err != nil {
 			t.Fatalf("expected rotated segment %d: %v", i, err)
 		}
 	}
@@ -275,31 +274,9 @@ func TestIndexRebuildDeterministic(t *testing.T) {
 	}
 }
 
-// segmentsByExt walks segments/ and buckets pack files by encoding.
-func segmentsByExt(t *testing.T, dir string) (jsonl, tlvSegs []string) {
-	t.Helper()
-	err := filepath.WalkDir(filepath.Join(dir, segmentsDir), func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		if _, isTLV, ok := parseSegName(filepath.Base(p)); ok {
-			if isTLV {
-				tlvSegs = append(tlvSegs, p)
-			} else {
-				jsonl = append(jsonl, p)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return jsonl, tlvSegs
-}
-
 // goldenV2IDs are the records inside testdata/v2-layout, the checked-in
-// golden v2 store no future code change may stop reading. The store no
-// longer writes v2, so these bytes are the frozen contract.
+// golden v2 store no future code change may stop reading. Nothing
+// writes v2 any more, so these bytes are frozen, never regenerated.
 var goldenV2IDs = []string{"aa01", "ab11", "cd22"}
 
 // copyGoldenV2 copies testdata/v2-layout into a fresh directory tests
@@ -313,23 +290,81 @@ func copyGoldenV2(t *testing.T) string {
 	return dir
 }
 
-// TestStoreMixedFormatsReopenAndCompact is the v2/v3 coexistence
-// contract: a store holding legacy JSONL segments keeps serving them
-// byte-untouched, new appends land as v3 frames in fresh segments
-// numbered after them, and Compact transcodes the whole store to TLV
-// without changing any answer.
-func TestStoreMixedFormatsReopenAndCompact(t *testing.T) {
-	dir := copyGoldenV2(t)
-	v2Segs, _ := segmentsByExt(t, dir)
-	v2Bytes := make(map[string][]byte)
-	for _, p := range v2Segs {
+// v2Segments lists the JSONL segments left under dir's segments/.
+func v2Segments(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, segmentsDir, "*", "*"+segSuffixJSONL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// assertGoldenV2Served demands every golden record serves with exactly
+// the state its v2 line holds. The golden records are summary-only, so
+// the served result is re-captured in the mode the line was stored in.
+func assertGoldenV2Served(t *testing.T, s *Store) {
+	t.Helper()
+	for _, p := range v2Segments(t, filepath.Join("testdata", "v2-layout")) {
 		data, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2Bytes[p] = data
+		var rec record
+		if err := json.Unmarshal(bytes.TrimSuffix(data, []byte{'\n'}), &rec); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Get(rec.ID)
+		if !ok {
+			t.Fatalf("golden record %s unreadable", rec.ID)
+		}
+		want, _ := json.Marshal(rec.Result)
+		if have, _ := json.Marshal(got.State(rec.Result.Compact)); !bytes.Equal(have, want) {
+			t.Fatalf("golden record %s changed state", rec.ID)
+		}
 	}
+}
 
+// TestStoreServesGoldenV2Layout opens the checked-in v2 JSONL layout
+// with today's defaults — the v2->v3 migration contract, mirroring the
+// fabricated-directory v1 migration test with bytes frozen in git. Open
+// transcodes each shard's JSONL segment into the TLV segment of the
+// same number; every record keeps its state (a compact-mode Open strips
+// nothing), across a reopen and a lost index alike.
+func TestStoreServesGoldenV2Layout(t *testing.T) {
+	dir := copyGoldenV2(t)
+	s := open(t, dir, Options{Compact: true})
+	if s.Len() != len(goldenV2IDs) {
+		t.Fatalf("golden layout serves %d records, want %d", s.Len(), len(goldenV2IDs))
+	}
+	if left := v2Segments(t, dir); len(left) != 0 {
+		t.Fatalf("Open left JSONL segments: %v", left)
+	}
+	for _, id := range goldenV2IDs {
+		if _, err := os.Stat(s.segPath(shardOf(id), 0)); err != nil {
+			t.Fatalf("shard of %s has no seg-0000.tlv: %v", id, err)
+		}
+	}
+	if n := countSegments(t, dir); n != len(goldenV2IDs) {
+		t.Fatalf("upgrade left %d segments, want one per shard", n)
+	}
+	assertGoldenV2Served(t, s)
+	s.Close()
+
+	re := open(t, dir, Options{Compact: true})
+	assertGoldenV2Served(t, re)
+	re.Close()
+	if err := os.Remove(filepath.Join(dir, indexName)); err != nil {
+		t.Fatal(err)
+	}
+	assertGoldenV2Served(t, open(t, dir, Options{Compact: true}))
+}
+
+// TestStoreUpgradedV2ReopenAndIndexLoss: an upgraded golden layout is
+// an ordinary store. Appends land in the transcoded segments, and
+// everything serves across a reopen, a lost index and a compaction.
+func TestStoreUpgradedV2ReopenAndIndexLoss(t *testing.T) {
+	dir := copyGoldenV2(t)
 	s := open(t, dir, Options{})
 	res := testResult(t, 5)
 	tlvIDs := []string{"aa02", "cd33"}
@@ -338,123 +373,135 @@ func TestStoreMixedFormatsReopenAndCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	all := append(append([]string{}, goldenV2IDs...), tlvIDs...)
-	before := make(map[string]*campaign.Result)
-	for _, id := range all {
-		got, ok := s.Get(id)
-		if !ok {
-			t.Fatalf("record %s unreadable in the mixed store", id)
-		}
-		before[id] = got
-	}
-	// Both encodings now coexist on disk, the appends went to the next
-	// segment number, and the old v2 bytes are untouched.
-	v2Now, v3Now := segmentsByExt(t, dir)
-	if len(v2Now) != len(v2Segs) || len(v3Now) != len(tlvIDs) {
-		t.Fatalf("mixed store has %d JSONL / %d TLV segments", len(v2Now), len(v3Now))
-	}
-	for _, shard := range []string{"aa", "cd"} {
-		if _, err := os.Stat(s.segPath(shard, 1, true)); err != nil {
-			t.Fatalf("TLV append in shard %s did not start after the legacy segment: %v", shard, err)
-		}
-	}
-	for _, p := range v2Now {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(data, v2Bytes[p]) {
-			t.Fatalf("legacy segment %s was written to", p)
-		}
+	if n := countSegments(t, dir); n != len(goldenV2IDs) {
+		t.Fatalf("appends to an upgraded store made %d segments, want %d", n, len(goldenV2IDs))
 	}
 	s.Close()
 
-	// A reopen of the mixed store serves everything, and compaction
-	// converges it to TLV.
-	re := open(t, dir, Options{})
-	for _, id := range all {
-		if _, ok := re.Get(id); !ok {
-			t.Fatalf("record %s lost across a mixed reopen", id)
+	all := append(append([]string{}, goldenV2IDs...), tlvIDs...)
+	serves := func(s *Store, when string) {
+		t.Helper()
+		assertGoldenV2Served(t, s)
+		for _, id := range tlvIDs {
+			got, ok := s.Get(id)
+			if !ok || got.MobileAll != res.MobileAll || got.TotalMeasurements != res.TotalMeasurements {
+				t.Fatalf("record %s lost or changed %s", id, when)
+			}
 		}
 	}
-	stats, err := re.Compact()
+	re := open(t, dir, Options{})
+	serves(re, "across a reopen")
+	re.Close()
+	if err := os.Remove(filepath.Join(dir, indexName)); err != nil {
+		t.Fatal(err)
+	}
+	re2 := open(t, dir, Options{})
+	serves(re2, "after index loss")
+	stats, err := re2.Compact()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Live != len(all) {
 		t.Fatalf("Compact carried %d live records, want %d", stats.Live, len(all))
 	}
-	v2After, v3After := segmentsByExt(t, dir)
-	if len(v2After) != 0 || len(v3After) == 0 {
-		t.Fatalf("compaction left %d JSONL / %d TLV segments, want 0 / >0", len(v2After), len(v3After))
-	}
-	for _, id := range all {
-		got, ok := re.Get(id)
-		if !ok {
-			t.Fatalf("record %s lost by cross-format compaction", id)
-		}
-		want := before[id]
-		if got.MobileAll != want.MobileAll || got.TotalMeasurements != want.TotalMeasurements {
-			t.Fatalf("compaction changed record %s", id)
-		}
-	}
-	re.Close()
-	if err := os.Remove(filepath.Join(dir, indexName)); err != nil {
-		t.Fatal(err)
-	}
-	re2 := open(t, dir, Options{})
-	for _, id := range all {
-		if _, ok := re2.Get(id); !ok {
-			t.Fatalf("record %s unreadable after compaction + index loss", id)
-		}
-	}
+	serves(re2, "by compaction")
 }
 
-// TestStoreServesGoldenV2Layout opens the checked-in v2 JSONL layout
-// with today's defaults — the v2->v3 migration contract, mirroring the
-// fabricated-directory v1 migration test with bytes frozen in git: the
-// old store serves in place (no eager rewrite), and compaction is the
-// explicit, lossless upgrade to v3.
-func TestStoreServesGoldenV2Layout(t *testing.T) {
-	dir := copyGoldenV2(t)
-	s := open(t, dir, Options{Compact: true})
-	if s.Len() != len(goldenV2IDs) {
-		t.Fatalf("golden layout serves %d records, want %d", s.Len(), len(goldenV2IDs))
-	}
-	before := make(map[string]*campaign.Result)
-	for _, id := range goldenV2IDs {
-		got, ok := s.Get(id)
-		if !ok {
-			t.Fatalf("golden record %s unreadable", id)
+// TestStoreV2UpgradeCrashPoints interrupts the upgrade at each point a
+// crash can stop it, on copies of the golden layout: the next Open
+// must finish the job with the bytes a clean upgrade writes, and serve
+// every golden record with unchanged state.
+func TestStoreV2UpgradeCrashPoints(t *testing.T) {
+	// The clean upgrade's segments are the reference bytes.
+	ref := copyGoldenV2(t)
+	open(t, ref, Options{}).Close()
+	refSeg := func(shard string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(ref, segmentsDir, shard, segName(0)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		before[id] = got
+		return data
 	}
-	// Serving alone rewrites nothing: the layout is still pure v2.
-	v2Segs, v3Segs := segmentsByExt(t, dir)
-	if len(v2Segs) == 0 || len(v3Segs) != 0 {
-		t.Fatalf("reading the golden rewrote segments: %d JSONL / %d TLV", len(v2Segs), len(v3Segs))
-	}
-	stats, err := s.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Live != len(goldenV2IDs) {
-		t.Fatalf("Compact carried %d live records, want %d", stats.Live, len(goldenV2IDs))
-	}
-	v2After, v3After := segmentsByExt(t, dir)
-	if len(v2After) != 0 || len(v3After) == 0 {
-		t.Fatalf("compaction left %d JSONL / %d TLV segments, want 0 / >0", len(v2After), len(v3After))
-	}
-	for _, id := range goldenV2IDs {
-		got, ok := s.Get(id)
-		if !ok {
-			t.Fatalf("golden record %s lost by the v3 transcode", id)
+	// upgradeShard leaves a shard as a crash after the rename and before
+	// the unlink does; with unlink, as a crash after the unlink.
+	upgradeShard := func(t *testing.T, dir, shard string, unlink bool) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, segmentsDir, shard, segName(0)), refSeg(shard), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		want := before[id]
-		if got.MobileAll != want.MobileAll || got.Wired != want.Wired ||
-			got.TotalMeasurements != want.TotalMeasurements || got.SummaryOnly != want.SummaryOnly {
-			t.Fatalf("v3 transcode changed golden record %s", id)
+		if unlink {
+			if err := os.Remove(filepath.Join(dir, segmentsDir, shard, segPrefix+"0000"+segSuffixJSONL)); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	extra := envelopeFrame("aa02", testResult(t, 6), true)
+
+	cases := []struct {
+		name  string
+		crash func(t *testing.T, dir string)
+		ids   []string // served beyond the golden records
+	}{
+		{name: "orphan temp, JSONL intact", crash: func(t *testing.T, dir string) {
+			torn := refSeg("aa")
+			if err := os.WriteFile(filepath.Join(dir, "put-upgrade-1.tmp"), torn[:len(torn)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "JSONL and TLV both present", crash: func(t *testing.T, dir string) {
+			for _, id := range goldenV2IDs {
+				upgradeShard(t, dir, shardOf(id), false)
+			}
+		}},
+		{name: "half the shards upgraded under the v2 index", crash: func(t *testing.T, dir string) {
+			upgradeShard(t, dir, "aa", true)
+			upgradeShard(t, dir, "ab", false)
+		}},
+		{name: "all unlinked before a mixed index was written back", ids: []string{"aa02"}, crash: func(t *testing.T, dir string) {
+			// A pre-upgrade store had appended aa02 after aa's JSONL
+			// segment, so its index holds a TLV line beside the v2 ones.
+			for _, id := range goldenV2IDs {
+				upgradeShard(t, dir, shardOf(id), true)
+			}
+			if err := os.WriteFile(filepath.Join(dir, segmentsDir, "aa", segName(1)), extra, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			line := fmt.Sprintf(`{"v":%d,"id":"aa02","shard":"aa","seg":1,"off":0,"len":%d,"f":"tlv"}`+"\n", indexVersion, len(extra))
+			idx, err := os.OpenFile(filepath.Join(dir, indexName), os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer idx.Close()
+			if _, err := idx.WriteString(line); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := copyGoldenV2(t)
+			c.crash(t, dir)
+			for _, reopen := range []string{"first open", "reopen"} {
+				s := open(t, dir, Options{})
+				if left := v2Segments(t, dir); len(left) != 0 {
+					t.Fatalf("%s left JSONL segments: %v", reopen, left)
+				}
+				for _, id := range goldenV2IDs {
+					got, err := os.ReadFile(s.segPath(shardOf(id), 0))
+					if err != nil || !bytes.Equal(got, refSeg(shardOf(id))) {
+						t.Fatalf("%s: shard %s differs from a clean upgrade (%v)", reopen, shardOf(id), err)
+					}
+				}
+				assertGoldenV2Served(t, s)
+				for _, id := range c.ids {
+					if _, ok := s.Get(id); !ok {
+						t.Fatalf("%s lost record %s", reopen, id)
+					}
+				}
+				s.Close()
+			}
+		})
 	}
 }
 

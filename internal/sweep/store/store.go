@@ -13,7 +13,6 @@
 //
 //	<dir>/
 //	  segments/<shard>/seg-NNNN.tlv     append-only pack segments (v3 TLV)
-//	  segments/<shard>/seg-NNNN.jsonl   read-only legacy v2 segments
 //	  index.jsonl                       sidecar: id -> byte location
 //	  LOCK                              held by the one open Store
 //
@@ -25,13 +24,10 @@
 //
 // A record is one framed TLV envelope (record format v3, see
 // internal/sweep/tlv): the versioned envelope around a
-// campaign.ResultState, and the only encoding the store writes.
-// Directories written before v3 hold v2 segments of one JSON line per
-// record; those are read-only legacy (legacy.go). They are served in
-// place and never appended to — a shard whose highest segment is JSONL
-// starts its TLV appends at the next number, so segment numbering stays
-// monotonic per shard — and Compact transcodes them to v3, so a full
-// pass leaves one format on disk.
+// campaign.ResultState, and the only encoding the store reads or
+// writes. Directories written before v3 hold v2 segments of one JSON
+// line per record; Open transcodes each into the TLV segment of the
+// same number before anything else touches the directory (legacy.go).
 //
 // The sidecar index maps ids to (shard, segment, offset, length), so
 // opens are one sequential read and Gets are one ReadAt — no record is
@@ -96,12 +92,10 @@ import (
 	"repro/internal/sweep/tlv"
 )
 
-// FormatVersion is bumped whenever the record encoding changes
-// incompatibly. Records carrying any other version are skipped on read
-// (a miss, re-simulated and rewritten), which makes format migration
-// automatic: old records age out as scenarios re-run. The segmented
-// layout kept the v1 record envelope byte-for-byte — only the packing
-// around it changed — so v1 records migrate instead of aging out.
+// FormatVersion is the version the v1 and v2 JSON record envelopes
+// carry (record.V). Open upgrades only records of this version; lines
+// or files carrying any other are dropped as misses, re-simulated and
+// rewritten. The TLV envelope versions itself (internal/sweep/tlv).
 const FormatVersion = 1
 
 // indexVersion versions the sidecar entries, which carry byte locations
@@ -122,10 +116,10 @@ const (
 	segPrefix    = "seg-"
 	segSuffixTLV = ".tlv"
 
-	// formatTLV is the index/manifest name for the v3 binary encoding;
-	// the legacy v2 JSONL encoding is the empty string, so every
-	// pre-existing index line and manifest entry keeps meaning what it
-	// always meant.
+	// formatTLV names the segment encoding in index lines, manifests and
+	// wire parameters. It is the only one, but stays on the wire and on
+	// disk so peers and indexes from before the v2 upgrade read it
+	// unchanged.
 	formatTLV = "tlv"
 
 	// staleTempAge is how old a put-*.tmp must be before Open treats it
@@ -150,9 +144,8 @@ type Options struct {
 
 // indexEntry is one line of index.jsonl: where an id's newest record
 // lives. Later lines for the same id supersede earlier ones, so the
-// index doubles as an append log. F names the segment's encoding
-// ("tlv"); it is omitted for JSONL segments, so v2 index lines parse
-// unchanged.
+// index doubles as an append log. F is always "tlv": a line without it
+// points into a v2 JSONL segment and is skipped on load.
 type indexEntry struct {
 	V     int    `json:"v"`
 	ID    string `json:"id"`
@@ -163,20 +156,18 @@ type indexEntry struct {
 	F     string `json:"f,omitempty"`
 }
 
-// location is where an id's live record starts and how long it is: a
-// whole TLV frame, or a legacy JSONL line without its newline. tlv
-// names the segment's encoding, since legacy segments serve in place.
+// location is where an id's live record, one whole TLV frame, starts
+// and how long it is.
 type location struct {
 	shard string
 	seg   int
 	off   int64
 	n     int64
-	tlv   bool
 }
 
 // shardState tracks one shard's append position.
 type shardState struct {
-	tailSeg int      // TLV segment appends go to; -1 when the shard is empty
+	tailSeg int      // segment appends go to; -1 when the shard is empty
 	tail    *os.File // lazily opened append handle for the tail segment
 }
 
@@ -214,9 +205,10 @@ type Store struct {
 
 // Open creates (or reopens) a store rooted at dir. Existing records are
 // discovered from the sidecar index (one sequential read) or, when that
-// is missing or empty, a full segment scan; a v1 one-file-per-record
-// layout found under records/ is folded into segments first. Nothing is
-// decoded until Get, so opening a million-record store stays cheap.
+// is missing or empty, a full segment scan; v2 JSONL segments are
+// transcoded to TLV first, and a v1 one-file-per-record layout found
+// under records/ is folded into segments. Nothing is decoded until Get,
+// so opening a million-record store stays cheap.
 // Open fails while another Store holds the directory's lock.
 func Open(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, segmentsDir), 0o755); err != nil {
@@ -246,8 +238,8 @@ func Open(dir string, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// load discovers the directory's records, migrating a v1 layout, and
-// opens the index append handle.
+// load discovers the directory's records, upgrading v2 segments and
+// migrating a v1 layout, and opens the index append handle.
 func (s *Store) load() error {
 	dir := s.dir
 	// Sweep temp files orphaned by a crash mid-migration or
@@ -263,16 +255,27 @@ func (s *Store) load() error {
 		}
 	}
 
+	stale, err := s.upgradeV2()
+	if err != nil {
+		return err
+	}
 	if err := s.scanShards(); err != nil {
 		return err
 	}
-	s.loadIndex()
+	// Transcoded segments invalidate every index line that pointed into
+	// them; so does an index still naming v2 lines, left by a crash
+	// after an upgrade's unlink but before its write-back. Either way
+	// the segments, not the index, are the truth.
+	if !stale {
+		stale = s.loadIndex()
+	}
 	rebuilt := false
-	if len(s.loc) == 0 && len(s.shards) > 0 {
+	if stale || len(s.loc) == 0 && len(s.shards) > 0 {
+		clear(s.loc)
 		if err := s.rebuild(); err != nil {
 			return err
 		}
-		rebuilt = len(s.loc) > 0
+		rebuilt = stale || len(s.loc) > 0
 	}
 	migrated, err := s.migrateV1()
 	if err != nil {
@@ -325,64 +328,37 @@ func isHexLower(c byte) bool {
 	return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
 }
 
-// formatName names a segment's encoding for index lines and manifests:
-// legacy JSONL is the empty string so pre-TLV readers see unchanged
-// bytes.
-func formatName(isTLV bool) string {
-	if isTLV {
-		return formatTLV
-	}
-	return ""
+func segName(n int) string {
+	return fmt.Sprintf("%s%04d%s", segPrefix, n, segSuffixTLV)
 }
 
-func segName(n int, isTLV bool) string {
-	if isTLV {
-		return fmt.Sprintf("%s%04d%s", segPrefix, n, segSuffixTLV)
-	}
-	return fmt.Sprintf("%s%04d%s", segPrefix, n, segSuffixJSONL)
-}
-
-// parseSegName extracts the segment number and encoding, rejecting
-// anything that is not a segment file.
-func parseSegName(name string) (n int, isTLV bool, ok bool) {
+// parseSegName extracts the segment number, rejecting anything that is
+// not a segment file.
+func parseSegName(name string) (n int, ok bool) {
 	num, ok := strings.CutPrefix(name, segPrefix)
 	if !ok {
-		return 0, false, false
+		return 0, false
 	}
-	if rest, tlvOK := strings.CutSuffix(num, segSuffixTLV); tlvOK {
-		num, isTLV = rest, true
-	} else if rest, jsonlOK := strings.CutSuffix(num, segSuffixJSONL); jsonlOK {
-		num = rest
-	} else {
-		return 0, false, false
+	if num, ok = strings.CutSuffix(num, segSuffixTLV); !ok {
+		return 0, false
 	}
 	n, err := strconv.Atoi(num)
 	if err != nil || n < 0 {
-		return 0, false, false
+		return 0, false
 	}
-	return n, isTLV, true
+	return n, true
 }
 
 func (s *Store) shardDir(shard string) string {
 	return filepath.Join(s.dir, segmentsDir, shard)
 }
 
-func (s *Store) segPath(shard string, seg int, isTLV bool) string {
-	return filepath.Join(s.shardDir(shard), segName(seg, isTLV))
-}
-
-// appendSeg is the segment number a shard's appends may use once
-// segment n exists: a TLV segment keeps taking appends, a legacy JSONL
-// segment never does, so appends move on to the next number.
-func appendSeg(n int, isTLV bool) int {
-	if isTLV {
-		return n
-	}
-	return n + 1
+func (s *Store) segPath(shard string, seg int) string {
+	return filepath.Join(s.shardDir(shard), segName(seg))
 }
 
 // scanShards discovers the shard directories and each one's tail
-// segment. A TLV tail torn by a crash needs no repair: frames are
+// segment. A tail torn by a crash needs no repair: frames are
 // self-delimiting and scans resync past a torn one.
 func (s *Store) scanShards() error {
 	root := filepath.Join(s.dir, segmentsDir)
@@ -400,9 +376,8 @@ func (s *Store) scanShards() error {
 		}
 		tail := -1
 		for _, e := range segs {
-			n, isTLV, ok := parseSegName(e.Name())
-			if ok && !e.IsDir() {
-				tail = max(tail, appendSeg(n, isTLV))
+			if n, ok := parseSegName(e.Name()); ok && !e.IsDir() {
+				tail = max(tail, n)
 			}
 		}
 		if tail >= 0 {
@@ -414,10 +389,11 @@ func (s *Store) scanShards() error {
 
 // loadIndex reads the sidecar. Corrupt, v1, or implausible lines are
 // skipped; later lines supersede earlier ones, matching append order.
-func (s *Store) loadIndex() {
+// It reports whether it skipped a line naming a v2 JSONL segment.
+func (s *Store) loadIndex() (v2 bool) {
 	data, err := os.ReadFile(filepath.Join(s.dir, indexName))
 	if err != nil {
-		return
+		return false
 	}
 	for _, line := range strings.Split(string(data), "\n") {
 		var e indexEntry
@@ -427,11 +403,13 @@ func (s *Store) loadIndex() {
 		if e.ID == "" || e.Shard == "" || e.Seg < 0 || e.Off < 0 || e.Len <= 0 {
 			continue
 		}
-		if e.F != "" && e.F != formatTLV {
+		if e.F != formatTLV {
+			v2 = v2 || e.F == ""
 			continue
 		}
-		s.loc[e.ID] = location{shard: e.Shard, seg: e.Seg, off: e.Off, n: e.Len, tlv: e.F == formatTLV}
+		s.loc[e.ID] = location{shard: e.Shard, seg: e.Seg, off: e.Off, n: e.Len}
 	}
+	return v2
 }
 
 // rebuild reconstructs the location map from the segments themselves —
@@ -451,24 +429,15 @@ func (s *Store) rebuild() error {
 		if err != nil {
 			continue
 		}
-		type segRef struct {
-			n   int
-			tlv bool
-		}
-		refs := make([]segRef, 0, len(segs))
+		nums := make([]int, 0, len(segs))
 		for _, e := range segs {
-			if n, isTLV, ok := parseSegName(e.Name()); ok && !e.IsDir() {
-				refs = append(refs, segRef{n: n, tlv: isTLV})
+			if n, ok := parseSegName(e.Name()); ok && !e.IsDir() {
+				nums = append(nums, n)
 			}
 		}
-		sort.Slice(refs, func(i, j int) bool {
-			if refs[i].n != refs[j].n {
-				return refs[i].n < refs[j].n
-			}
-			return !refs[i].tlv && refs[j].tlv
-		})
-		for _, r := range refs {
-			if err := s.scanSegment(sh, r.n, r.tlv); err != nil {
+		sort.Ints(nums)
+		for _, n := range nums {
+			if err := s.scanSegment(sh, n); err != nil {
 				return err
 			}
 		}
@@ -479,12 +448,12 @@ func (s *Store) rebuild() error {
 // scanSegment folds one segment's parseable records into the location
 // map. Garbage (crash debris, bit rot) is skipped — its bytes stay dead
 // until compaction.
-func (s *Store) scanSegment(shard string, seg int, isTLV bool) error {
-	data, err := os.ReadFile(s.segPath(shard, seg, isTLV))
+func (s *Store) scanSegment(shard string, seg int) error {
+	data, err := os.ReadFile(s.segPath(shard, seg))
 	if err != nil {
 		return fmt.Errorf("store: scan segment: %w", err)
 	}
-	s.scanSegmentBytes(shard, seg, isTLV, data, nil)
+	s.scanSegmentBytes(shard, seg, data, nil)
 	return nil
 }
 
@@ -492,11 +461,7 @@ func (s *Store) scanSegment(shard string, seg int, isTLV bool) error {
 // map, resynchronizing past torn or corrupt frames. Each accepted id is
 // also passed to visit when non-nil (replica ingestion appends index
 // lines there).
-func (s *Store) scanSegmentBytes(shard string, seg int, isTLV bool, data []byte, visit func(id string, l location)) {
-	if !isTLV {
-		s.scanLegacyBytes(shard, seg, data, visit)
-		return
-	}
+func (s *Store) scanSegmentBytes(shard string, seg int, data []byte, visit func(id string, l location)) {
 	off := 0
 	for {
 		payload, start, frameLen, ok := tlv.NextFrame(data, off)
@@ -504,7 +469,7 @@ func (s *Store) scanSegmentBytes(shard string, seg int, isTLV bool, data []byte,
 			return
 		}
 		if id, ok := parseRecordFrame(payload, shard); ok {
-			l := location{shard: shard, seg: seg, off: int64(start), n: int64(frameLen), tlv: true}
+			l := location{shard: shard, seg: seg, off: int64(start), n: int64(frameLen)}
 			s.loc[id] = l
 			if visit != nil {
 				visit(id, l)
@@ -541,8 +506,7 @@ func (s *Store) rewriteIndexLocked() error {
 	for _, id := range ids {
 		l := s.loc[id]
 		line, err := json.Marshal(indexEntry{
-			V: indexVersion, ID: id, Shard: l.shard, Seg: l.seg, Off: l.off, Len: l.n,
-			F: formatName(l.tlv),
+			V: indexVersion, ID: id, Shard: l.shard, Seg: l.seg, Off: l.off, Len: l.n, F: formatTLV,
 		})
 		if err != nil {
 			// An unmarshalable entry would silently vanish from the
@@ -706,12 +670,12 @@ func (s *Store) getLocated(id string) (*campaign.Result, bool) {
 	if !ok {
 		return nil, false
 	}
-	buf, ok := readAtLocation(s.segPath(l.shard, l.seg, l.tlv), l)
+	buf, ok := readAtLocation(s.segPath(l.shard, l.seg), l)
 	if !ok {
 		s.forgetIf(id, l)
 		return nil, false
 	}
-	st, ok := decodeRecord(buf, l.tlv, id)
+	st, ok := decodeRecord(buf, id)
 	if !ok {
 		s.forgetIf(id, l)
 		return nil, false
@@ -724,13 +688,10 @@ func (s *Store) getLocated(id string) (*campaign.Result, bool) {
 	return res, true
 }
 
-// decodeRecord validates raw record bytes — one TLV frame, or one
-// legacy JSONL line, per the location's encoding — as the record for
-// id, returning its result state. Every failure mode reads as a miss.
-func decodeRecord(buf []byte, isTLV bool, id string) (campaign.ResultState, bool) {
-	if !isTLV {
-		return decodeLegacyRecord(buf, id)
-	}
+// decodeRecord validates raw record bytes — one whole TLV frame — as
+// the record for id, returning its result state. Every failure mode
+// reads as a miss.
+func decodeRecord(buf []byte, id string) (campaign.ResultState, bool) {
 	payload, n, err := tlv.ParseFrame(buf)
 	if err != nil || n != len(buf) {
 		return campaign.ResultState{}, false
@@ -797,8 +758,7 @@ func (s *Store) appendIndexLocked(id string, l location) error {
 		return nil
 	}
 	ie, err := json.Marshal(indexEntry{
-		V: indexVersion, ID: id, Shard: l.shard, Seg: l.seg, Off: l.off, Len: l.n,
-		F: formatName(l.tlv),
+		V: indexVersion, ID: id, Shard: l.shard, Seg: l.seg, Off: l.off, Len: l.n, F: formatTLV,
 	})
 	if err != nil {
 		return fmt.Errorf("store: encode index entry %s: %w", id, err)
@@ -827,7 +787,7 @@ func (s *Store) appendLocked(id string, frame []byte) (location, error) {
 			return location{}, err
 		}
 		ss.tailSeg = max(ss.tailSeg, 0)
-		f, err := os.OpenFile(s.segPath(shard, ss.tailSeg, true),
+		f, err := os.OpenFile(s.segPath(shard, ss.tailSeg),
 			os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return location{}, err
@@ -846,7 +806,7 @@ func (s *Store) appendLocked(id string, frame []byte) (location, error) {
 		_ = ss.tail.Truncate(off)
 		return location{}, err
 	}
-	l := location{shard: shard, seg: ss.tailSeg, off: off, n: n, tlv: true}
+	l := location{shard: shard, seg: ss.tailSeg, off: off, n: n}
 	s.bumpGenLocked(n)
 	if off+n >= s.segBytes {
 		cerr := ss.tail.Close()
@@ -987,7 +947,7 @@ func (s *Store) compactShard(shard string, stats *CompactStats) (oldSegs []strin
 		return nil, 0, fmt.Errorf("store: compact %s: %w", shard, err)
 	}
 	for _, e := range segEntries {
-		if _, _, ok := parseSegName(e.Name()); !ok || e.IsDir() {
+		if _, ok := parseSegName(e.Name()); !ok || e.IsDir() {
 			continue
 		}
 		stats.SegmentsBefore++
@@ -1006,86 +966,54 @@ func (s *Store) compactShard(shard string, stats *CompactStats) (oldSegs []strin
 		ss.tail = nil
 	}
 
-	// Read live records back and pack them into fresh segments numbered
-	// after the current tail, flushing at the rotation threshold so
-	// memory stays bounded at one segment regardless of how large a
-	// shard has grown. Output is always TLV: TLV records carry their
-	// exact bytes, legacy JSONL records transcode — this is how a mixed
-	// v2/v3 shard converges to v3. Locations update only after a
-	// segment's rename — a failed flush leaves every location pointing
-	// at the old, intact copy.
-	type liveRec struct {
-		id    string
-		frame []byte
-	}
+	// Read live records back, each as its exact frame, and pack them into
+	// fresh segments numbered after the current tail, flushing at the
+	// rotation threshold so memory stays bounded at one segment
+	// regardless of how large a shard has grown. Locations update only
+	// after a segment's rename — a failed flush leaves every location
+	// pointing at the old, intact copy.
 	seg := ss.tailSeg + 1
-	var pending []liveRec
+	var pendingIDs []string
+	var pending [][]byte
 	var pendingBytes int64
 	flush := func() error {
 		if len(pending) == 0 {
 			return nil
 		}
-		tmp, err := os.CreateTemp(s.dir, "put-compact-*.tmp")
-		if err != nil {
-			return err
-		}
-		for _, r := range pending {
-			if _, err := tmp.Write(r.frame); err != nil {
-				tmp.Close() //sweepvet:allow(close) cleanup of a temp being discarded
-				os.Remove(tmp.Name())
-				return err
-			}
-		}
 		// The pass deletes the superseded segments once it completes, so
-		// the fresh segment must be durable before the rename makes it the
-		// only copy: a power cut after the deletion but before write-back
-		// would otherwise lose every live record packed here.
-		if err := tmp.Sync(); err != nil {
-			tmp.Close() //sweepvet:allow(close) cleanup of a temp being discarded
-			os.Remove(tmp.Name())
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmp.Name())
-			return err
-		}
-		if err := os.Rename(tmp.Name(), s.segPath(shard, seg, true)); err != nil {
-			os.Remove(tmp.Name())
+		// writeSegment's Sync is what keeps a power cut after the deletion
+		// from losing every live record packed here.
+		if err := s.writeSegment("put-compact-*.tmp", shard, seg, pending...); err != nil {
 			return err
 		}
 		var off int64
-		for _, r := range pending {
-			s.loc[r.id] = location{shard: shard, seg: seg, off: off, n: int64(len(r.frame)), tlv: true}
-			off += int64(len(r.frame))
+		for i, frame := range pending {
+			s.loc[pendingIDs[i]] = location{shard: shard, seg: seg, off: off, n: int64(len(frame))}
+			off += int64(len(frame))
 		}
 		stats.SegmentsAfter++
 		stats.BytesAfter += off
 		ss.tailSeg = seg
 		seg++
-		pending = pending[:0]
-		pendingBytes = 0
+		pendingIDs, pending, pendingBytes = pendingIDs[:0], pending[:0], 0
 		return nil
 	}
 	for _, id := range ids {
 		l := s.loc[id]
-		buf, ok := readAtLocation(s.segPath(l.shard, l.seg, l.tlv), l)
+		buf, ok := readAtLocation(s.segPath(l.shard, l.seg), l)
 		if !ok {
 			stats.Dropped++
 			delete(s.loc, id)
 			continue
 		}
-		st, ok := decodeRecord(buf, l.tlv, id)
-		if !ok {
+		if _, ok := decodeRecord(buf, id); !ok {
 			stats.Dropped++
 			delete(s.loc, id)
 			continue
 		}
-		frame := buf
-		if !l.tlv {
-			frame = tlv.AppendEnvelope(nil, id, &st)
-		}
-		pending = append(pending, liveRec{id: id, frame: frame})
-		pendingBytes += int64(len(frame))
+		pendingIDs = append(pendingIDs, id)
+		pending = append(pending, buf)
+		pendingBytes += int64(len(buf))
 		carried++
 		if pendingBytes >= s.segBytes {
 			if err := flush(); err != nil {
@@ -1104,6 +1032,35 @@ func (s *Store) compactShard(shard string, stats *CompactStats) (oldSegs []strin
 	}
 	stats.Live += carried
 	return oldSegs, carried, nil
+}
+
+// writeSegment installs chunks as segment seg of shard: written to a
+// temp file (named by pattern) in the store root, synced, then renamed
+// into place, so the segment appears whole or not at all, and is
+// durable before any caller deletes the copy it supersedes.
+func (s *Store) writeSegment(pattern, shard string, seg int, chunks ...[]byte) error {
+	tmp, err := os.CreateTemp(s.dir, pattern)
+	if err != nil {
+		return err
+	}
+	for _, c := range chunks {
+		if _, err = tmp.Write(c); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.segPath(shard, seg))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Close releases the index and tail handles and the directory lock,

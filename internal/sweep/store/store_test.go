@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -123,8 +124,8 @@ func TestStoreToleratesGarbledIndex(t *testing.T) {
 
 // findRecordLine locates the segment file holding an id's record and
 // the byte offset where its bytes start, via the id itself — a
-// content-hash id appears verbatim in both encodings (quoted in the v2
-// JSON envelope, as a raw TLV string in v3) and in nothing else. Tests
+// content-hash id appears verbatim in its TLV frame, as a raw string,
+// and in nothing else. Tests
 // use it to inject corruption at precise spots without reaching into
 // store internals.
 func findRecordLine(t *testing.T, dir, id string) (path string, off int64) {
@@ -136,7 +137,7 @@ func findRecordLine(t *testing.T, dir, id string) (path string, off int64) {
 		if err != nil || d.IsDir() {
 			return err
 		}
-		if _, _, ok := parseSegName(filepath.Base(p)); !ok {
+		if _, ok := parseSegName(filepath.Base(p)); !ok {
 			return nil
 		}
 		data, err := os.ReadFile(p)
@@ -204,30 +205,34 @@ func TestStoreSkipsCorruptRecords(t *testing.T) {
 	}
 }
 
-// TestStoreRebuildSkipsWrongVersionAndMismatchedLines drives the rescan
-// path over hand-crafted legacy segment content: future-version lines
-// and lines whose id does not shard where they sit must not be indexed.
+// TestStoreRebuildSkipsWrongVersionAndMismatchedLines drives the v2
+// upgrade over hand-crafted legacy segment content: future-version
+// lines and lines whose id does not shard where they sit must not be
+// carried into the transcoded segment, and a full record stays full
+// under a compact-mode open.
 func TestStoreRebuildSkipsWrongVersionAndMismatchedLines(t *testing.T) {
 	dir := copyGoldenV2(t)
 
-	// Append a future-version line and a line belonging to another
-	// shard to ab11's v2 segment, then force a rescan by dropping the
-	// index. (The TLV twin is TestStoreRescanSkipsForeignTLVFrames.)
-	p, _ := findRecordLine(t, dir, "ab11")
+	// Append a future-version line, a line belonging to another shard
+	// and a full (raw-sample) record to ab11's v2 segment. (The TLV twin
+	// is TestStoreRescanSkipsForeignTLVFrames.)
+	p := filepath.Join(dir, segmentsDir, "ab", segPrefix+"0000"+segSuffixJSONL)
 	f, err := os.OpenFile(p, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fullState := testResult(t, 5).State(false)
+	full, err := json.Marshal(record{V: FormatVersion, ID: "ab99", Result: fullState})
+	if err != nil {
+		t.Fatal(err)
+	}
 	future := fmt.Sprintf(`{"v":%d,"id":"abfuture","result":{}}`, FormatVersion+1)
-	if _, err := f.WriteString(future + "\n" + `{"v":1,"id":"ff9999","result":{}}` + "\n"); err != nil {
+	if _, err := f.WriteString(future + "\n" + `{"v":1,"id":"ff9999","result":{}}` + "\n" + string(full) + "\n"); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	if err := os.Remove(filepath.Join(dir, indexName)); err != nil {
-		t.Fatal(err)
-	}
 
-	re := open(t, dir, Options{})
+	re := open(t, dir, Options{Compact: true})
 	if _, ok := re.Get("abfuture"); ok {
 		t.Fatal("future-version line must not be indexed")
 	}
@@ -235,7 +240,22 @@ func TestStoreRebuildSkipsWrongVersionAndMismatchedLines(t *testing.T) {
 		t.Fatal("line sharded under the wrong prefix must not be indexed")
 	}
 	if _, ok := re.Get("ab11"); !ok {
-		t.Fatal("valid record must survive the rescan")
+		t.Fatal("valid record must survive the upgrade")
+	}
+	got, ok := re.Get("ab99")
+	if !ok || got.SummaryOnly {
+		t.Fatal("full v2 record must survive the upgrade with its raw samples")
+	}
+	want, _ := json.Marshal(fullState)
+	if have, _ := json.Marshal(got.State(false)); !bytes.Equal(have, want) {
+		t.Fatal("upgrade changed the full v2 record")
+	}
+	data, err := os.ReadFile(re.segPath("ab", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte("abfuture")) || bytes.Contains(data, []byte("ff9999")) {
+		t.Fatal("upgrade carried a skipped line into the TLV segment")
 	}
 }
 
