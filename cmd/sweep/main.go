@@ -298,40 +298,31 @@ func decodeTraceFile(path string, w io.Writer) error {
 
 func buildGrid(seeds string, reps int, baseSeed uint64, profiles, peering, edgeUPF,
 	nodes, cells, wiredRounds, slicingAxis, arDeploys string) (sweep.Grid, error) {
-	g := sweep.Grid{BaseSeed: baseSeed, Replications: reps}
-	if seeds != "" {
-		for _, s := range strings.Split(seeds, ",") {
-			v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				return g, fmt.Errorf("bad seed %q: %v", s, err)
-			}
-			g.Seeds = append(g.Seeds, v)
-		}
+	// The named axes and every value bound are checked once, by
+	// GridSpec.Grid, the same resolver /v1/sweep uses.
+	spec := sweep.GridSpec{
+		BaseSeed:      baseSeed,
+		Replications:  reps,
+		Profiles:      splitList(profiles),
+		Slicing:       splitList(slicingAxis),
+		ARDeployments: splitList(arDeploys),
 	}
-	if profiles != "" {
-		for _, name := range strings.Split(profiles, ",") {
-			p, ok := ran.ProfileByName(strings.TrimSpace(name))
-			if !ok {
-				return g, fmt.Errorf("unknown profile %q (known: %s)", name, profileNames())
-			}
-			g.Profiles = append(g.Profiles, p)
+	for _, s := range splitList(seeds) {
+		v, err := strconv.ParseUint(s, 10, 64)
+		if err != nil {
+			return sweep.Grid{}, fmt.Errorf("bad seed %q: %v", s, err)
 		}
+		spec.Seeds = append(spec.Seeds, v)
 	}
 	var err error
-	if g.LocalPeering, err = boolAxis("peering", peering); err != nil {
-		return g, err
+	if spec.LocalPeering, err = boolAxis("peering", peering); err != nil {
+		return sweep.Grid{}, err
 	}
-	if g.EdgeUPF, err = boolAxis("edge-upf", edgeUPF); err != nil {
-		return g, err
+	if spec.EdgeUPF, err = boolAxis("edge-upf", edgeUPF); err != nil {
+		return sweep.Grid{}, err
 	}
-	if nodes != "" {
-		for _, s := range strings.Split(nodes, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				return g, fmt.Errorf("bad node count %q: %v", s, err)
-			}
-			g.MobileNodes = append(g.MobileNodes, v)
-		}
+	if spec.MobileNodes, err = intList("node count", nodes); err != nil {
+		return sweep.Grid{}, err
 	}
 	if cells != "" {
 		for _, set := range strings.Split(cells, ";") {
@@ -339,37 +330,38 @@ func buildGrid(seeds string, reps int, baseSeed uint64, profiles, peering, edgeU
 			for _, c := range strings.Split(set, ",") {
 				cs = append(cs, strings.TrimSpace(c))
 			}
-			g.TargetCellSets = append(g.TargetCellSets, cs)
+			spec.TargetCells = append(spec.TargetCells, cs)
 		}
 	}
-	if wiredRounds != "" {
-		for _, s := range strings.Split(wiredRounds, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				return g, fmt.Errorf("bad wired-rounds count %q: %v", s, err)
-			}
-			g.WiredRounds = append(g.WiredRounds, v)
-		}
+	if spec.WiredRounds, err = intList("wired-rounds count", wiredRounds); err != nil {
+		return sweep.Grid{}, err
 	}
-	if slicingAxis != "" {
-		for _, name := range strings.Split(slicingAxis, ",") {
-			s, ok := slicing.StrategyByName(strings.TrimSpace(name))
-			if !ok {
-				return g, fmt.Errorf("unknown slicing strategy %q (known: none, %s)", name, strategyNames())
-			}
-			g.SlicingStrategies = append(g.SlicingStrategies, s)
-		}
+	return spec.Grid()
+}
+
+// splitList splits a comma-separated flag value into its trimmed
+// elements; an empty value is no elements.
+func splitList(v string) []string {
+	if v == "" {
+		return nil
 	}
-	if arDeploys != "" {
-		for _, name := range strings.Split(arDeploys, ",") {
-			d, ok := argame.DeploymentByName(strings.TrimSpace(name))
-			if !ok {
-				return g, fmt.Errorf("unknown AR deployment %q (known: none, %s)", name, deployNames())
-			}
-			g.ARGameDeployments = append(g.ARGameDeployments, d)
-		}
+	parts := strings.Split(v, ",")
+	for i, p := range parts {
+		parts[i] = strings.TrimSpace(p)
 	}
-	return g, nil
+	return parts
+}
+
+func intList(what, v string) ([]int, error) {
+	var out []int
+	for _, s := range splitList(v) {
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			return nil, fmt.Errorf("bad %s %q: %v", what, s, err)
+		}
+		out = append(out, n)
+	}
+	return out, nil
 }
 
 func boolAxis(name, v string) ([]bool, error) {
@@ -409,6 +401,7 @@ func deployNames() string {
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweep:", err)
+	// Errors from the sweep package carry their own "sweep: " prefix.
+	fmt.Fprintln(os.Stderr, "sweep:", strings.TrimPrefix(err.Error(), "sweep: "))
 	os.Exit(1)
 }

@@ -149,13 +149,20 @@ func TestBuildGridParsesNewAxes(t *testing.T) {
 }
 
 func TestBuildGridRejectsUnknownAxisValues(t *testing.T) {
-	if _, err := buildGrid("", 1, 42, "", "off", "off", "", "", "three", "", ""); err == nil {
-		t.Fatal("bad wired-rounds must be rejected")
-	}
-	if _, err := buildGrid("", 1, 42, "", "off", "off", "", "", "", "quantum", ""); err == nil {
-		t.Fatal("unknown slicing strategy must be rejected")
-	}
-	if _, err := buildGrid("", 1, 42, "", "off", "off", "", "", "", "", "4G"); err == nil {
-		t.Fatal("unknown AR deployment must be rejected")
+	for _, tc := range []struct {
+		name                                               string
+		profiles, nodes, wiredRounds, slicing, deployments string
+	}{
+		{name: "bad wired-rounds", wiredRounds: "three"},
+		{name: "negative wired-rounds", wiredRounds: "-1"},
+		{name: "negative node count", nodes: "-2"},
+		{name: "unknown profile", profiles: "6G"},
+		{name: "unknown slicing strategy", slicing: "quantum"},
+		{name: "unknown AR deployment", deployments: "4G"},
+	} {
+		if _, err := buildGrid("", 1, 42, tc.profiles, "off", "off", tc.nodes, "",
+			tc.wiredRounds, tc.slicing, tc.deployments); err == nil {
+			t.Errorf("%s must be rejected", tc.name)
+		}
 	}
 }

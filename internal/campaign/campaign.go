@@ -163,6 +163,12 @@ func (r *Result) Report(c geo.CellID) (CellReport, bool) {
 // which never pings a target, never establishes a session.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
+	if cfg.MobileNodes < 0 {
+		return nil, fmt.Errorf("campaign: MobileNodes must be >= 0, got %d", cfg.MobileNodes)
+	}
+	if cfg.WiredRounds < 0 {
+		return nil, fmt.Errorf("campaign: WiredRounds must be >= 0, got %d", cfg.WiredRounds)
+	}
 
 	grid := geo.NewKlagenfurtGrid()
 	density := geo.NewKlagenfurtDensity(grid)

@@ -217,6 +217,20 @@ func TestConfigValidationErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeCounts: a negative node or wired-round count is
+// an error, not a panic sizing the ping streams (and not a campaign
+// that silently measures nothing).
+func TestRunRejectsNegativeCounts(t *testing.T) {
+	for _, cfg := range []Config{
+		{Seed: 1, MobileNodes: -2},
+		{Seed: 1, WiredRounds: -1},
+	} {
+		if _, err := Run(cfg); err == nil {
+			t.Fatalf("Run(%+v): err = nil, want an error", cfg)
+		}
+	}
+}
+
 func TestVirtualDurationPlausible(t *testing.T) {
 	res := defaultRun(t)
 	if res.VirtualDuration < time.Hour || res.VirtualDuration > 8*time.Hour {

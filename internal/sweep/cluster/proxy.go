@@ -357,6 +357,11 @@ func (p *Proxy) forward(ctx context.Context, m *member, body []byte) ([]byte, er
 	propagate(req)
 	resp, err := p.client.Do(req)
 	if err != nil {
+		if ctx.Err() != nil {
+			// The caller gave up (client gone, or a sweep cancelling its
+			// other cells): not the member's fault.
+			return nil, ctx.Err()
+		}
 		// Transport failure: eject inline — the health loop readmits
 		// when the member answers probes again.
 		m.errs.Add(1)
@@ -368,6 +373,9 @@ func (p *Proxy) forward(ctx context.Context, m *member, body []byte) ([]byte, er
 	defer resp.Body.Close()
 	line, err := io.ReadAll(resp.Body)
 	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
 		m.errs.Add(1)
 		if m != p.writer {
 			m.setHealth(false)
@@ -425,6 +433,9 @@ func (p *Proxy) resolve(ctx context.Context, id string, body []byte) (line []byt
 		var be *backendError
 		if errors.As(err, &be) {
 			return nil, m.url, be
+		}
+		if ctx.Err() != nil {
+			return nil, "", err
 		}
 		lastErr = err
 	}
@@ -535,8 +546,21 @@ func (p *Proxy) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The first failure cancels every other cell's backend request, and
+	// the workers are joined before the handler answers, so no backend
+	// request outlives the response.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
+	var (
+		failOnce sync.Once
+		failErr  error
+	)
+	fail := func(err error) {
+		failOnce.Do(func() {
+			failErr = err
+			cancel()
+		})
+	}
 	type cell struct {
 		line []byte
 		err  error
@@ -555,17 +579,21 @@ func (p *Proxy) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if workers > len(scs) {
 		workers = len(scs)
 	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
 	for wk := 0; wk < workers; wk++ {
 		go func() {
+			defer wg.Done()
 			for i := range idx {
-				if ctx.Err() != nil {
-					cells[i].err = ctx.Err()
-					close(cells[i].done)
-					continue
-				}
-				body, err := json.Marshal(sweep.AxesOf(scs[i].Config))
+				err := ctx.Err()
 				if err == nil {
-					cells[i].line, _, err = p.resolve(ctx, scs[i].ID, body)
+					var body []byte
+					if body, err = json.Marshal(sweep.AxesOf(scs[i].Config)); err == nil {
+						cells[i].line, _, err = p.resolve(ctx, scs[i].ID, body)
+					}
+					if err != nil {
+						fail(err)
+					}
 				}
 				cells[i].err = err
 				close(cells[i].done)
@@ -589,8 +617,14 @@ func (p *Proxy) handleSweep(w http.ResponseWriter, r *http.Request) {
 		err = st.Flush()
 	}
 	if err != nil {
+		fail(err)
+	}
+	wg.Wait()
+	if err != nil {
+		// Relay the first failure, not a cancellation it caused in the
+		// cell the stream was waiting on.
 		st.AbortIfStarted()
-		relayError(w, err)
+		relayError(w, failErr)
 		return
 	}
 	if st.Binary() {

@@ -10,8 +10,10 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
@@ -408,6 +410,110 @@ func TestProxySweepByteIdenticalAcrossFailure(t *testing.T) {
 	c.flaky[1].down.Store(true)
 	if got := sweepBytes(); !bytes.Equal(got, want) {
 		t.Fatalf("degraded proxy sweep differs from engine export")
+	}
+}
+
+// countingTransport counts backend requests the proxy has in flight:
+// from the start of RoundTrip until it fails or the body is closed. A
+// failed request for any seed but fastSeed lingers a little before
+// returning, like a slow connection teardown, so a handler that answers
+// once the cell it waits on (fastSeed's) is done, without joining the
+// rest, is caught with requests still in flight.
+type countingTransport struct {
+	base     http.RoundTripper
+	fastSeed uint64
+	inFlight atomic.Int64
+}
+
+func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.inFlight.Add(1)
+	var ax sweep.Axes
+	if body, err := req.GetBody(); err == nil {
+		json.NewDecoder(body).Decode(&ax)
+	}
+	resp, err := c.base.RoundTrip(req)
+	if err != nil {
+		if ax.Seed != c.fastSeed {
+			time.Sleep(50 * time.Millisecond)
+		}
+		c.inFlight.Add(-1)
+		return nil, err
+	}
+	resp.Body = &countedBody{ReadCloser: resp.Body, n: &c.inFlight}
+	return resp, nil
+}
+
+type countedBody struct {
+	io.ReadCloser
+	n    *atomic.Int64
+	once sync.Once
+}
+
+func (b *countedBody) Close() error {
+	b.once.Do(func() { b.n.Add(-1) })
+	return b.ReadCloser.Close()
+}
+
+// TestProxySweepFailureJoinsFanOut: when one cell fails, the proxy
+// cancels the others and joins its workers before answering. Both
+// backends reject one seed and hold every other request until its
+// context ends, so the client gets the rejection only if the failure
+// cancelled the rest — and no backend request may be left in flight.
+// The cancelled requests are the proxy's doing, so they must not eject
+// the replica that was serving them.
+func TestProxySweepFailureJoinsFanOut(t *testing.T) {
+	const failSeed = 3
+	var started atomic.Int64
+	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var ax sweep.Axes
+		if err := json.NewDecoder(r.Body).Decode(&ax); err != nil {
+			httpapi.Error(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		started.Add(1)
+		if ax.Seed == failSeed {
+			httpapi.Error(w, http.StatusUnprocessableEntity, "induced rejection")
+			return
+		}
+		<-r.Context().Done()
+	})
+	writer, replica := httptest.NewServer(handler), httptest.NewServer(handler)
+	t.Cleanup(writer.Close)
+	t.Cleanup(replica.Close)
+
+	tr := &countingTransport{base: http.DefaultTransport, fastSeed: 1}
+	p, err := NewProxy(Options{
+		Writer:         writer.URL,
+		Replicas:       []string{replica.URL},
+		HealthInterval: -1,
+		SweepWorkers:   4,
+		Client:         &http.Client{Transport: tr},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := httptest.NewServer(p.Handler())
+	t.Cleanup(func() { pts.Close(); p.Close() })
+
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(pts.URL+"/v1/sweep", "application/json",
+		strings.NewReader(`{"seeds":[1,2,3,4,5,6,7,8]}`))
+	if err != nil {
+		t.Fatalf("sweep did not answer after its failed cell: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if n := tr.inFlight.Load(); n != 0 {
+		t.Fatalf("%d backend requests still in flight after the error response", n)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "induced rejection") {
+		t.Fatalf("sweep answered %d %s, want the failed cell's 422", resp.StatusCode, body)
+	}
+	if n := started.Load(); n > 4 {
+		t.Fatalf("backends saw %d requests, want at most the 4 workers' first cells", n)
+	}
+	if m := proxyStats(t, pts.URL).Replicas[0]; !m.Healthy || m.Ejects != 0 {
+		t.Fatalf("cancelled requests ejected the replica: %+v", m)
 	}
 }
 

@@ -93,51 +93,24 @@ func AppendEnvelope(dst []byte, id string, st *campaign.ResultState) []byte {
 func AppendEnvelopePayload(dst []byte, id string, st *campaign.ResultState) []byte {
 	dst = appendUint(dst, fEnvVersion, RecordVersion)
 	dst = appendString(dst, fEnvID, id)
-	dst = appendUvarint(dst, fEnvResult)
-	dst = appendUvarint(dst, uint64(resultStateSize(st)))
-	return appendResultState(dst, st)
+	return appendResultState(dst, fEnvResult, st)
 }
 
-//sweepvet:hotpath
-func resultStateSize(st *campaign.ResultState) int {
-	n := bytesFieldSize(fResConfig, configStateSize(&st.Config)) +
-		intFieldSize(fResMeasurements, int64(st.Measurements)) +
-		intFieldSize(fResVirtualNs, st.VirtualNs) +
-		bytesFieldSize(fResMobileMean, summaryStateSize(st.MobileMean)) +
-		bytesFieldSize(fResMobileAll, summaryStateSize(st.MobileAll)) +
-		bytesFieldSize(fResWired, summaryStateSize(st.Wired))
-	for i := range st.Cells {
-		n += bytesFieldSize(fResCell, cellStateSize(&st.Cells[i]))
-	}
-	if st.Compact {
-		n += boolFieldSize(fResCompact)
-	}
-	if st.ARGhosts {
-		n += boolFieldSize(fResARGhosts)
-	}
-	return n
-}
+// The nested appenders below each encode one struct as the field
+// numbered field: beginNested, the struct's own fields in frozen-number
+// order, finishNested.
 
 //sweepvet:hotpath
-func appendResultState(dst []byte, st *campaign.ResultState) []byte {
-	dst = appendUvarint(dst, fResConfig)
-	dst = appendUvarint(dst, uint64(configStateSize(&st.Config)))
-	dst = appendConfigState(dst, &st.Config)
+func appendResultState(dst []byte, field uint64, st *campaign.ResultState) []byte {
+	dst, at := beginNested(dst, field)
+	dst = appendConfigState(dst, fResConfig, &st.Config)
 	dst = appendInt(dst, fResMeasurements, int64(st.Measurements))
 	dst = appendInt(dst, fResVirtualNs, st.VirtualNs)
-	dst = appendUvarint(dst, fResMobileMean)
-	dst = appendUvarint(dst, uint64(summaryStateSize(st.MobileMean)))
-	dst = appendSummaryState(dst, st.MobileMean)
-	dst = appendUvarint(dst, fResMobileAll)
-	dst = appendUvarint(dst, uint64(summaryStateSize(st.MobileAll)))
-	dst = appendSummaryState(dst, st.MobileAll)
-	dst = appendUvarint(dst, fResWired)
-	dst = appendUvarint(dst, uint64(summaryStateSize(st.Wired)))
-	dst = appendSummaryState(dst, st.Wired)
+	dst = appendSummaryState(dst, fResMobileMean, st.MobileMean)
+	dst = appendSummaryState(dst, fResMobileAll, st.MobileAll)
+	dst = appendSummaryState(dst, fResWired, st.Wired)
 	for i := range st.Cells {
-		dst = appendUvarint(dst, fResCell)
-		dst = appendUvarint(dst, uint64(cellStateSize(&st.Cells[i])))
-		dst = appendCellState(dst, &st.Cells[i])
+		dst = appendCellState(dst, fResCell, &st.Cells[i])
 	}
 	if st.Compact {
 		dst = appendBool(dst, fResCompact, true)
@@ -145,30 +118,12 @@ func appendResultState(dst []byte, st *campaign.ResultState) []byte {
 	if st.ARGhosts {
 		dst = appendBool(dst, fResARGhosts, true)
 	}
-	return dst
+	return finishNested(dst, at)
 }
 
 //sweepvet:hotpath
-func configStateSize(c *campaign.ConfigState) int {
-	n := uintFieldSize(fCfgSeed, c.Seed) +
-		intFieldSize(fCfgMobileNodes, int64(c.MobileNodes)) +
-		stringFieldSize(fCfgProfile, len(c.Profile)) +
-		boolFieldSize(fCfgLocalPeering) + boolFieldSize(fCfgEdgeUPF) +
-		intFieldSize(fCfgWiredRounds, int64(c.WiredRounds))
-	for _, cell := range c.TargetCells {
-		n += stringFieldSize(fCfgTargetCell, len(cell))
-	}
-	if c.Slicing != nil {
-		n += bytesFieldSize(fCfgSlicing, slicingStateSize(c.Slicing))
-	}
-	if c.ARGame != "" {
-		n += stringFieldSize(fCfgARGame, len(c.ARGame))
-	}
-	return n
-}
-
-//sweepvet:hotpath
-func appendConfigState(dst []byte, c *campaign.ConfigState) []byte {
+func appendConfigState(dst []byte, field uint64, c *campaign.ConfigState) []byte {
+	dst, at := beginNested(dst, field)
 	dst = appendUint(dst, fCfgSeed, c.Seed)
 	dst = appendInt(dst, fCfgMobileNodes, int64(c.MobileNodes))
 	dst = appendString(dst, fCfgProfile, c.Profile)
@@ -179,57 +134,34 @@ func appendConfigState(dst []byte, c *campaign.ConfigState) []byte {
 	}
 	dst = appendInt(dst, fCfgWiredRounds, int64(c.WiredRounds))
 	if c.Slicing != nil {
-		dst = appendUvarint(dst, fCfgSlicing)
-		dst = appendUvarint(dst, uint64(slicingStateSize(c.Slicing)))
+		// Not "dst, sat :=": inside this block that would declare a new
+		// dst and silently drop the slicing field.
+		var sat int
+		dst, sat = beginNested(dst, fCfgSlicing)
 		dst = appendString(dst, fSliceStrategy, c.Slicing.Strategy)
 		dst = appendInt(dst, fSliceSites, int64(c.Slicing.Sites))
+		dst = finishNested(dst, sat)
 	}
 	if c.ARGame != "" {
 		dst = appendString(dst, fCfgARGame, c.ARGame)
 	}
-	return dst
+	return finishNested(dst, at)
 }
 
 //sweepvet:hotpath
-func slicingStateSize(s *campaign.SlicingState) int {
-	return stringFieldSize(fSliceStrategy, len(s.Strategy)) +
-		intFieldSize(fSliceSites, int64(s.Sites))
-}
-
-//sweepvet:hotpath
-func summaryStateSize(s stats.SummaryState) int {
-	return intFieldSize(fSumN, int64(s.N)) +
-		f64FieldSize(fSumMean) + f64FieldSize(fSumM2) +
-		f64FieldSize(fSumMin) + f64FieldSize(fSumMax)
-}
-
-//sweepvet:hotpath
-func appendSummaryState(dst []byte, s stats.SummaryState) []byte {
+func appendSummaryState(dst []byte, field uint64, s stats.SummaryState) []byte {
+	dst, at := beginNested(dst, field)
 	dst = appendInt(dst, fSumN, int64(s.N))
 	dst = appendF64(dst, fSumMean, s.Mean)
 	dst = appendF64(dst, fSumM2, s.M2)
 	dst = appendF64(dst, fSumMin, s.Min)
-	return appendF64(dst, fSumMax, s.Max)
+	dst = appendF64(dst, fSumMax, s.Max)
+	return finishNested(dst, at)
 }
 
 //sweepvet:hotpath
-func cellStateSize(c *campaign.CellState) int {
-	n := stringFieldSize(fCellCell, len(c.Cell)) +
-		intFieldSize(fCellN, int64(c.N)) +
-		f64FieldSize(fCellMeanMs) + f64FieldSize(fCellStdMs) +
-		boolFieldSize(fCellReported) +
-		bytesFieldSize(fCellSummary, summaryStateSize(c.Summary))
-	if c.GhostHits != 0 {
-		n += intFieldSize(fCellGhostHits, int64(c.GhostHits))
-	}
-	if len(c.Samples) > 0 {
-		n += f64PackedFieldSize(fCellSamples, len(c.Samples))
-	}
-	return n
-}
-
-//sweepvet:hotpath
-func appendCellState(dst []byte, c *campaign.CellState) []byte {
+func appendCellState(dst []byte, field uint64, c *campaign.CellState) []byte {
+	dst, at := beginNested(dst, field)
 	dst = appendString(dst, fCellCell, c.Cell)
 	dst = appendInt(dst, fCellN, int64(c.N))
 	dst = appendF64(dst, fCellMeanMs, c.MeanMs)
@@ -238,13 +170,11 @@ func appendCellState(dst []byte, c *campaign.CellState) []byte {
 	if c.GhostHits != 0 {
 		dst = appendInt(dst, fCellGhostHits, int64(c.GhostHits))
 	}
-	dst = appendUvarint(dst, fCellSummary)
-	dst = appendUvarint(dst, uint64(summaryStateSize(c.Summary)))
-	dst = appendSummaryState(dst, c.Summary)
+	dst = appendSummaryState(dst, fCellSummary, c.Summary)
 	if len(c.Samples) > 0 {
 		dst = appendF64Packed(dst, fCellSamples, c.Samples)
 	}
-	return dst
+	return finishNested(dst, at)
 }
 
 // DecodeEnvelopePayload decodes a store record envelope: the id and the

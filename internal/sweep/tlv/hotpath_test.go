@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/campaign"
 )
 
 // TestAppendRecordByteIdentity pins the in-place framing rewrite to the
@@ -23,8 +25,9 @@ func TestAppendRecordByteIdentity(t *testing.T) {
 }
 
 // TestAppendEnvelopeByteIdentity is the same pin for the store
-// envelope, covering the nested size-precompute path (result state,
-// config, slicing, summaries, cells, packed samples).
+// envelope, over every state shape (config, slicing, summaries, cells,
+// packed samples). Both sides run the same nested encoders, so the
+// nested bytes themselves are pinned by TestFrameBytesGolden.
 func TestAppendEnvelopeByteIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for i := 0; i < 200; i++ {
@@ -72,6 +75,25 @@ func BenchmarkHotAppendRecord(b *testing.B) {
 func BenchmarkHotAppendEnvelope(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	st := randResultState(rng)
+	dst := AppendEnvelope(nil, "bench-id", &st)
+	b.SetBytes(int64(len(dst)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = AppendEnvelope(dst[:0], "bench-id", &st)
+	}
+}
+
+// BenchmarkHotAppendEnvelopeFull measures the store envelope of a real
+// full campaign result (seed 1, ~51 KB with raw samples) with a reused
+// buffer: every cell's length prefix and the result's widen past one
+// byte, so this is the finishNested shift path at its largest.
+func BenchmarkHotAppendEnvelopeFull(b *testing.B) {
+	res, err := campaign.Run(campaign.Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := res.State(false)
 	dst := AppendEnvelope(nil, "bench-id", &st)
 	b.SetBytes(int64(len(dst)))
 	b.ReportAllocs()

@@ -69,8 +69,9 @@ func AppendRecord(dst []byte, rec *sweep.Record) []byte {
 }
 
 // AppendRecordPayload encodes the record's TLV payload (no frame) into
-// dst. Nested structs precompute their sizes and encode directly into
-// dst; the bytes are identical to the old scratch-buffer composition.
+// dst. Nested structs encode in place after a one-byte length
+// placeholder that finishNested backpatches, widening it when the
+// value needs a longer uvarint.
 //
 //sweepvet:hotpath
 func AppendRecordPayload(dst []byte, rec *sweep.Record) []byte {
@@ -98,54 +99,29 @@ func AppendRecordPayload(dst []byte, rec *sweep.Record) []byte {
 		dst = appendF64(dst, fRecGhostRate, rec.GhostRate)
 	}
 	dst = appendInt(dst, fRecMeasurements, int64(rec.Measurements))
-	dst = appendUvarint(dst, fRecMobile)
-	dst = appendUvarint(dst, uint64(snapshotSize(rec.Mobile)))
-	dst = appendSnapshot(dst, rec.Mobile)
-	dst = appendUvarint(dst, fRecWired)
-	dst = appendUvarint(dst, uint64(snapshotSize(rec.Wired)))
-	dst = appendSnapshot(dst, rec.Wired)
+	dst = appendSnapshot(dst, fRecMobile, rec.Mobile)
+	dst = appendSnapshot(dst, fRecWired, rec.Wired)
 	dst = appendF64(dst, fRecFactor, rec.Factor)
 	for i := range rec.Cells {
-		dst = appendUvarint(dst, fRecCell)
-		dst = appendUvarint(dst, uint64(cellAggregateSize(&rec.Cells[i])))
-		dst = appendCellAggregate(dst, &rec.Cells[i])
+		dst = appendCellAggregate(dst, fRecCell, &rec.Cells[i])
 	}
 	return dst
 }
 
 //sweepvet:hotpath
-func snapshotSize(s stats.Snapshot) int {
-	return intFieldSize(fSnapN, int64(s.N)) +
-		f64FieldSize(fSnapMean) + f64FieldSize(fSnapStd) +
-		f64FieldSize(fSnapMin) + f64FieldSize(fSnapMax)
-}
-
-//sweepvet:hotpath
-func appendSnapshot(dst []byte, s stats.Snapshot) []byte {
+func appendSnapshot(dst []byte, field uint64, s stats.Snapshot) []byte {
+	dst, at := beginNested(dst, field)
 	dst = appendInt(dst, fSnapN, int64(s.N))
 	dst = appendF64(dst, fSnapMean, s.Mean)
 	dst = appendF64(dst, fSnapStd, s.Std)
 	dst = appendF64(dst, fSnapMin, s.Min)
-	return appendF64(dst, fSnapMax, s.Max)
+	dst = appendF64(dst, fSnapMax, s.Max)
+	return finishNested(dst, at)
 }
 
 //sweepvet:hotpath
-func cellAggregateSize(c *sweep.CellAggregate) int {
-	n := stringFieldSize(fAggCell, len(c.Cell)) +
-		intFieldSize(fAggN, int64(c.N)) +
-		f64FieldSize(fAggMeanMs) + f64FieldSize(fAggStdMs) +
-		boolFieldSize(fAggReported)
-	if c.GhostHits != 0 {
-		n += intFieldSize(fAggGhostHits, int64(c.GhostHits))
-	}
-	if c.GhostRate != 0 {
-		n += f64FieldSize(fAggGhostRate)
-	}
-	return n
-}
-
-//sweepvet:hotpath
-func appendCellAggregate(dst []byte, c *sweep.CellAggregate) []byte {
+func appendCellAggregate(dst []byte, field uint64, c *sweep.CellAggregate) []byte {
+	dst, at := beginNested(dst, field)
 	dst = appendString(dst, fAggCell, c.Cell)
 	dst = appendInt(dst, fAggN, int64(c.N))
 	dst = appendF64(dst, fAggMeanMs, c.MeanMs)
@@ -157,7 +133,7 @@ func appendCellAggregate(dst []byte, c *sweep.CellAggregate) []byte {
 	if c.GhostRate != 0 {
 		dst = appendF64(dst, fAggGhostRate, c.GhostRate)
 	}
-	return dst
+	return finishNested(dst, at)
 }
 
 // DecodeRecordPayload decodes one stream record from its TLV payload.

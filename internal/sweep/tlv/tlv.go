@@ -4,8 +4,10 @@
 // path — the dominant serve/store cost at millions of records — with
 // hand-rolled length-prefixed TLV field encoders in the style of
 // ndnd/std/encoding: every field is TYPE (uvarint) LENGTH (uvarint)
-// VALUE, nested structs are length-prefixed sub-TLVs, and float slices
-// pack as raw little-endian bits instead of one field per element.
+// VALUE, nested structs are length-prefixed sub-TLVs (encoded in place,
+// their length backpatched by beginNested/finishNested), and float
+// slices pack as raw little-endian bits instead of one field per
+// element.
 //
 // # Encoding conventions
 //
@@ -118,6 +120,40 @@ func finishFrame(dst []byte, start int) []byte {
 	payload := dst[start+FrameHeaderLen:]
 	binary.LittleEndian.PutUint32(dst[start+2:start+FrameHeaderLen], uint32(len(payload)))
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+}
+
+// beginNested is beginFrame for a nested field: it appends the field
+// number and a one-byte length placeholder, and returns the
+// placeholder's offset. The caller appends the nested value in place,
+// then finishNested backpatches its length, so each struct is described
+// once, by its appender, with no size function to keep in step.
+//
+//sweepvet:hotpath
+func beginNested(dst []byte, field uint64) ([]byte, int) {
+	dst = appendUvarint(dst, field)
+	at := len(dst)
+	return append(dst, 0), at
+}
+
+// finishNested writes the uvarint length of everything appended since
+// the placeholder at offset at. A length of 128 or more needs more than
+// the one reserved byte, so the value shifts right to make room: the
+// bytes equal a prefix computed up front, and with a capacity-sufficient
+// dst nothing allocates.
+//
+//sweepvet:hotpath
+func finishNested(dst []byte, at int) []byte {
+	n := len(dst) - at - 1
+	if n < 0x80 {
+		dst[at] = byte(n)
+		return dst
+	}
+	var prefix [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(prefix[:], uint64(n))
+	dst = append(dst, prefix[1:w]...) // grow by the extra prefix bytes
+	copy(dst[at+w:], dst[at+1:at+1+n])
+	copy(dst[at:], prefix[:w])
+	return dst
 }
 
 // ParseFrame reads the frame starting at data[0] and returns its
@@ -239,15 +275,6 @@ func appendString(b []byte, field uint64, s string) []byte {
 	return append(b, s...)
 }
 
-// appendBytes encodes an already-encoded nested TLV (or packed array).
-//
-//sweepvet:hotpath
-func appendBytes(b []byte, field uint64, v []byte) []byte {
-	b = appendUvarint(b, field)
-	b = appendUvarint(b, uint64(len(v)))
-	return append(b, v...)
-}
-
 // appendF64Packed encodes a float slice as one field of concatenated
 // little-endian bits — 8 bytes per element, no per-element framing.
 //
@@ -260,54 +287,6 @@ func appendF64Packed(b []byte, field uint64, vs []float64) []byte {
 	}
 	return b
 }
-
-// --- Field sizes ----------------------------------------------------
-//
-// Mirror images of the appenders: nested structs precompute their
-// encoded size so encoders can emit the length prefix and then encode
-// directly into dst, instead of rendering into a scratch buffer first
-// (one allocation per nested struct per record — the old hot-path
-// cost).
-
-// uvarintLen returns the encoded size of v in bytes.
-//
-//sweepvet:hotpath
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-//sweepvet:hotpath
-func uintFieldSize(field, v uint64) int {
-	n := uvarintLen(v)
-	return uvarintLen(field) + uvarintLen(uint64(n)) + n
-}
-
-//sweepvet:hotpath
-func intFieldSize(field uint64, v int64) int {
-	return uintFieldSize(field, uint64(v<<1)^uint64(v>>63))
-}
-
-//sweepvet:hotpath
-func f64FieldSize(field uint64) int { return uvarintLen(field) + 1 + 8 }
-
-//sweepvet:hotpath
-func boolFieldSize(field uint64) int { return uvarintLen(field) + 1 + 1 }
-
-//sweepvet:hotpath
-func stringFieldSize(field uint64, n int) int {
-	return uvarintLen(field) + uvarintLen(uint64(n)) + n
-}
-
-//sweepvet:hotpath
-func bytesFieldSize(field uint64, n int) int { return stringFieldSize(field, n) }
-
-//sweepvet:hotpath
-func f64PackedFieldSize(field uint64, n int) int { return stringFieldSize(field, 8*n) }
 
 // dec is a TLV field cursor over one payload.
 type dec struct {

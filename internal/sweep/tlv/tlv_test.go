@@ -122,6 +122,47 @@ func TestVarintPrimitives(t *testing.T) {
 	}
 }
 
+// TestFinishNestedBoundaries pins the backpatched length prefix at
+// every uvarint width boundary: the bytes must equal a prefix computed
+// up front, whether the one reserved byte suffices or the value shifts
+// right by one, two or three bytes.
+func TestFinishNestedBoundaries(t *testing.T) {
+	for _, n := range []int{0, 127, 128, 16383, 16384, 1 << 21} {
+		value := make([]byte, n)
+		for i := range value {
+			value[i] = byte(i*7 + 1)
+		}
+		dst := []byte("head")
+		dst, at := beginNested(dst, 5)
+		dst = finishNested(append(dst, value...), at)
+
+		want := appendUvarint([]byte("head"), 5)
+		want = appendUvarint(want, uint64(n))
+		want = append(want, value...)
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("len %d: backpatched bytes differ from an up-front prefix", n)
+		}
+	}
+}
+
+// TestFinishNestedZeroAllocWarm: widening the prefix shifts the value
+// inside dst, so a capacity-sufficient dst still allocates nothing.
+func TestFinishNestedZeroAllocWarm(t *testing.T) {
+	value := make([]byte, 16384) // needs a 3-byte prefix: shifts by 2
+	dst := make([]byte, 0, len(value)+8)
+	allocs := testing.AllocsPerRun(100, func() {
+		var at int
+		dst, at = beginNested(dst[:0], 5)
+		dst = finishNested(append(dst, value...), at)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm widening finishNested allocates %.1f times/op, want 0", allocs)
+	}
+	if len(dst) != 1+3+len(value) {
+		t.Fatalf("nested field length %d, want %d", len(dst), 1+3+len(value))
+	}
+}
+
 func TestDecoderRejectsMalformed(t *testing.T) {
 	// Field length overrunning the payload must error, not panic.
 	b := appendUvarint(nil, 1)

@@ -40,6 +40,19 @@ func TestRunSweepFacade(t *testing.T) {
 	}
 }
 
+// TestRunSweepRejectsNegativeCounts: a negative count in a library
+// grid fails the sweep with an error instead of panicking a worker.
+func TestRunSweepRejectsNegativeCounts(t *testing.T) {
+	for _, g := range []SweepGrid{
+		{Seeds: []uint64{1}, WiredRounds: []int{-1}},
+		{Seeds: []uint64{1}, MobileNodes: []int{-2}},
+	} {
+		if _, err := RunSweep(g, SweepOptions{Workers: 2}); err == nil {
+			t.Fatalf("RunSweep(%+v): err = nil, want an error", g)
+		}
+	}
+}
+
 func TestRunExperimentFacade(t *testing.T) {
 	art, err := RunExperiment("fig2", 42)
 	if err != nil {
