@@ -13,7 +13,10 @@ import (
 
 // testdata/ci-bench.out is real output of CI's bench job commands: nine
 // -benchmem BenchmarkHot* lines from five packages, sub-benchmarks without
-// -benchmem, ServeWarm's p50_us/queries/s metrics and TLV's MB/s.
+// -benchmem, ServeWarm's p50_us/queries/s metrics and TLV's MB/s. The
+// ServeWarm, ProxyWarm* and SweepStream* lines come from a later run,
+// taken when their allocs/op gates were tightened and the proxy pair
+// gained -benchmem.
 func fixture(t *testing.T) string {
 	t.Helper()
 	b, err := os.ReadFile("testdata/ci-bench.out")
@@ -65,8 +68,9 @@ var ciGates = []string{
 	"-max", "BenchmarkHot*:allocs/op<=0",
 	"-max", "BenchmarkCampaignFull:allocs/op<=3000",
 	"-max", "BenchmarkCampaignSmall:allocs/op<=1000",
-	"-max", "BenchmarkServeWarm:allocs/op<=200",
-	"-max", "BenchmarkSweepStreamTLV:allocs/op<=1500",
+	"-max", "BenchmarkServeWarm:allocs/op<=125",
+	"-max", "BenchmarkProxyWarmRouted:allocs/op<=260",
+	"-max", "BenchmarkSweepStreamTLV:allocs/op<=1000",
 	"-min-ratio", "BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3",
 	"-min-ratio", "BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0",
 }
@@ -91,8 +95,8 @@ func TestParseKeepsEveryPrintedMetric(t *testing.T) {
 		{"BenchmarkHotAppendRecord", "repro/internal/sweep/tlv", 10000,
 			map[string]float64{"ns/op": 581.4, "MB/s": 648.42, "B/op": 0, "allocs/op": 0}},
 		{"BenchmarkServeWarm", "repro", 200,
-			map[string]float64{"ns/op": 151629, "p50_us": 62, "p95_us": 120, "p99_us": 995,
-				"queries/s": 6595, "B/op": 14937, "allocs/op": 174}},
+			map[string]float64{"ns/op": 59593, "p50_us": 25, "p95_us": 47, "p99_us": 49,
+				"queries/s": 16781, "B/op": 8972, "allocs/op": 111}},
 		// Sub-benchmark: only the common -GOMAXPROCS suffix -2 goes.
 		{"BenchmarkSweep/workers-1", "repro", 1,
 			map[string]float64{"ns/op": 239101270, "scenarios": 64, "variants": 4}},
@@ -180,10 +184,11 @@ func TestGates(t *testing.T) {
 			"ok   BenchmarkHot*:allocs/op<=0: BenchmarkHotEventLoop 0, ",
 			"ok   BenchmarkCampaignFull:allocs/op<=3000: BenchmarkCampaignFull 1817",
 			"ok   BenchmarkCampaignSmall:allocs/op<=1000: BenchmarkCampaignSmall 507",
-			"ok   BenchmarkServeWarm:allocs/op<=200: BenchmarkServeWarm 174",
-			"ok   BenchmarkSweepStreamTLV:allocs/op<=1500: BenchmarkSweepStreamTLV 1130",
+			"ok   BenchmarkServeWarm:allocs/op<=125: BenchmarkServeWarm 111",
+			"ok   BenchmarkProxyWarmRouted:allocs/op<=260: BenchmarkProxyWarmRouted 234",
+			"ok   BenchmarkSweepStreamTLV:allocs/op<=1000: BenchmarkSweepStreamTLV 874",
 			"ok   BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: 10.49x (30417 / 2898.7)",
-			"ok   BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: 2.58x (1049102 / 406084)",
+			"ok   BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: 1.76x (701256 / 398082)",
 		}, true},
 		{"hot path allocates: one offender of nine", setMetric(t, in, "BenchmarkHotObserve", "allocs/op", "1"),
 			ciGates[:2], []string{"FAIL BenchmarkHot*:allocs/op<=0: BenchmarkHotObserve 1\n"}, false},
@@ -193,24 +198,26 @@ func TestGates(t *testing.T) {
 			ciGates[2:4], []string{"ok   BenchmarkCampaignFull:allocs/op<=3000: BenchmarkCampaignFull 3000"}, true},
 		{"small campaign over 1,000", setMetric(t, in, "BenchmarkCampaignSmall", "allocs/op", "1001"),
 			ciGates[4:6], []string{"FAIL BenchmarkCampaignSmall:allocs/op<=1000: BenchmarkCampaignSmall 1001"}, false},
-		{"warm read over 200", setMetric(t, in, "BenchmarkServeWarm", "allocs/op", "201"),
-			ciGates[6:8], []string{"FAIL BenchmarkServeWarm:allocs/op<=200: BenchmarkServeWarm 201"}, false},
-		{"TLV stream over 1,500", setMetric(t, in, "BenchmarkSweepStreamTLV", "allocs/op", "1501"),
-			ciGates[8:10], []string{"FAIL BenchmarkSweepStreamTLV:allocs/op<=1500: BenchmarkSweepStreamTLV 1501"}, false},
+		{"warm read over 125", setMetric(t, in, "BenchmarkServeWarm", "allocs/op", "126"),
+			ciGates[6:8], []string{"FAIL BenchmarkServeWarm:allocs/op<=125: BenchmarkServeWarm 126"}, false},
+		{"routed proxy read over 260", setMetric(t, in, "BenchmarkProxyWarmRouted", "allocs/op", "261"),
+			ciGates[8:10], []string{"FAIL BenchmarkProxyWarmRouted:allocs/op<=260: BenchmarkProxyWarmRouted 261"}, false},
+		{"TLV stream over 1,000", setMetric(t, in, "BenchmarkSweepStreamTLV", "allocs/op", "1001"),
+			ciGates[10:12], []string{"FAIL BenchmarkSweepStreamTLV:allocs/op<=1000: BenchmarkSweepStreamTLV 1001"}, false},
 		{"TLV round trip under 3x JSON", setMetric(t, in, "BenchmarkDecodeJSON", "ns/op", "1000"),
-			ciGates[10:12], []string{"FAIL BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: 2.72x (7871 / 2898.7)"}, false},
-		{"stream ratio report with a slower TLV stream", setMetric(t, in, "BenchmarkSweepStreamTLV", "ns/op", "2098204"),
-			ciGates[12:], []string{"ok   BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: 0.50x"}, true},
+			ciGates[12:14], []string{"FAIL BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: 2.72x (7871 / 2898.7)"}, false},
+		{"stream ratio report with a slower TLV stream", setMetric(t, in, "BenchmarkSweepStreamTLV", "ns/op", "1402512"),
+			ciGates[14:], []string{"ok   BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: 0.50x"}, true},
 		{"stream ratio report without its JSONL run", dropLine(t, in, "BenchmarkSweepStreamJSONL"),
-			ciGates[12:], []string{"FAIL BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: no benchmark matches BenchmarkSweepStreamJSONL"}, false},
+			ciGates[14:], []string{"FAIL BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: no benchmark matches BenchmarkSweepStreamJSONL"}, false},
 		{"gate matches nothing", in, []string{"-max", "BenchmarkCampaignHuge:allocs/op<=1"},
 			[]string{"FAIL BenchmarkCampaignHuge:allocs/op<=1: no benchmark matches BenchmarkCampaignHuge"}, false},
-		{"matched benchmark lacks the unit", in, []string{"-max", "BenchmarkProxyWarm*:allocs/op<=500"},
-			[]string{"FAIL BenchmarkProxyWarm*:allocs/op<=500: BenchmarkProxyWarm reports no allocs/op"}, false},
-		{"ratio term matches two runs", in + in, ciGates[10:12],
+		{"matched benchmark lacks the unit", in, []string{"-max", "BenchmarkServeColdMiss*:allocs/op<=500"},
+			[]string{"FAIL BenchmarkServeColdMiss*:allocs/op<=500: BenchmarkServeColdMiss reports no allocs/op"}, false},
+		{"ratio term matches two runs", in + in, ciGates[12:14],
 			[]string{"FAIL BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: BenchmarkEncodeJSON matches 2 benchmarks, want one"}, false},
 		{"one failing gate among passing ones", setMetric(t, in, "BenchmarkServeWarm", "allocs/op", "250"), ciGates, []string{
-			"ok   BenchmarkCampaignFull:", "FAIL BenchmarkServeWarm:allocs/op<=200: BenchmarkServeWarm 250"}, false},
+			"ok   BenchmarkCampaignFull:", "FAIL BenchmarkServeWarm:allocs/op<=125: BenchmarkServeWarm 250"}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, stderr, err := runGate(tc.in, tc.args...)

@@ -24,22 +24,27 @@ var sampleWriters = map[string]bool{
 	"CDF": true, "FractionBelow": true, "Histogram": true,
 }
 
-// SharedResult flags writes through a *campaign.Result that a non-raw
-// sweep Cache.Resolve returned. Such a result is the cache's own copy,
-// shared with every concurrent reader, so a write corrupts every later
-// hit and races with record encoding. The check is intraprocedural and
-// flow-insensitive: it follows the result variable, variables bound
-// from it (aliases, its samples, map and slice elements, range values
-// of reference type), and flags field, element and map stores,
-// increments, delete/clear, and calls to the stats writers above on
-// any of them. A Resolve counts as raw only when its Want literal sets
-// Raw to the constant true; bind a Clone to a new variable to mutate a
-// shared result.
+// SharedResult flags writes through the sweep cache's own memory: a
+// *campaign.Result that a non-raw Cache.Resolve returned, or the record
+// bytes Cache.Rendered returned. Either is shared with every concurrent
+// reader, so a write corrupts every later hit and races with record
+// encoding. The check is intraprocedural and flow-insensitive: it
+// follows the returned variable, variables bound from it (aliases,
+// reslices, its samples, map and slice elements, range values of
+// reference type), and flags field, element and map stores,
+// increments, delete/clear/copy into any of them, an append onto a
+// reslice of one (it writes the shared array past the reslice's
+// length), and calls to the stats writers above. A Resolve counts as
+// raw only when its Want literal sets Raw to the constant true; bind a
+// Clone to a new variable to mutate a shared result. Rendered bytes
+// have capacity equal to their length, so appending to them copies:
+// bind the append to a new variable to extend them.
 var SharedResult = &Analyzer{
 	Name: "sharedresult",
-	Doc: "flag non-test writes (field/map/element stores, Add, Quantile and the " +
+	Doc: "flag non-test writes (field/map/element stores, copy, Add, Quantile and the " +
 		"other sorting stats methods) through a *campaign.Result returned by a " +
-		"non-raw sweep Cache.Resolve, which is shared read-only with every reader",
+		"non-raw sweep Cache.Resolve or the bytes Cache.Rendered returns, which are " +
+		"shared read-only with every reader",
 	Run: runSharedResult,
 }
 
@@ -57,8 +62,9 @@ func runSharedResult(pass *Pass) error {
 				return
 			}
 			pass.Reportf(at.Pos(), "%s writes through a shared cached result: a non-raw "+
-				"Cache.Resolve returns the cache's own *campaign.Result; resolve with "+
-				"sweep.Want{Raw: true} for a private copy, or annotate with "+
+				"Cache.Resolve returns the cache's own *campaign.Result and Cache.Rendered "+
+				"the entry's own bytes; resolve with sweep.Want{Raw: true} or copy the "+
+				"bytes for a private copy, or annotate with "+
 				"//sweepvet:allow(sharedresult) <reason>", what)
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -78,10 +84,20 @@ func runSharedResult(pass *Pass) error {
 				}
 			case *ast.CallExpr:
 				if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && len(n.Args) > 0 {
-					if b, ok := pass.Info.Uses[id].(*types.Builtin); ok &&
-						(b.Name() == "delete" || b.Name() == "clear") &&
-						sharedRoot(pass, shared, n.Args[0]) != nil {
-						report(n, b.Name()+" on "+types.ExprString(n.Args[0]))
+					b, ok := pass.Info.Uses[id].(*types.Builtin)
+					if !ok {
+						return true
+					}
+					switch b.Name() {
+					case "delete", "clear", "copy":
+						if sharedRoot(pass, shared, n.Args[0]) != nil {
+							report(n, b.Name()+" on "+types.ExprString(n.Args[0]))
+						}
+					case "append":
+						if _, reslice := ast.Unparen(n.Args[0]).(*ast.SliceExpr); reslice &&
+							sharedRoot(pass, shared, n.Args[0]) != nil {
+							report(n, "append onto "+types.ExprString(n.Args[0]))
+						}
 					}
 					return true
 				}
@@ -104,9 +120,9 @@ func runSharedResult(pass *Pass) error {
 }
 
 // sharedVars collects the variables in file that hold, or reach into,
-// a result from a non-raw Resolve: first the Resolve results
-// themselves, then — to a fixed point — every reference-typed variable
-// bound from a path rooted at one of them.
+// cache-owned memory: first the results of non-raw Resolve and of
+// Rendered calls themselves, then — to a fixed point — every
+// reference-typed variable bound from a path rooted at one of them.
 func sharedVars(pass *Pass, file *ast.File) map[*types.Var]bool {
 	shared := make(map[*types.Var]bool)
 	add := func(id ast.Expr) bool {
@@ -120,11 +136,11 @@ func sharedVars(pass *Pass, file *ast.File) map[*types.Var]bool {
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			if len(n.Rhs) == 1 && len(n.Lhs) > 0 && isSharedResolve(pass, n.Rhs[0]) {
+			if len(n.Rhs) == 1 && len(n.Lhs) > 0 && isSharedCall(pass, n.Rhs[0]) {
 				add(n.Lhs[0])
 			}
 		case *ast.ValueSpec:
-			if len(n.Values) == 1 && len(n.Names) > 0 && isSharedResolve(pass, n.Values[0]) {
+			if len(n.Values) == 1 && len(n.Names) > 0 && isSharedCall(pass, n.Values[0]) {
 				add(n.Names[0])
 			}
 		}
@@ -165,16 +181,17 @@ func sharedVars(pass *Pass, file *ast.File) map[*types.Var]bool {
 	return shared
 }
 
-// isSharedResolve reports whether e is a call to sweep's Cache.Resolve
+// isSharedCall reports whether e is a call handing out the sweep
+// cache's own memory: Cache.Rendered returning bytes, or Cache.Resolve
 // returning a *campaign.Result whose Want argument does not set Raw to
 // the constant true.
-func isSharedResolve(pass *Pass, e ast.Expr) bool {
+func isSharedCall(pass *Pass, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || len(call.Args) != 2 {
+	if !ok {
 		return false
 	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Resolve" {
+	if !ok || (sel.Sel.Name != "Resolve" && sel.Sel.Name != "Rendered") {
 		return false
 	}
 	fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
@@ -182,7 +199,13 @@ func isSharedResolve(pass *Pass, e ast.Expr) bool {
 		return false
 	}
 	sig := fn.Type().(*types.Signature)
-	if sig.Recv() == nil || sig.Results().Len() == 0 || !isResultPtr(sig.Results().At(0).Type()) {
+	if sig.Recv() == nil || sig.Results().Len() == 0 {
+		return false
+	}
+	if sel.Sel.Name == "Rendered" {
+		return isByteSlice(sig.Results().At(0).Type())
+	}
+	if len(call.Args) != 2 || !isResultPtr(sig.Results().At(0).Type()) {
 		return false
 	}
 	lit, ok := ast.Unparen(call.Args[1]).(*ast.CompositeLit)
@@ -213,6 +236,16 @@ func isResultPtr(t types.Type) bool {
 		named.Obj().Name() == "Result"
 }
 
+// isByteSlice reports whether t is []byte.
+func isByteSlice(t types.Type) bool {
+	s, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := s.Elem().Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Byte
+}
+
 // isSharedPath reports whether e is a store target inside shared
 // memory: a field, element, or dereference path rooted at a shared
 // variable (rebinding the variable itself is not a write).
@@ -223,7 +256,7 @@ func isSharedPath(pass *Pass, shared map[*types.Var]bool, e ast.Expr) bool {
 	return sharedRoot(pass, shared, e) != nil
 }
 
-// sharedRoot strips field selections, index expressions and
+// sharedRoot strips field selections, index and slice expressions and
 // dereferences off e and returns the shared variable at its base, or
 // nil when e is not rooted at one.
 func sharedRoot(pass *Pass, shared map[*types.Var]bool, e ast.Expr) *types.Var {
@@ -234,6 +267,8 @@ func sharedRoot(pass *Pass, shared map[*types.Var]bool, e ast.Expr) *types.Var {
 		case *ast.StarExpr:
 			e = x.X
 		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
 			e = x.X
 		case *ast.SelectorExpr:
 			if s, ok := pass.Info.Selections[x]; !ok || s.Kind() != types.FieldVal {

@@ -103,7 +103,7 @@ func IDs() []string {
 // and must not modify it — a driver that sorts or mutates samples
 // goes through campaignRaw instead.
 func campaignFor(seed uint64) (*campaign.Result, error) {
-	res, _, err := sweep.Shared.Resolve(campaign.Config{Seed: seed}, sweep.Want{})
+	res, _, err := sweep.Shared.Resolve(sweep.ScenarioOf(campaign.Config{Seed: seed}), sweep.Want{})
 	return res, err
 }
 
@@ -113,7 +113,7 @@ func campaignFor(seed uint64) (*campaign.Result, error) {
 // disk record — is treated as a miss and the campaign re-simulates, so
 // such drivers never compute tails over silently absent samples.
 func campaignRaw(seed uint64) (*campaign.Result, error) {
-	res, _, err := sweep.Shared.Resolve(campaign.Config{Seed: seed}, sweep.Want{Raw: true})
+	res, _, err := sweep.Shared.Resolve(sweep.ScenarioOf(campaign.Config{Seed: seed}), sweep.Want{Raw: true})
 	return res, err
 }
 

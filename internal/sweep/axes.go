@@ -109,7 +109,7 @@ func (a Axes) Scenario() (Scenario, error) {
 	if err != nil {
 		return Scenario{}, err
 	}
-	return Scenario{ID: ScenarioID(cfg), Variant: VariantID(cfg), Config: cfg}, nil
+	return ScenarioOf(cfg), nil
 }
 
 // AxesOf inverts Config: the wire-level axes that resolve back to the

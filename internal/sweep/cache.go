@@ -41,6 +41,11 @@ const DefaultSharedLimit = 1024
 // sweepvet's sharedresult check flags writes through a non-raw
 // Resolve result.
 //
+// An entry also memoizes its record's wire bytes, one slot per
+// Encoding, filled on the first Rendered call in that encoding. A
+// record depends on its scenario ID alone, so the bytes are as shared
+// and read-only as the result, and sharedresult guards them too.
+//
 // A cache may be bounded (SetLimit) — entries evict least-recently-used
 // — and may be layered over a BackingStore (AttachStore), which makes
 // reads read-through and inserts write-through: misses consult disk
@@ -84,9 +89,25 @@ type Want struct {
 	Stages obs.StageObserver
 }
 
+// Encoding names one wire form of a scenario's record, each memoized
+// in its own slot of a cache entry.
+type Encoding int
+
+const (
+	// EncodingJSON is one JSON record line, newline included.
+	EncodingJSON Encoding = iota
+	// EncodingTLV is one framed v3 TLV record.
+	EncodingTLV
+	numEncodings
+)
+
 type entry struct {
 	id  string
 	res *campaign.Result
+	// rendered holds the record's bytes per Encoding, nil until first
+	// asked for. A result swap (insert over a summary-only entry)
+	// keeps them: the record is the same.
+	rendered [numEncodings][]byte
 }
 
 // flight is one in-progress simulation; concurrent callers for the
@@ -273,6 +294,39 @@ func (c *Cache) evictLocked() {
 	}
 }
 
+// Rendered returns scenario id's record bytes in enc, calling render
+// to build them when the entry has none yet and keeping the result in
+// the entry until it is evicted. The bytes are the cache's own, shared
+// with every caller, and must not be written through; their capacity
+// equals their length, so an append copies. render runs without the
+// cache lock, so concurrent first calls may each render; the first to
+// finish fills the slot and every caller gets identical bytes. When id
+// has no in-memory entry (evicted since it was resolved), the rendered
+// bytes are returned without being kept.
+func (c *Cache) Rendered(id string, enc Encoding, render func() []byte) []byte {
+	c.mu.Lock()
+	var b []byte
+	if el, ok := c.m[id]; ok {
+		b = el.Value.(*entry).rendered[enc]
+	}
+	c.mu.Unlock()
+	if b != nil {
+		return b
+	}
+	b = render()
+	b = b[:len(b):len(b)]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.m[id]; ok {
+		e := el.Value.(*entry)
+		if e.rendered[enc] == nil {
+			e.rendered[enc] = b
+		}
+		return e.rendered[enc]
+	}
+	return b
+}
+
 // Len returns the number of in-memory entries.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -294,20 +348,16 @@ func (c *Cache) SetRunner(run func(campaign.Config, obs.StageObserver) (*campaig
 	c.runner = run
 }
 
-// Resolve returns the result for cfg's scenario hash, running the
-// campaign on a miss; cached is true when the result was served — from
-// memory, disk, or another caller's completed flight — without this
-// call simulating. Concurrent misses on the same key are
-// de-duplicated: exactly one caller simulates, the rest wait and share
-// the outcome. The result is shared and read-only unless want.Raw asks
-// for a private copy (see Cache and Want).
-func (c *Cache) Resolve(cfg campaign.Config, want Want) (res *campaign.Result, cached bool, err error) {
-	return c.resolve(ScenarioID(cfg), cfg, want)
-}
-
-// resolve is Resolve for a caller that already holds cfg's scenario
-// ID; the sweep executor passes the one its grid expansion computed.
-func (c *Cache) resolve(id string, cfg campaign.Config, want Want) (res *campaign.Result, cached bool, err error) {
+// Resolve returns the result for sc, running the campaign on a miss;
+// cached is true when the result was served — from memory, disk, or
+// another caller's completed flight — without this call simulating.
+// sc.ID must be the config's scenario ID, as ScenarioOf mints it: the
+// cache keys on it without hashing again. Concurrent misses on the
+// same key are de-duplicated: exactly one caller simulates, the rest
+// wait and share the outcome. The result is shared and read-only
+// unless want.Raw asks for a private copy (see Cache and Want).
+func (c *Cache) Resolve(sc Scenario, want Want) (res *campaign.Result, cached bool, err error) {
+	id := sc.ID
 	so := want.Stages
 	for {
 		if res, ok := c.getObserved(id, want.Raw, so); ok {
@@ -348,9 +398,9 @@ func (c *Cache) resolve(id string, cfg campaign.Config, want Want) (res *campaig
 		res, ok := c.getObserved(id, want.Raw, so)
 		if !ok {
 			if c.runner != nil {
-				res, err = c.runner(cfg, so)
+				res, err = c.runner(sc.Config, so)
 			} else {
-				res, err = runCampaign(cfg)
+				res, err = runCampaign(sc.Config)
 			}
 			if err == nil {
 				res = c.put(id, res, want.Raw)

@@ -44,11 +44,11 @@ func stateJSON(t *testing.T, res *campaign.Result) []byte {
 func TestCacheHitsShareOneReadOnlyResult(t *testing.T) {
 	cache := NewCache()
 	cfg := campaign.Config{Seed: 3}
-	first, cached, err := cache.Resolve(cfg, Want{})
+	first, cached, err := cache.Resolve(ScenarioOf(cfg), Want{})
 	if err != nil || cached {
 		t.Fatalf("first Resolve: cached=%v err=%v, want a miss", cached, err)
 	}
-	again, cached, err := cache.Resolve(cfg, Want{})
+	again, cached, err := cache.Resolve(ScenarioOf(cfg), Want{})
 	if err != nil || !cached {
 		t.Fatalf("second Resolve: cached=%v err=%v, want a hit", cached, err)
 	}
@@ -69,7 +69,7 @@ func TestRawResolveIsPrivate(t *testing.T) {
 	cfg := campaign.Config{Seed: 3}
 	id := ScenarioID(cfg)
 	for _, step := range []string{"raw miss", "raw hit"} {
-		raw, _, err := cache.Resolve(cfg, Want{Raw: true})
+		raw, _, err := cache.Resolve(ScenarioOf(cfg), Want{Raw: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestCachedEntryIsExactSize(t *testing.T) {
 	for _, want := range []Want{{}, {Raw: true}} {
 		cache := NewCache()
 		cfg := campaign.Config{Seed: 5}
-		if _, _, err := cache.Resolve(cfg, want); err != nil {
+		if _, _, err := cache.Resolve(ScenarioOf(cfg), want); err != nil {
 			t.Fatal(err)
 		}
 		res, ok := cache.Get(ScenarioID(cfg))
@@ -135,7 +135,7 @@ func TestGetOrRunSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			res, _, err := cache.Resolve(cfg, Want{})
+			res, _, err := cache.Resolve(ScenarioOf(cfg), Want{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -168,7 +168,7 @@ func TestGetOrRunSingleflightSharesError(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = cache.Resolve(cfg, Want{})
+			_, _, errs[i] = cache.Resolve(ScenarioOf(cfg), Want{})
 		}(i)
 	}
 	wg.Wait()
@@ -178,7 +178,7 @@ func TestGetOrRunSingleflightSharesError(t *testing.T) {
 		}
 	}
 	// Failures are not cached: a later call retries.
-	if _, _, err := cache.Resolve(cfg, Want{}); err == nil {
+	if _, _, err := cache.Resolve(ScenarioOf(cfg), Want{}); err == nil {
 		t.Fatal("failure must not be cached as success")
 	}
 	if runs.Load() < 2 {
@@ -208,12 +208,12 @@ func TestGetOrRunReleasesFlightOnPanic(t *testing.T) {
 				t.Error("expected the injected panic to propagate")
 			}
 		}()
-		cache.Resolve(cfg, Want{})
+		cache.Resolve(ScenarioOf(cfg), Want{})
 	}()
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := cache.Resolve(cfg, Want{})
+		_, _, err := cache.Resolve(ScenarioOf(cfg), Want{})
 		done <- err
 	}()
 	select {
@@ -233,7 +233,7 @@ func TestCacheLimitEvictsLRU(t *testing.T) {
 	for i, seed := range []uint64{1, 2, 3} {
 		cfg := campaign.Config{Seed: seed}
 		ids[i] = ScenarioID(cfg)
-		if _, _, err := cache.Resolve(cfg, Want{}); err != nil {
+		if _, _, err := cache.Resolve(ScenarioOf(cfg), Want{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -250,7 +250,7 @@ func TestCacheLimitEvictsLRU(t *testing.T) {
 	}
 	// Touching an entry protects it from the next eviction.
 	cache.Get(ids[1])
-	if _, _, err := cache.Resolve(campaign.Config{Seed: 4}, Want{}); err != nil {
+	if _, _, err := cache.Resolve(ScenarioOf(campaign.Config{Seed: 4}), Want{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := cache.Get(ids[1]); !ok {
@@ -306,7 +306,7 @@ func TestPersistentCacheReadsThroughAndWritesThrough(t *testing.T) {
 	st := newFakeStore()
 	warm := NewPersistentCache(st)
 	cfg := campaign.Config{Seed: 6}
-	orig, _, err := warm.Resolve(cfg, Want{})
+	orig, _, err := warm.Resolve(ScenarioOf(cfg), Want{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestPersistentCacheKeepsRawSamplesInTheStore(t *testing.T) {
 	st := newFakeStore()
 	cache := NewPersistentCache(st)
 	cfg := campaign.Config{Seed: 6}
-	shared, _, err := cache.Resolve(cfg, Want{})
+	shared, _, err := cache.Resolve(ScenarioOf(cfg), Want{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestPersistentCacheKeepsRawSamplesInTheStore(t *testing.T) {
 			t.Fatalf("summary-only entry kept %d raw samples for %v", len(s.Values()), c)
 		}
 	}
-	raw, cached, err := cache.Resolve(cfg, Want{Raw: true})
+	raw, cached, err := cache.Resolve(ScenarioOf(cfg), Want{Raw: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestPersistentCacheSurvivesStoreFailure(t *testing.T) {
 	st := newFakeStore()
 	st.failed = true
 	cache := NewPersistentCache(st)
-	if _, _, err := cache.Resolve(campaign.Config{Seed: 8}, Want{}); err != nil {
+	if _, _, err := cache.Resolve(ScenarioOf(campaign.Config{Seed: 8}), Want{}); err != nil {
 		t.Fatalf("a failing store must not fail the run: %v", err)
 	}
 	if cache.StoreErrors() != 1 {
@@ -383,5 +383,122 @@ func TestPersistentCacheSurvivesStoreFailure(t *testing.T) {
 	}
 	if _, ok := cache.Get(ScenarioID(campaign.Config{Seed: 8})); !ok {
 		t.Fatal("result must stay cached in memory despite the store failure")
+	}
+}
+
+// renderCounter is a Rendered render function that counts its calls
+// and returns fresh bytes with the same content every time.
+type renderCounter struct{ calls atomic.Int64 }
+
+func (r *renderCounter) render() []byte {
+	r.calls.Add(1)
+	b := make([]byte, 0, 64)
+	return append(b, "{\"scenario\":\"x\"}\n"...)
+}
+
+// TestRenderedSurvivesRawReinsert: a raw read that swaps a
+// summary-only entry for the full stored result keeps the entry's
+// rendered bytes — the record is the same — and each encoding keeps
+// its own slot.
+func TestRenderedSurvivesRawReinsert(t *testing.T) {
+	cache := NewPersistentCache(newFakeStore())
+	sc := ScenarioOf(campaign.Config{Seed: 6})
+	shared, _, err := cache.Resolve(sc, Want{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !shared.SummaryOnly {
+		t.Fatal("a store-backed shared miss should cache a summary-only copy")
+	}
+	var json, frame renderCounter
+	first := cache.Rendered(sc.ID, EncodingJSON, json.render)
+	if cap(first) != len(first) {
+		t.Fatalf("rendered slot has cap %d, len %d: an append would write into it", cap(first), len(first))
+	}
+	if _, _, err := cache.Resolve(sc, Want{Raw: true}); err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := cache.Get(sc.ID); res.SummaryOnly {
+		t.Fatal("the raw read did not put the full result in memory")
+	}
+	again := cache.Rendered(sc.ID, EncodingJSON, json.render)
+	if json.calls.Load() != 1 || &again[0] != &first[0] {
+		t.Fatalf("slot lost by the raw re-insert: %d renders", json.calls.Load())
+	}
+	cache.Rendered(sc.ID, EncodingTLV, frame.render)
+	cache.Rendered(sc.ID, EncodingTLV, frame.render)
+	if frame.calls.Load() != 1 || json.calls.Load() != 1 {
+		t.Fatalf("renders: TLV %d, JSON %d, want one each", frame.calls.Load(), json.calls.Load())
+	}
+}
+
+// TestRenderedDroppedOnEviction: an evicted entry takes its bytes with
+// it, and an id the cache does not hold renders without being kept.
+func TestRenderedDroppedOnEviction(t *testing.T) {
+	cache := NewCache()
+	cache.SetLimit(1)
+	a, b := ScenarioOf(campaign.Config{Seed: 1}), ScenarioOf(campaign.Config{Seed: 2})
+	var r renderCounter
+	if _, _, err := cache.Resolve(a, Want{}); err != nil {
+		t.Fatal(err)
+	}
+	cache.Rendered(a.ID, EncodingJSON, r.render)
+	cache.Rendered(a.ID, EncodingJSON, r.render)
+	if r.calls.Load() != 1 {
+		t.Fatalf("%d renders of a cached entry, want 1", r.calls.Load())
+	}
+	if _, _, err := cache.Resolve(b, Want{}); err != nil {
+		t.Fatal(err)
+	}
+	cache.Rendered(a.ID, EncodingJSON, r.render)
+	cache.Rendered(a.ID, EncodingJSON, r.render)
+	if r.calls.Load() != 3 {
+		t.Fatalf("%d renders, want 3: an evicted id renders on every call", r.calls.Load())
+	}
+	if _, _, err := cache.Resolve(a, Want{}); err != nil {
+		t.Fatal(err)
+	}
+	cache.Rendered(a.ID, EncodingJSON, r.render)
+	if r.calls.Load() != 4 {
+		t.Fatalf("%d renders, want 4: the re-inserted entry starts with empty slots", r.calls.Load())
+	}
+}
+
+// TestRenderedConcurrentFirstRenders (run it under -race): concurrent
+// first calls may each render, but every caller gets the one slot's
+// bytes.
+func TestRenderedConcurrentFirstRenders(t *testing.T) {
+	cache := NewCache()
+	sc := ScenarioOf(campaign.Config{Seed: 3})
+	if _, _, err := cache.Resolve(sc, Want{}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	var (
+		r     renderCounter
+		wg    sync.WaitGroup
+		got   [n][]byte
+		start = make(chan struct{})
+	)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = cache.Rendered(sc.ID, EncodingTLV, r.render)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range got {
+		if &got[i][0] != &got[0][0] {
+			t.Fatalf("caller %d got bytes other than the slot's", i)
+		}
+	}
+	if again := cache.Rendered(sc.ID, EncodingTLV, r.render); &again[0] != &got[0][0] {
+		t.Fatal("the slot changed after the first renders")
+	}
+	if c := r.calls.Load(); c < 1 || c > n {
+		t.Fatalf("%d renders for %d first callers", c, n)
 	}
 }

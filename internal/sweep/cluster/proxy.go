@@ -20,11 +20,14 @@ import (
 	"repro/internal/sweep"
 	"repro/internal/sweep/httpapi"
 	"repro/internal/sweep/store"
+	"repro/internal/sweep/tlv"
 )
 
 // DefaultCacheEntries bounds the proxy's response cache when Options
-// leave it zero. One entry is one JSONL record (~1 KiB), so the default
-// is a few MiB of the hottest scenario lines.
+// leave it zero. One entry holds a record in each encoding a client has
+// asked for: ~3.2 KB as a JSON line, ~1.3 KB as a TLV frame. The
+// default is ~13 MiB of the hottest scenarios when clients read JSON,
+// ~18 MiB when they read both.
 const DefaultCacheEntries = 4096
 
 // DefaultHealthInterval is the replica health-probe period when Options
@@ -341,19 +344,22 @@ func (p *Proxy) candidates(id string) []*member {
 	return append(out, p.writer)
 }
 
-// forward posts one scenario request to one member and classifies the
-// outcome: (line, nil) on success; errRetryMember when another member
-// should be tried; *backendError when the answer is final and must be
-// relayed.
+// forward posts one scenario request to one member, asking for the
+// record in enc, and classifies the outcome: (record, nil) on success;
+// errRetryMember when another member should be tried; *backendError
+// when the answer is final and must be relayed.
 var errRetryMember = errors.New("cluster: try next member")
 
-func (p *Proxy) forward(ctx context.Context, m *member, body []byte) ([]byte, error) {
+func (p *Proxy) forward(ctx context.Context, m *member, body []byte, enc sweep.Encoding) ([]byte, error) {
 	m.requests.Add(1)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.url+"/v1/scenario", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	if enc == sweep.EncodingTLV {
+		req.Header.Set("Accept", tlv.MediaType)
+	}
 	propagate(req)
 	resp, err := p.client.Do(req)
 	if err != nil {
@@ -371,7 +377,7 @@ func (p *Proxy) forward(ctx context.Context, m *member, body []byte) ([]byte, er
 		return nil, fmt.Errorf("%w: %s: %v", errRetryMember, m.url, err)
 	}
 	defer resp.Body.Close()
-	line, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp.Body)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -384,7 +390,16 @@ func (p *Proxy) forward(ctx context.Context, m *member, body []byte) ([]byte, er
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		return line, nil
+		if enc == sweep.EncodingTLV {
+			if err := wholeFrame(resp.Header.Get("Content-Type"), data); err != nil {
+				// A sweepd older than TLV /v1/scenario answers JSON, which
+				// must not reach a TLV stream; try the next member. The
+				// member stays in the ring: it answers JSON asks right.
+				m.errs.Add(1)
+				return nil, fmt.Errorf("%w: %s: %v", errRetryMember, m.url, err)
+			}
+		}
+		return data, nil
 	case resp.StatusCode == http.StatusTooManyRequests:
 		// Honor the Retry-After the serve layer attached: back this
 		// member off and let the caller try the next ring member (a
@@ -395,7 +410,7 @@ func (p *Proxy) forward(ctx context.Context, m *member, body []byte) ([]byte, er
 			m.backoffUntil.Store(time.Now().Add(time.Duration(sec) * time.Second).UnixNano())
 		}
 		if m == p.writer {
-			return nil, &backendError{status: resp.StatusCode, body: line, retryAfter: resp.Header.Get("Retry-After")}
+			return nil, &backendError{status: resp.StatusCode, body: data, retryAfter: resp.Header.Get("Retry-After")}
 		}
 		return nil, fmt.Errorf("%w: %s shed", errRetryMember, m.url)
 	case resp.StatusCode >= 500:
@@ -407,28 +422,63 @@ func (p *Proxy) forward(ctx context.Context, m *member, body []byte) ([]byte, er
 	default:
 		// 4xx: a deterministic rejection (bad axes) every member would
 		// repeat — final.
-		return nil, &backendError{status: resp.StatusCode, body: line}
+		return nil, &backendError{status: resp.StatusCode, body: data}
 	}
 }
 
-// resolve returns the JSONL line for one scenario: proxy cache, then
-// the ring members in preference order, then the writer.
-func (p *Proxy) resolve(ctx context.Context, id string, body []byte) (line []byte, source string, err error) {
+// readBufs recycles the buffers backend answers are read into.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads a backend answer and returns it in an allocation of
+// its own size: the bytes may stay in the response cache, and reading
+// into a recycled buffer spares the growth steps of reading a few-KB
+// record from scratch.
+func readBody(r io.Reader) ([]byte, error) {
+	buf := readBufs.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		readBufs.Put(buf)
+	}()
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(buf.Bytes()), nil
+}
+
+// wholeFrame checks a 200 answer to a TLV ask: the TLV media type, and
+// a body that is exactly one frame whose CRC checks out.
+func wholeFrame(contentType string, body []byte) error {
+	if mt, _, _ := strings.Cut(contentType, ";"); !strings.EqualFold(strings.TrimSpace(mt), tlv.MediaType) {
+		return fmt.Errorf("answered %q to a %s ask", contentType, tlv.MediaType)
+	}
+	_, n, err := tlv.ParseFrame(body)
+	if err != nil {
+		return err
+	}
+	if n != len(body) {
+		return fmt.Errorf("%d bytes after the record frame", len(body)-n)
+	}
+	return nil
+}
+
+// resolve returns one scenario's record in enc: proxy cache, then the
+// ring members in preference order, then the writer.
+func (p *Proxy) resolve(ctx context.Context, id string, body []byte, enc sweep.Encoding) (rec []byte, source string, err error) {
 	if p.cache != nil {
-		if line, ok := p.cache.get(id); ok {
+		if rec, ok := p.cache.get(id, enc); ok {
 			p.cacheHits.Add(1)
-			return line, "cache", nil
+			return rec, "cache", nil
 		}
 		p.cacheMisses.Add(1)
 	}
 	var lastErr error
 	for _, m := range p.candidates(id) {
-		line, err := p.forward(ctx, m, body)
+		rec, err := p.forward(ctx, m, body, enc)
 		if err == nil {
 			if p.cache != nil {
-				p.cache.put(id, line)
+				p.cache.put(id, enc, rec)
 			}
-			return line, m.url, nil
+			return rec, m.url, nil
 		}
 		var be *backendError
 		if errors.As(err, &be) {
@@ -459,8 +509,11 @@ func relayError(w http.ResponseWriter, err error) {
 }
 
 // handleScenario routes one scenario request. The proxy resolves the
-// axes itself — the scenario ID is both the routing key and the ETag,
-// so a conditional request for a cached id never touches a backend.
+// axes itself — the scenario ID is both the routing key and the ETag's
+// root, so a conditional request for a cached id never touches a
+// backend. The client's encoding negotiation passes through: the
+// backend is asked for the same encoding, and its bytes are relayed
+// unchanged.
 func (p *Proxy) handleScenario(w http.ResponseWriter, r *http.Request) {
 	if !httpapi.RequireMethod(w, r, http.MethodPost) {
 		return
@@ -474,11 +527,13 @@ func (p *Proxy) handleScenario(w http.ResponseWriter, r *http.Request) {
 		httpapi.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	etag := `"` + sc.ID + `"`
+	enc := httpapi.Negotiate(r)
+	etag := httpapi.ScenarioETag(sc.ID, enc)
 	inm := r.Header.Get("If-None-Match")
 	if httpapi.ETagMatch(inm, etag) && p.cache != nil && p.cache.contains(sc.ID) {
 		p.notModified.Add(1)
 		p.cacheHits.Add(1)
+		w.Header().Set("Vary", "Accept")
 		w.Header().Set("ETag", etag)
 		w.Header().Set("X-Sweepd-Proxy-Cache", "hit")
 		w.WriteHeader(http.StatusNotModified)
@@ -492,7 +547,7 @@ func (p *Proxy) handleScenario(w http.ResponseWriter, r *http.Request) {
 		httpapi.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	line, source, err := p.resolve(r.Context(), sc.ID, body)
+	rec, source, err := p.resolve(r.Context(), sc.ID, body, enc)
 	if err != nil {
 		relayError(w, err)
 		return
@@ -505,6 +560,7 @@ func (p *Proxy) handleScenario(w http.ResponseWriter, r *http.Request) {
 	default:
 		p.routed.Inc()
 	}
+	w.Header().Set("Vary", "Accept")
 	w.Header().Set("ETag", etag)
 	w.Header().Set("X-Sweepd-Route", source)
 	if source == "cache" {
@@ -519,19 +575,18 @@ func (p *Proxy) handleScenario(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(line)
+	w.Header().Set("Content-Type", httpapi.ScenarioContentType(enc))
+	w.Write(rec)
 }
 
 // handleSweep fans a grid out scenario by scenario across the ring and
 // merges the responses back in grid order — byte-identical to the same
-// sweep against a single sweepd, because each response line IS one line
-// of that stream. Workers run ahead while earlier lines flush, the same
-// pipelining discipline as the sweep engine's RunEach. Clients
-// negotiating "Accept: application/x-sweep-tlv" get the merged stream
-// re-framed as batched v3 TLV: backends answer per-scenario JSON either
-// way, and the record codec is canonical, so the binary stream decodes
-// to exactly the JSONL bytes a non-negotiating client receives.
+// sweep against a single sweepd, because each backend answer IS one
+// record of that stream. Workers run ahead while earlier records
+// flush, the same pipelining discipline as the sweep engine's RunEach.
+// Backends are asked for the encoding the client negotiated, so a JSON
+// line or a TLV frame is spliced into the stream as it arrived; TLV
+// frames ride the stream's batches.
 func (p *Proxy) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !httpapi.RequireMethod(w, r, http.MethodPost) {
 		return
@@ -562,10 +617,12 @@ func (p *Proxy) handleSweep(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	type cell struct {
-		line []byte
+		rec  []byte
 		err  error
 		done chan struct{}
 	}
+	st := httpapi.NewStream(w, r, nil)
+	enc := st.Encoding()
 	cells := make([]cell, len(scs))
 	for i := range cells {
 		cells[i].done = make(chan struct{})
@@ -589,7 +646,7 @@ func (p *Proxy) handleSweep(w http.ResponseWriter, r *http.Request) {
 				if err == nil {
 					var body []byte
 					if body, err = json.Marshal(sweep.AxesOf(scs[i].Config)); err == nil {
-						cells[i].line, _, err = p.resolve(ctx, scs[i].ID, body)
+						cells[i].rec, _, err = p.resolve(ctx, scs[i].ID, body, enc)
 					}
 					if err != nil {
 						fail(err)
@@ -601,16 +658,10 @@ func (p *Proxy) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 
-	st := httpapi.NewStream(w, r, nil)
 	for i := 0; i < len(cells) && err == nil; i++ {
 		<-cells[i].done
 		if err = cells[i].err; err == nil {
-			if werr := st.WriteLine(cells[i].line); werr != nil {
-				// Before the first write only a backend line that does
-				// not decode can fail: a backend bug, surfaced like any
-				// other cell failure.
-				err = fmt.Errorf("backend line for %s: %v", scs[i].ID, werr)
-			}
+			err = st.WriteEncoded(cells[i].rec)
 		}
 	}
 	if err == nil {
@@ -627,7 +678,7 @@ func (p *Proxy) handleSweep(w http.ResponseWriter, r *http.Request) {
 		relayError(w, failErr)
 		return
 	}
-	if st.Binary() {
+	if enc == sweep.EncodingTLV {
 		p.tlvSweeps.Add(1)
 	}
 }

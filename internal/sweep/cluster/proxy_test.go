@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,16 +23,22 @@ import (
 )
 
 // flakyHandler wraps a backend so tests can take it down (every request
-// answers 500, including /healthz) without tearing the listener down.
+// answers 500, including /healthz) without tearing the listener down,
+// or make it answer /v1/scenario as a sweepd from before TLV
+// negotiation did: JSON, whatever the Accept header asks.
 type flakyHandler struct {
-	h    http.Handler
-	down atomic.Bool
+	h      http.Handler
+	down   atomic.Bool
+	preTLV atomic.Bool
 }
 
 func (f *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if f.down.Load() {
 		http.Error(w, "induced outage", http.StatusInternalServerError)
 		return
+	}
+	if f.preTLV.Load() && r.URL.Path == "/v1/scenario" {
+		r.Header.Del("Accept")
 	}
 	f.h.ServeHTTP(w, r)
 }
@@ -613,80 +618,19 @@ func TestProxyErrorParityWithWriter(t *testing.T) {
 	}
 }
 
-// TestProxySweepTLVNegotiation: a sweep through the proxy with the
-// binary media type in Accept comes back as batched v3 TLV frames that
-// decode to exactly the records of the JSONL stream — including with a
-// replica down mid-fan-out — while clients that don't ask keep the
-// byte-identical JSONL contract.
-func TestProxySweepTLVNegotiation(t *testing.T) {
-	g := sweep.Grid{Seeds: []uint64{361, 362}, EdgeUPF: []bool{false, true}}
-	res, err := sweep.Run(g, sweep.Options{Workers: 2, Cache: sweep.NewCache()})
+// postSweep streams one /v1/sweep answer, asking for TLV when tlvAsk
+// is set, and returns its status, Content-Type and body.
+func postSweep(t *testing.T, url, spec string, tlvAsk bool) (int, string, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/sweep", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsonl, err := res.ExportJSONL()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []sweep.Record
-	dec := json.NewDecoder(bytes.NewReader(jsonl))
-	for dec.More() {
-		var rec sweep.Record
-		if err := dec.Decode(&rec); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, rec)
-	}
-
-	c := newTestCluster(t, 2)
-	_, pts := c.newProxy(t, Options{})
-	spec := `{"seeds":[361,362],"edge_upf":[false,true]}`
-
-	sweepTLV := func() []sweep.Record {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodPost, pts.URL+"/v1/sweep", strings.NewReader(spec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", "application/json")
+	if tlvAsk {
 		req.Header.Set("Accept", tlv.MediaType)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b, _ := io.ReadAll(resp.Body)
-			t.Fatalf("sweep status %d: %s", resp.StatusCode, b)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != tlv.MediaType {
-			t.Fatalf("Content-Type %q, want %q", ct, tlv.MediaType)
-		}
-		sr := tlv.NewStreamReader(resp.Body)
-		var got []sweep.Record
-		for {
-			rec, err := sr.NextRecord()
-			if err == io.EOF {
-				return got
-			}
-			if err != nil {
-				t.Fatalf("decoding proxied TLV stream: %v", err)
-			}
-			got = append(got, rec)
-		}
 	}
-
-	if got := sweepTLV(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("cold proxied TLV sweep decoded to %d records, want %d identical to JSONL", len(got), len(want))
-	}
-	c.sync(t)
-	c.flaky[0].down.Store(true)
-	if got := sweepTLV(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("degraded proxied TLV sweep differs from JSONL records")
-	}
-
-	// Non-negotiating client after TLV traffic: still byte-identical JSONL.
-	resp, err := http.Post(pts.URL+"/v1/sweep", "application/json", strings.NewReader(spec))
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -695,13 +639,200 @@ func TestProxySweepTLVNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(b, jsonl) {
-		t.Fatalf("JSONL sweep after TLV traffic drifted (%d vs %d bytes)", len(b), len(jsonl))
+	return resp.StatusCode, resp.Header.Get("Content-Type"), b
+}
+
+// referenceSweep returns a standalone sweepd's own /v1/sweep body for
+// spec in both encodings: what a proxied stream must equal byte for
+// byte.
+func referenceSweep(t *testing.T, spec string) (tlvBody, jsonl []byte) {
+	t.Helper()
+	srv, err := serve.New(serve.Options{SimWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	for _, tlvAsk := range []bool{true, false} {
+		code, _, b := postSweep(t, ts.URL, spec, tlvAsk)
+		if code != http.StatusOK {
+			t.Fatalf("reference sweep: status %d: %s", code, b)
+		}
+		if tlvAsk {
+			tlvBody = b
+		} else {
+			jsonl = b
+		}
+	}
+	return tlvBody, jsonl
+}
+
+// TestProxySweepTLVNegotiation: a sweep through the proxy with the
+// binary media type in Accept is byte-identical to a single sweepd's
+// TLV stream — cold, warm from the replicas, from the proxy's response
+// cache, and with a replica down mid-fan-out — while clients that
+// don't ask keep the byte-identical JSONL contract.
+func TestProxySweepTLVNegotiation(t *testing.T) {
+	spec := `{"seeds":[361,362],"edge_upf":[false,true]}`
+	// sweepd's own TLV stream decodes to its JSONL records
+	// (serve's TestSweepStreamTLVNegotiation), so equal bytes suffice.
+	want, jsonl := referenceSweep(t, spec)
+
+	c := newTestCluster(t, 2)
+	_, routed := c.newProxy(t, Options{CacheEntries: -1}) // every cell reaches a backend
+	_, cached := c.newProxy(t, Options{})
+	check := func(what, url string) {
+		t.Helper()
+		code, ct, got := postSweep(t, url, spec, true)
+		if code != http.StatusOK || ct != tlv.MediaType {
+			t.Fatalf("%s: status %d, Content-Type %q: %s", what, code, ct, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s proxied TLV sweep differs from sweepd's (%d vs %d bytes)", what, len(got), len(want))
+		}
+	}
+	check("cold", routed.URL)
+	c.sync(t)
+	check("warm", routed.URL)
+	check("cache-filling", cached.URL)
+	check("cached", cached.URL)
+	c.flaky[0].down.Store(true)
+	check("degraded", routed.URL)
+
+	// Non-negotiating client after TLV traffic: still byte-identical JSONL.
+	for _, url := range []string{routed.URL, cached.URL} {
+		if code, _, b := postSweep(t, url, spec, false); code != http.StatusOK || !bytes.Equal(b, jsonl) {
+			t.Fatalf("JSONL sweep after TLV traffic drifted (status %d, %d vs %d bytes)", code, len(b), len(jsonl))
+		}
+	}
+	if st := proxyStats(t, routed.URL); st.Sweep.TLVStreams != 3 {
+		t.Fatalf("Sweep.TLVStreams = %d, want 3", st.Sweep.TLVStreams)
+	}
+}
+
+// askScenario posts one seed's /v1/scenario with the given Accept and
+// If-None-Match headers ("" leaves a header out) and returns the
+// response with its body read.
+func askScenario(t *testing.T, url string, seed uint64, accept, inm string) (*http.Response, []byte) {
+	t.Helper()
+	hdr := map[string]string{}
+	if accept != "" {
+		hdr["Accept"] = accept
+	}
+	if inm != "" {
+		hdr["If-None-Match"] = inm
+	}
+	resp := postScenario(t, url, seed, hdr)
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, b
+}
+
+// TestProxyScenarioEncodings: /v1/scenario through the proxy answers
+// the writer's bytes and headers in both encodings, routed to a replica
+// and from the response cache, and a validator for one encoding never
+// earns a 304 for the other.
+func TestProxyScenarioEncodings(t *testing.T) {
+	const seed = 381
+	c := newTestCluster(t, 2)
+	if resp, _ := askScenario(t, c.writerTS.URL, seed, "", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warming: status %d", resp.StatusCode)
+	}
+	c.sync(t)
+	_, pts := c.newProxy(t, Options{})
+	etags := map[string]string{}
+	for _, accept := range []string{tlv.MediaType, ""} {
+		want, wantBody := askScenario(t, c.writerTS.URL, seed, accept, "")
+		etags[accept] = want.Header.Get("ETag")
+		for _, route := range []string{"replica", "cache"} {
+			got, body := askScenario(t, pts.URL, seed, accept, "")
+			if got.StatusCode != http.StatusOK || !bytes.Equal(body, wantBody) {
+				t.Fatalf("Accept %q via %s: status %d, bytes differ from the writer's", accept, route, got.StatusCode)
+			}
+			for _, h := range []string{"Content-Type", "ETag", "Vary"} {
+				if got.Header.Get(h) != want.Header.Get(h) {
+					t.Fatalf("Accept %q via %s: %s %q, writer %q", accept, route, h, got.Header.Get(h), want.Header.Get(h))
+				}
+			}
+			r := got.Header.Get("X-Sweepd-Route")
+			if (route == "cache") != (r == "cache") || r == c.writerTS.URL {
+				t.Fatalf("Accept %q: routed to %q, want the %s", accept, r, route)
+			}
+		}
+	}
+	if etags[tlv.MediaType] == etags[""] {
+		t.Fatalf("both encodings carry ETag %s", etags[""])
+	}
+	for _, tc := range []struct {
+		accept, inm string
+		code        int
+	}{
+		{tlv.MediaType, etags[""], http.StatusOK},
+		{"", etags[tlv.MediaType], http.StatusOK},
+		{tlv.MediaType, etags[tlv.MediaType], http.StatusNotModified},
+		{"", etags[""], http.StatusNotModified},
+	} {
+		resp, body := askScenario(t, pts.URL, seed, tc.accept, tc.inm)
+		if resp.StatusCode != tc.code || resp.Header.Get("Vary") != "Accept" {
+			t.Fatalf("Accept %q If-None-Match %s: status %d Vary %q, want %d Accept",
+				tc.accept, tc.inm, resp.StatusCode, resp.Header.Get("Vary"), tc.code)
+		}
+		if tc.code == http.StatusNotModified && len(body) != 0 {
+			t.Fatalf("304 carried %d bytes", len(body))
+		}
+	}
+}
+
+// TestProxyTLVAcrossVersions is the mixed-version rollout: a member
+// that answers a TLV ask with JSON (a sweepd from before TLV
+// /v1/scenario) counts as a member failure, so the proxy tries the next
+// member and the stream still equals sweepd's; the member stays in the
+// ring for JSON asks. When every member answers that way, a TLV sweep
+// or scenario fails with 502 instead of a 200 a client could take for
+// a complete stream.
+func TestProxyTLVAcrossVersions(t *testing.T) {
+	spec := `{"seeds":[391,392]}`
+	want, jsonl := referenceSweep(t, spec)
+	c := newTestCluster(t, 1)
+	if code, _, b := postSweep(t, c.writerTS.URL, spec, false); code != http.StatusOK {
+		t.Fatalf("warming: status %d: %s", code, b)
+	}
+	c.sync(t)
+	c.flaky[0].preTLV.Store(true)
+	_, pts := c.newProxy(t, Options{CacheEntries: -1})
+	if code, ct, got := postSweep(t, pts.URL, spec, true); code != http.StatusOK || ct != tlv.MediaType || !bytes.Equal(got, want) {
+		t.Fatalf("TLV sweep past a pre-TLV replica: status %d, %d vs %d bytes", code, len(got), len(want))
+	}
+	st := proxyStats(t, pts.URL)
+	if r := st.Replicas[0]; r.Errors != 2 || !r.Healthy || st.Writer.Requests != 2 {
+		t.Fatalf("replica %+v, writer requests %d: want 2 replica errors, still healthy, 2 writer answers", r, st.Writer.Requests)
+	}
+	if code, _, got := postSweep(t, pts.URL, spec, false); code != http.StatusOK || !bytes.Equal(got, jsonl) {
+		t.Fatalf("JSONL sweep via the pre-TLV replica: status %d", code)
 	}
 
-	st := proxyStats(t, pts.URL)
-	if st.Sweep.TLVStreams != 2 {
-		t.Fatalf("Sweep.TLVStreams = %d, want 2", st.Sweep.TLVStreams)
+	// Every member pre-TLV: no 200.
+	old := &flakyHandler{h: c.writer.Handler()}
+	old.preTLV.Store(true)
+	ots := httptest.NewServer(old)
+	t.Cleanup(ots.Close)
+	p, err := NewProxy(Options{Writer: ots.URL, HealthInterval: -1, CacheEntries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := httptest.NewServer(p.Handler())
+	t.Cleanup(func() { opts.Close(); p.Close() })
+	if code, _, b := postSweep(t, opts.URL, spec, true); code != http.StatusBadGateway {
+		t.Fatalf("TLV sweep with no TLV-capable member: status %d, want 502: %q", code, b)
+	}
+	if resp, _ := askScenario(t, opts.URL, 391, tlv.MediaType, ""); resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("TLV scenario with no TLV-capable member: status %d, want 502", resp.StatusCode)
+	}
+	if code, _, got := postSweep(t, opts.URL, spec, false); code != http.StatusOK || !bytes.Equal(got, jsonl) {
+		t.Fatalf("JSONL sweep via a pre-TLV writer: status %d", code)
 	}
 }
 

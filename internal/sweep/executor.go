@@ -176,7 +176,7 @@ func execute(g Grid, opt Options, emit func(ScenarioRun) error) ([]ScenarioRun, 
 					// this sweep misses while another sweep or an
 					// experiment driver is already simulating it is
 					// waited for, not simulated twice.
-					res, cached, err = opt.Cache.resolve(sc.ID, sc.Config,
+					res, cached, err = opt.Cache.Resolve(sc,
 						Want{Raw: opt.NeedRawSamples, Stages: opt.Stages})
 				} else {
 					res, err = runCampaign(sc.Config)

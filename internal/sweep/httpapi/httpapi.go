@@ -1,6 +1,6 @@
 // Package httpapi is the wire contract sweepd (internal/sweep/serve) and
 // sweep-proxy (internal/sweep/cluster) share: the JSON error body, the
-// request-body bound, method guards, ETag matching, TLV Accept
+// request-body bound, method guards, ETag matching, record encoding
 // negotiation, grid parsing, endpoint instrumentation and the /v1/sweep
 // response stream. Both daemons answer a malformed request with the same
 // status, headers and bytes because both call the same code here.
@@ -90,18 +90,37 @@ func ETagMatch(header, etag string) bool {
 	return false
 }
 
-// AcceptsTLV reports whether the request negotiates the binary stream:
-// the Accept header lists the TLV media type. Anything else — absent
-// header, */*, application/x-ndjson — keeps the JSONL default, so old
+// Negotiate picks the record encoding a request asks for: TLV when its
+// Accept header lists the TLV media type. Anything else — absent
+// header, */*, application/x-ndjson — keeps the JSON default, so old
 // clients' bytes never change under them.
-func AcceptsTLV(r *http.Request) bool {
+func Negotiate(r *http.Request) sweep.Encoding {
 	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
 		mt, _, _ := strings.Cut(strings.TrimSpace(part), ";")
 		if strings.EqualFold(strings.TrimSpace(mt), tlv.MediaType) {
-			return true
+			return sweep.EncodingTLV
 		}
 	}
-	return false
+	return sweep.EncodingJSON
+}
+
+// ScenarioETag is the strong entity tag of scenario id's /v1/scenario
+// body in enc. The JSON tag is the quoted ID, as every sweepd has
+// answered; a TLV frame's carries a ".tlv" suffix, so a validator held
+// for one encoding never earns a 304 for the other.
+func ScenarioETag(id string, enc sweep.Encoding) string {
+	if enc == sweep.EncodingTLV {
+		return `"` + id + `.tlv"`
+	}
+	return `"` + id + `"`
+}
+
+// ScenarioContentType is the media type of a /v1/scenario body in enc.
+func ScenarioContentType(enc sweep.Encoding) string {
+	if enc == sweep.EncodingTLV {
+		return tlv.MediaType
+	}
+	return "application/json"
 }
 
 // ParseGrid decodes and resolves a grid request, answering 413 past

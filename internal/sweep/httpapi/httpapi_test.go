@@ -4,6 +4,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/sweep"
 	"repro/internal/sweep/tlv"
 )
 
@@ -56,8 +57,8 @@ func TestAcceptsTLV(t *testing.T) {
 		if c.accept != "" {
 			r.Header.Set("Accept", c.accept)
 		}
-		if got := AcceptsTLV(r); got != c.want {
-			t.Errorf("AcceptsTLV(Accept: %q) = %v, want %v", c.accept, got, c.want)
+		if got := Negotiate(r) == sweep.EncodingTLV; got != c.want {
+			t.Errorf("Negotiate(Accept: %q) is TLV = %v, want %v", c.accept, got, c.want)
 		}
 	}
 }

@@ -19,6 +19,13 @@ import (
 // wrappers, test recorders) streams without explicit flushes; net/http
 // still delivers everything at handler return.
 //
+// Records arrive in one of two forms. WriteRecord encodes a record;
+// sweepd streams a grid this way. WriteEncoded takes a record already
+// in the stream's encoding, a JSON line or one TLV frame, and writes
+// the bytes unchanged; the proxy splices its backends' /v1/scenario
+// answers this way, asking each backend for the stream's encoding.
+// Either way the body is the same bytes.
+//
 // The stream also owns the one decision a failing sweep handler needs:
 // until a byte has reached the wire the handler may still answer with a
 // status (see AbortIfStarted).
@@ -56,7 +63,7 @@ func (o *wire) Write(p []byte) (int, error) {
 // response Content-Type. stages, when non-nil, receives the encode and
 // flush time of every record.
 func NewStream(w http.ResponseWriter, r *http.Request, stages obs.StageObserver) *Stream {
-	s := &Stream{stages: stages, binary: AcceptsTLV(r)}
+	s := &Stream{stages: stages, binary: Negotiate(r) == sweep.EncodingTLV}
 	s.out.w = w
 	s.out.flusher, _ = w.(http.Flusher)
 	if s.binary {
@@ -90,19 +97,15 @@ func (s *Stream) WriteRecord(rec *sweep.Record) error {
 	return err
 }
 
-// WriteLine writes one already-encoded JSON record line, as a backend
-// answered it. In TLV mode the line is decoded and re-framed; the record
-// codec is canonical, so the frame decodes to exactly the line's record.
-// A line that does not decode is returned as the json error.
-func (s *Stream) WriteLine(line []byte) error {
+// WriteEncoded writes one record already in the stream's encoding: a
+// JSON line, newline included, or one whole TLV frame. A line is
+// flushed at once; a frame joins the pending batch. The bytes are not
+// checked: a caller relaying a backend's answer validates it first.
+func (s *Stream) WriteEncoded(b []byte) error {
 	if s.binary {
-		var rec sweep.Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return err
-		}
-		return s.WriteRecord(&rec)
+		return s.bw.WriteFrame(b)
 	}
-	if _, err := s.out.Write(line); err != nil {
+	if _, err := s.out.Write(b); err != nil {
 		return err
 	}
 	s.flushLine()
@@ -135,8 +138,13 @@ func (s *Stream) AbortIfStarted() {
 	}
 }
 
-// Binary reports whether the request negotiated the TLV stream.
-func (s *Stream) Binary() bool { return s.binary }
+// Encoding reports the encoding the request negotiated.
+func (s *Stream) Encoding() sweep.Encoding {
+	if s.binary {
+		return sweep.EncodingTLV
+	}
+	return sweep.EncodingJSON
+}
 
 // Records counts TLV records framed (0 for JSONL).
 func (s *Stream) Records() int64 { return s.bw.Records }

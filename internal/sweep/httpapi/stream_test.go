@@ -174,48 +174,48 @@ func TestStreamWriteFailureAborts(t *testing.T) {
 	}
 }
 
-func TestStreamWriteLine(t *testing.T) {
-	lines := make([][]byte, 3)
-	for i := range lines {
-		b, err := json.Marshal(record(i))
-		if err != nil {
+// TestStreamWriteEncoded: records handed over already encoded reach the
+// wire as exactly the bytes WriteRecord writes, in both encodings — a
+// JSON line verbatim, a TLV frame spliced into the pending batch — and
+// a TLV stream stays answerable until that batch is written.
+func TestStreamWriteEncoded(t *testing.T) {
+	for _, accept := range []string{"", tlv.MediaType} {
+		want, got := httptest.NewRecorder(), httptest.NewRecorder()
+		ref := NewStream(want, sweepRequest(accept), nil)
+		st := NewStream(got, sweepRequest(accept), nil)
+		for i := 0; i < 3; i++ {
+			if err := ref.WriteRecord(record(i)); err != nil {
+				t.Fatal(err)
+			}
+			b := tlv.AppendRecord(nil, record(i))
+			if accept == "" {
+				line, err := json.Marshal(record(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				b = append(line, '\n')
+			}
+			if err := st.WriteEncoded(b); err != nil {
+				t.Fatalf("Accept %q: %v", accept, err)
+			}
+		}
+		if accept != "" {
+			if aborts(st) {
+				t.Fatal("TLV stream aborted before its first batch was written")
+			}
+			if st.Records() != 3 || st.Batches() != 0 {
+				t.Fatalf("records=%d batches=%d before Flush, want 3/0", st.Records(), st.Batches())
+			}
+		}
+		if err := ref.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		lines[i] = append(b, '\n')
-	}
-
-	rr := httptest.NewRecorder()
-	st := NewStream(rr, sweepRequest(""), nil)
-	for _, l := range lines {
-		if err := st.WriteLine(l); err != nil {
+		if err := st.Flush(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if want := bytes.Join(lines, nil); !bytes.Equal(rr.Body.Bytes(), want) {
-		t.Fatalf("JSONL lines not relayed verbatim:\n%s", rr.Body.Bytes())
-	}
-
-	rr = httptest.NewRecorder()
-	st = NewStream(rr, sweepRequest(tlv.MediaType), nil)
-	if err := st.WriteLine([]byte("{not json\n")); err == nil {
-		t.Fatal("undecodable line re-framed")
-	}
-	answerable(t, rr, st)
-
-	rr = httptest.NewRecorder()
-	st = NewStream(rr, sweepRequest(tlv.MediaType), nil)
-	for _, l := range lines {
-		if err := st.WriteLine(l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got := decodeTLV(t, rr.Body.Bytes())
-	for i := range lines {
-		if !reflect.DeepEqual(got[i], *record(i)) {
-			t.Fatalf("re-framed record %d = %+v", i, got[i])
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("Accept %q: encoded records wrote %d bytes unlike WriteRecord's %d",
+				accept, got.Body.Len(), want.Body.Len())
 		}
 	}
 }

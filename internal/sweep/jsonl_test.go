@@ -80,14 +80,12 @@ func TestDefaultAndExplicitCellsShareBytes(t *testing.T) {
 	}
 	cache := NewCache()
 	marshal := func(cfg campaign.Config) []byte {
-		res, _, err := cache.Resolve(cfg, Want{})
+		sc := ScenarioOf(cfg)
+		res, _, err := cache.Resolve(sc, Want{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := json.Marshal(RecordOf(ScenarioRun{
-			Scenario: Scenario{ID: ScenarioID(cfg), Variant: VariantID(cfg), Config: cfg},
-			Result:   res,
-		}))
+		data, err := json.Marshal(RecordOf(ScenarioRun{Scenario: sc, Result: res}))
 		if err != nil {
 			t.Fatal(err)
 		}

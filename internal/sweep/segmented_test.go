@@ -42,7 +42,7 @@ func TestSegmentedStoreSingleflightUnderConcurrency(t *testing.T) {
 				// Spread the goroutines over the keys in different
 				// orders so flights overlap across shards.
 				cfg := cfgs[(i+w)%len(cfgs)]
-				res, _, err := cache.Resolve(cfg, sweep.Want{})
+				res, _, err := cache.Resolve(sweep.ScenarioOf(cfg), sweep.Want{})
 				if err != nil {
 					t.Errorf("Resolve(seed %d): %v", cfg.Seed, err)
 					return
@@ -92,7 +92,7 @@ func TestGetOrRunFullReSimulatesCompactHit(t *testing.T) {
 	}
 	cfg := campaign.Config{Seed: 31}
 	warm := sweep.NewPersistentCache(st)
-	if _, _, err := warm.Resolve(cfg, sweep.Want{}); err != nil {
+	if _, _, err := warm.Resolve(sweep.ScenarioOf(cfg), sweep.Want{}); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -107,7 +107,7 @@ func TestGetOrRunFullReSimulatesCompactHit(t *testing.T) {
 	runs := sweep.CountRuns(t)
 
 	// The summary-only hit is fine for moment consumers...
-	res, _, err := cache.Resolve(cfg, sweep.Want{})
+	res, _, err := cache.Resolve(sweep.ScenarioOf(cfg), sweep.Want{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestGetOrRunFullReSimulatesCompactHit(t *testing.T) {
 	}
 
 	// ...but a quantile consumer must get the real thing.
-	full, _, err := cache.Resolve(cfg, sweep.Want{Raw: true})
+	full, _, err := cache.Resolve(sweep.ScenarioOf(cfg), sweep.Want{Raw: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestGetOrRunFullReSimulatesCompactHit(t *testing.T) {
 
 	// The full result replaced the compact entry in memory: another
 	// full request is free.
-	if _, _, err := cache.Resolve(cfg, sweep.Want{Raw: true}); err != nil {
+	if _, _, err := cache.Resolve(sweep.ScenarioOf(cfg), sweep.Want{Raw: true}); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != 1 {

@@ -10,9 +10,15 @@
 //
 //	POST /v1/scenario   axes JSON (sweep.Axes) -> one JSONL record,
 //	                    served from the store or simulated on miss;
-//	                    X-Sweepd-Cache: hit|miss. Scenario IDs are
-//	                    content hashes, so the ID is the ETag: warm
-//	                    If-None-Match requests answer 304 with no body
+//	                    X-Sweepd-Cache: hit|miss. Clients sending
+//	                    "Accept: application/x-sweep-tlv" receive the
+//	                    record as one v3 TLV frame instead; answers
+//	                    carry "Vary: Accept". Each encoding is built
+//	                    once per cache entry and then served as stored
+//	                    bytes. Scenario IDs are content hashes, so the
+//	                    ID makes the ETag: "<id>" for JSON, "<id>.tlv"
+//	                    for TLV. Warm If-None-Match requests answer 304
+//	                    with no body
 //	POST /v1/sweep      grid JSON (sweep.GridSpec) -> chunked JSONL
 //	                    stream in grid order, byte-identical to
 //	                    cmd/sweep -out for the same grid; clients
@@ -440,21 +446,23 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Scenario IDs are content hashes of the canonical config, so the ID
-	// is the record's ETag: a conditional request for a warm id needs no
-	// record read and no body — the client's copy is current by
-	// construction (records are immutable once acknowledged). Cold ids
-	// fall through to the full path: a 304 would vouch for bytes this
-	// server never produced.
-	etag := `"` + sc.ID + `"`
+	// names the record's bytes in each encoding and makes its ETag: a
+	// conditional request for a warm id needs no record read and no
+	// body — the client's copy is current by construction (records are
+	// immutable once acknowledged). Cold ids fall through to the full
+	// path: a 304 would vouch for bytes this server never produced.
+	enc := httpapi.Negotiate(r)
+	etag := httpapi.ScenarioETag(sc.ID, enc)
 	if inm := r.Header.Get("If-None-Match"); httpapi.ETagMatch(inm, etag) && s.cache.Contains(sc.ID) {
 		s.notModified.Add(1)
+		w.Header().Set("Vary", "Accept")
 		w.Header().Set("ETag", etag)
 		w.Header().Set("X-Sweepd-Cache", "hit")
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	fan := s.stages(r)
-	res, cached, err := s.cache.Resolve(sc.Config, sweep.Want{Stages: fan})
+	res, cached, err := s.cache.Resolve(sc, sweep.Want{Stages: fan})
 	switch {
 	case errors.Is(err, ErrShed):
 		s.shed429(w, "simulation queue full; retry later")
@@ -466,6 +474,22 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		httpapi.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	// A record's bytes depend on its scenario ID alone, so the cache
+	// entry keeps them per encoding: only the first request in an
+	// encoding builds the record and encodes it, and a miss encodes
+	// only what it was asked for.
+	tEnc := time.Now() //sweepvet:allow(timenow) stage timer: feeds metrics/traces only
+	var encErr error
+	body := s.cache.Rendered(sc.ID, enc, func() []byte {
+		rec := sweep.RecordOf(sweep.ScenarioRun{Scenario: sc, Result: res})
+		var b []byte
+		b, encErr = renderRecord(&rec, enc)
+		return b
+	})
+	if encErr != nil {
+		httpapi.Error(w, http.StatusInternalServerError, encErr.Error())
+		return
+	}
 	if cached {
 		s.hits.Add(1)
 		w.Header().Set("X-Sweepd-Cache", "hit")
@@ -473,11 +497,24 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		s.misses.Add(1)
 		w.Header().Set("X-Sweepd-Cache", "miss")
 	}
+	w.Header().Set("Vary", "Accept")
 	w.Header().Set("ETag", etag)
-	w.Header().Set("Content-Type", "application/json")
-	tEnc := time.Now() //sweepvet:allow(timenow) stage timer: feeds metrics/traces only
-	json.NewEncoder(w).Encode(sweep.RecordOf(sweep.ScenarioRun{Scenario: sc, Cached: cached, Result: res}))
+	w.Header().Set("Content-Type", httpapi.ScenarioContentType(enc))
+	w.Write(body)
 	fan.ObserveStage(obs.StageEncode, time.Since(tEnc)) //sweepvet:allow(timenow) stage timer: feeds metrics/traces only
+}
+
+// renderRecord encodes one /v1/scenario body: the JSON line
+// json.Encoder writes, or one v3 TLV frame.
+func renderRecord(rec *sweep.Record, enc sweep.Encoding) ([]byte, error) {
+	if enc == sweep.EncodingTLV {
+		return tlv.AppendRecord(nil, rec), nil
+	}
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("serve: encode record: %w", err)
+	}
+	return append(b, '\n'), nil
 }
 
 // acquireGridJob bounds concurrently executing grid requests; a full
@@ -533,7 +570,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if st.Binary() {
+	if st.Encoding() == sweep.EncodingTLV {
 		s.tlvStreams.Add(1)
 		s.tlvRecords.Add(st.Records())
 		s.tlvBatches.Add(st.Batches())

@@ -626,6 +626,118 @@ func TestScenarioETagSemantics(t *testing.T) {
 	}
 }
 
+// TestScenarioEncodingNegotiation: /v1/scenario answers in the
+// encoding the Accept header negotiates, with the engine's record
+// bytes, cold and warm. A miss encodes only what it was asked for, and
+// the bytes stay in the cache entry. Each encoding has its own strong
+// ETag, so a validator never earns a 304 across encodings.
+func TestScenarioEncodingNegotiation(t *testing.T) {
+	res, err := sweep.Run(sweep.Grid{Seeds: []uint64{71}}, sweep.Options{Cache: sweep.NewCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := sweep.RecordOf(res.Scenarios[0])
+	id := rec.Scenario
+	line, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[sweep.Encoding][]byte{
+		sweep.EncodingJSON: append(line, '\n'),
+		sweep.EncodingTLV:  tlv.AppendRecord(nil, &rec),
+	}
+	srv, err := New(Options{SimWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	ask := func(accept, inm string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/scenario", strings.NewReader(`{"seed":71}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, readAll(t, resp)
+	}
+	cases := []struct {
+		accept, contentType, etag string
+		enc                       sweep.Encoding
+	}{
+		{tlv.MediaType, tlv.MediaType, `"` + id + `.tlv"`, sweep.EncodingTLV},
+		{"", "application/json", `"` + id + `"`, sweep.EncodingJSON},
+	}
+	for round := 0; round < 2; round++ {
+		for i, c := range cases {
+			resp, body := ask(c.accept, "")
+			wantCache := "hit"
+			if round == 0 && i == 0 {
+				wantCache = "miss"
+			}
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Sweepd-Cache") != wantCache {
+				t.Fatalf("round %d Accept %q: status %d, cache %q, want 200 %s",
+					round, c.accept, resp.StatusCode, resp.Header.Get("X-Sweepd-Cache"), wantCache)
+			}
+			if got := resp.Header.Get("Content-Type"); got != c.contentType {
+				t.Fatalf("Accept %q: Content-Type %q, want %q", c.accept, got, c.contentType)
+			}
+			if got := resp.Header.Get("ETag"); got != c.etag {
+				t.Fatalf("Accept %q: ETag %q, want %q", c.accept, got, c.etag)
+			}
+			if got := resp.Header.Get("Vary"); got != "Accept" {
+				t.Fatalf("Accept %q: Vary %q, want Accept", c.accept, got)
+			}
+			if !bytes.Equal(body, want[c.enc]) {
+				t.Fatalf("round %d Accept %q: %d bytes differ from the engine's record", round, c.accept, len(body))
+			}
+			if round == 0 && i == 0 {
+				// The miss filled the TLV slot and left the JSON one empty
+				// (a render returning nil keeps it so).
+				var renders int
+				probe := func() []byte { renders++; return nil }
+				got := srv.Cache().Rendered(id, sweep.EncodingTLV, probe)
+				srv.Cache().Rendered(id, sweep.EncodingJSON, probe)
+				if renders != 1 || !bytes.Equal(got, want[sweep.EncodingTLV]) {
+					t.Fatalf("after a TLV miss: %d probe renders, want 1 (JSON only)", renders)
+				}
+			}
+		}
+	}
+
+	// A validator for one encoding never matches the other.
+	for _, c := range []struct {
+		accept, inm string
+		code        int
+	}{
+		{tlv.MediaType, cases[1].etag, http.StatusOK},
+		{"", cases[0].etag, http.StatusOK},
+		{tlv.MediaType, cases[0].etag, http.StatusNotModified},
+		{"", cases[1].etag, http.StatusNotModified},
+	} {
+		resp, body := ask(c.accept, c.inm)
+		if resp.StatusCode != c.code {
+			t.Fatalf("Accept %q If-None-Match %s: status %d, want %d", c.accept, c.inm, resp.StatusCode, c.code)
+		}
+		if c.code == http.StatusNotModified && (len(body) != 0 || resp.Header.Get("ETag") != c.inm ||
+			resp.Header.Get("Vary") != "Accept") {
+			t.Fatalf("304 for %s: body %d bytes, ETag %q, Vary %q", c.inm, len(body),
+				resp.Header.Get("ETag"), resp.Header.Get("Vary"))
+		}
+	}
+}
+
 // TestRetryAfterConfigurable: the 429 Retry-After hint follows
 // Options.RetryAfter on both shed paths (simulation queue and grid-job
 // table), and a negative value is rejected at construction.

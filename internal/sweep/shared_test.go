@@ -19,8 +19,8 @@ import (
 func TestSharedResultConcurrentReaders(t *testing.T) {
 	cache := sweep.NewCache()
 	cfg := campaign.Config{Seed: 11}
-	sc := sweep.Scenario{ID: sweep.ScenarioID(cfg), Variant: sweep.VariantID(cfg), Config: cfg}
-	shared, _, err := cache.Resolve(cfg, sweep.Want{})
+	sc := sweep.ScenarioOf(cfg)
+	shared, _, err := cache.Resolve(sc, sweep.Want{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestSharedResultConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for k := 0; k < 20; k++ {
-				res, cached, err := cache.Resolve(cfg, sweep.Want{})
+				res, cached, err := cache.Resolve(sc, sweep.Want{})
 				if err != nil || !cached {
 					t.Errorf("Resolve: cached=%v err=%v, want a hit", cached, err)
 					return
@@ -65,7 +65,7 @@ func TestSharedResultConcurrentReaders(t *testing.T) {
 		defer wg.Done()
 		<-start
 		for k := 0; k < 20; k++ {
-			raw, _, err := cache.Resolve(cfg, sweep.Want{Raw: true})
+			raw, _, err := cache.Resolve(sc, sweep.Want{Raw: true})
 			if err != nil {
 				t.Error(err)
 				return

@@ -18,7 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
+	"strconv"
 
 	"repro/internal/argame"
 	"repro/internal/campaign"
@@ -199,12 +199,8 @@ func (g Grid) Scenarios() ([]Scenario, error) {
 										if ar != argame.DeployNone {
 											cfg.ARGame = &campaign.ARGameMode{Deployment: ar}
 										}
-										sc := Scenario{
-											Index:   len(out),
-											ID:      ScenarioID(cfg),
-											Variant: VariantID(cfg),
-											Config:  cfg,
-										}
+										sc := ScenarioOf(cfg)
+										sc.Index = len(out)
 										if prev, dup := seen[sc.ID]; dup {
 											return nil, fmt.Errorf(
 												"sweep: scenarios %d and %d are identical (%s); deduplicate the grid axes",
@@ -224,14 +220,29 @@ func (g Grid) Scenarios() ([]Scenario, error) {
 	return out, nil
 }
 
+// ScenarioOf identifies cfg: its content-hash ID and seed-free
+// variant hash, both from one canonicalization. Index is zero; a grid
+// expansion sets it. Every identified scenario is minted here, so a
+// caller holding a Scenario never hashes its config again.
+func ScenarioOf(cfg campaign.Config) Scenario {
+	id, variant := hashConfig(cfg)
+	return Scenario{ID: id, Variant: variant, Config: cfg}
+}
+
 // ScenarioID returns the stable content hash identifying a campaign
 // config, seed included. Configs are canonicalized first, so a zero
 // field and its explicit default produce the same ID.
-func ScenarioID(cfg campaign.Config) string { return hashConfig(cfg, true) }
+func ScenarioID(cfg campaign.Config) string {
+	id, _ := hashConfig(cfg)
+	return id
+}
 
 // VariantID returns the content hash with the seed excluded: the key
 // under which replications of one deployment aggregate.
-func VariantID(cfg campaign.Config) string { return hashConfig(cfg, false) }
+func VariantID(cfg campaign.Config) string {
+	_, variant := hashConfig(cfg)
+	return variant
+}
 
 // hashedConfigFields is the number of campaign.Config fields hashConfig
 // folds into scenario identity. A test asserts it against the struct via
@@ -239,25 +250,57 @@ func VariantID(cfg campaign.Config) string { return hashConfig(cfg, false) }
 // loudly instead of silently conflating cache entries.
 const hashedConfigFields = 9
 
-func hashConfig(cfg campaign.Config, withSeed bool) string {
+// hashConfig returns the scenario ID and the variant ID of cfg. Both
+// hash one canonical string, "seed=<seed>;" followed by the variant's
+// axes: the ID covers all of it, the variant the part after the seed.
+// The string is built in a stack buffer, so while it fits there the
+// two returned IDs are the only allocations beyond canonicalization.
+func hashConfig(cfg campaign.Config) (id, variant string) {
 	c := cfg.Canonical()
-	var b strings.Builder
-	if withSeed {
-		fmt.Fprintf(&b, "seed=%d;", c.Seed)
+	var buf [256]byte
+	b := append(buf[:0], "seed="...)
+	b = strconv.AppendUint(b, c.Seed, 10)
+	b = append(b, ';')
+	seedLen := len(b)
+	b = append(b, "nodes="...)
+	b = strconv.AppendInt(b, int64(c.MobileNodes), 10)
+	b = append(b, ";profile="...)
+	b = append(b, c.Profile.Name...)
+	b = append(b, ";peering="...)
+	b = strconv.AppendBool(b, c.LocalPeering)
+	b = append(b, ";edgeupf="...)
+	b = strconv.AppendBool(b, c.EdgeUPF)
+	b = append(b, ";wired="...)
+	b = strconv.AppendInt(b, int64(c.WiredRounds), 10)
+	b = append(b, ";cells="...)
+	for i, cell := range c.TargetCells {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, cell...)
 	}
-	fmt.Fprintf(&b, "nodes=%d;profile=%s;peering=%t;edgeupf=%t;wired=%d;cells=%s",
-		c.MobileNodes, c.Profile.Name, c.LocalPeering, c.EdgeUPF, c.WiredRounds,
-		strings.Join(c.TargetCells, ","))
 	// Later-generation axes append only when set, so every scenario ID
 	// minted before they existed is unchanged and old on-disk caches keep
 	// serving hits. Extend the hash the same way: append, gated on
 	// non-default. (TestScenarioIDGolden pins this compatibility.)
 	if c.Slicing != nil {
-		fmt.Fprintf(&b, ";slicing=%s", c.Slicing.Axis())
+		// The Slicing.Axis() form: "<strategy>/<sites>".
+		b = append(b, ";slicing="...)
+		b = append(b, c.Slicing.Strategy.String()...)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(c.Slicing.Sites), 10)
 	}
 	if c.ARGame != nil {
-		fmt.Fprintf(&b, ";argame=%s", c.ARGame.Deployment)
+		b = append(b, ";argame="...)
+		b = append(b, c.ARGame.Deployment.String()...)
 	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:8])
+	return hashID(b), hashID(b[seedLen:])
+}
+
+// hashID is the first 8 bytes of s's SHA-256, hex-encoded.
+func hashID(s []byte) string {
+	sum := sha256.Sum256(s)
+	var out [16]byte
+	hex.Encode(out[:], sum[:8])
+	return string(out[:])
 }

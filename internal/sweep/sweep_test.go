@@ -260,11 +260,11 @@ func TestCacheSkipsCompletedScenarios(t *testing.T) {
 
 func TestCacheGetOrRunKeyedByFullConfig(t *testing.T) {
 	cache := NewCache()
-	base, _, err := cache.Resolve(campaign.Config{Seed: 5}, Want{})
+	base, _, err := cache.Resolve(ScenarioOf(campaign.Config{Seed: 5}), Want{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, _, err := cache.Resolve(campaign.Config{Seed: 5}, Want{})
+	again, _, err := cache.Resolve(ScenarioOf(campaign.Config{Seed: 5}), Want{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestCacheGetOrRunKeyedByFullConfig(t *testing.T) {
 		base.TotalMeasurements != again.TotalMeasurements {
 		t.Fatal("same config must hit the cache")
 	}
-	edge, _, err := cache.Resolve(campaign.Config{Seed: 5, EdgeUPF: true}, Want{})
+	edge, _, err := cache.Resolve(ScenarioOf(campaign.Config{Seed: 5, EdgeUPF: true}), Want{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,5 +408,25 @@ func TestRunPropagatesScenarioError(t *testing.T) {
 		Options{Workers: 2})
 	if err == nil {
 		t.Fatal("invalid scenario should fail the sweep")
+	}
+}
+
+// TestScenarioOfAllocs: identifying a scenario allocates its two ID
+// strings and, for a config that leaves its target cells to the
+// default, the default cell list canonicalization fills in — nothing
+// for building or hex-encoding the hashed string.
+func TestScenarioOfAllocs(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  campaign.Config
+		max  float64
+	}{
+		{"default", campaign.Config{Seed: 1}, 3},
+		{"small", campaign.Config{Seed: 1, MobileNodes: 1, WiredRounds: 1, TargetCells: []string{"B2", "C4"}}, 2},
+	}
+	for _, c := range cases {
+		if got := testing.AllocsPerRun(100, func() { ScenarioOf(c.cfg) }); got > c.max {
+			t.Errorf("%s: ScenarioOf allocates %.0f times, want at most %.0f", c.name, got, c.max)
+		}
 	}
 }
