@@ -16,7 +16,8 @@ import (
 // -benchmem, ServeWarm's p50_us/queries/s metrics and TLV's MB/s. The
 // ServeWarm, ProxyWarm* and SweepStream* lines come from a later run,
 // taken when their allocs/op gates were tightened and the proxy pair
-// gained -benchmem.
+// gained -benchmem, and the ProxySweepTLV line from a later one still,
+// taken when it joined the proxy run.
 func fixture(t *testing.T) string {
 	t.Helper()
 	b, err := os.ReadFile("testdata/ci-bench.out")
@@ -70,6 +71,7 @@ var ciGates = []string{
 	"-max", "BenchmarkCampaignSmall:allocs/op<=1000",
 	"-max", "BenchmarkServeWarm:allocs/op<=125",
 	"-max", "BenchmarkProxyWarmRouted:allocs/op<=260",
+	"-max", "BenchmarkProxySweepTLV:allocs/op<=2600",
 	"-max", "BenchmarkSweepStreamTLV:allocs/op<=1000",
 	"-min-ratio", "BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3",
 	"-min-ratio", "BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0",
@@ -80,8 +82,8 @@ func TestParseKeepsEveryPrintedMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Benchmarks) != 27 || rec.CPU != "Intel(R) Xeon(R) Processor" {
-		t.Fatalf("got %d benchmarks on cpu %q, want 27", len(rec.Benchmarks), rec.CPU)
+	if len(rec.Benchmarks) != 28 || rec.CPU != "Intel(R) Xeon(R) Processor" {
+		t.Fatalf("got %d benchmarks on cpu %q, want 28", len(rec.Benchmarks), rec.CPU)
 	}
 	byName := map[string]benchmark{}
 	for _, b := range rec.Benchmarks {
@@ -186,6 +188,7 @@ func TestGates(t *testing.T) {
 			"ok   BenchmarkCampaignSmall:allocs/op<=1000: BenchmarkCampaignSmall 507",
 			"ok   BenchmarkServeWarm:allocs/op<=125: BenchmarkServeWarm 111",
 			"ok   BenchmarkProxyWarmRouted:allocs/op<=260: BenchmarkProxyWarmRouted 234",
+			"ok   BenchmarkProxySweepTLV:allocs/op<=2600: BenchmarkProxySweepTLV 2378",
 			"ok   BenchmarkSweepStreamTLV:allocs/op<=1000: BenchmarkSweepStreamTLV 874",
 			"ok   BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: 10.49x (30417 / 2898.7)",
 			"ok   BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: 1.76x (701256 / 398082)",
@@ -202,19 +205,21 @@ func TestGates(t *testing.T) {
 			ciGates[6:8], []string{"FAIL BenchmarkServeWarm:allocs/op<=125: BenchmarkServeWarm 126"}, false},
 		{"routed proxy read over 260", setMetric(t, in, "BenchmarkProxyWarmRouted", "allocs/op", "261"),
 			ciGates[8:10], []string{"FAIL BenchmarkProxyWarmRouted:allocs/op<=260: BenchmarkProxyWarmRouted 261"}, false},
+		{"proxied TLV sweep over 2,600", setMetric(t, in, "BenchmarkProxySweepTLV", "allocs/op", "2601"),
+			ciGates[10:12], []string{"FAIL BenchmarkProxySweepTLV:allocs/op<=2600: BenchmarkProxySweepTLV 2601"}, false},
 		{"TLV stream over 1,000", setMetric(t, in, "BenchmarkSweepStreamTLV", "allocs/op", "1001"),
-			ciGates[10:12], []string{"FAIL BenchmarkSweepStreamTLV:allocs/op<=1000: BenchmarkSweepStreamTLV 1001"}, false},
+			ciGates[12:14], []string{"FAIL BenchmarkSweepStreamTLV:allocs/op<=1000: BenchmarkSweepStreamTLV 1001"}, false},
 		{"TLV round trip under 3x JSON", setMetric(t, in, "BenchmarkDecodeJSON", "ns/op", "1000"),
-			ciGates[12:14], []string{"FAIL BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: 2.72x (7871 / 2898.7)"}, false},
+			ciGates[14:16], []string{"FAIL BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: 2.72x (7871 / 2898.7)"}, false},
 		{"stream ratio report with a slower TLV stream", setMetric(t, in, "BenchmarkSweepStreamTLV", "ns/op", "1402512"),
-			ciGates[14:], []string{"ok   BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: 0.50x"}, true},
+			ciGates[16:], []string{"ok   BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: 0.50x"}, true},
 		{"stream ratio report without its JSONL run", dropLine(t, in, "BenchmarkSweepStreamJSONL"),
-			ciGates[14:], []string{"FAIL BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: no benchmark matches BenchmarkSweepStreamJSONL"}, false},
+			ciGates[16:], []string{"FAIL BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: no benchmark matches BenchmarkSweepStreamJSONL"}, false},
 		{"gate matches nothing", in, []string{"-max", "BenchmarkCampaignHuge:allocs/op<=1"},
 			[]string{"FAIL BenchmarkCampaignHuge:allocs/op<=1: no benchmark matches BenchmarkCampaignHuge"}, false},
 		{"matched benchmark lacks the unit", in, []string{"-max", "BenchmarkServeColdMiss*:allocs/op<=500"},
 			[]string{"FAIL BenchmarkServeColdMiss*:allocs/op<=500: BenchmarkServeColdMiss reports no allocs/op"}, false},
-		{"ratio term matches two runs", in + in, ciGates[12:14],
+		{"ratio term matches two runs", in + in, ciGates[14:16],
 			[]string{"FAIL BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: BenchmarkEncodeJSON matches 2 benchmarks, want one"}, false},
 		{"one failing gate among passing ones", setMetric(t, in, "BenchmarkServeWarm", "allocs/op", "250"), ciGates, []string{
 			"ok   BenchmarkCampaignFull:", "FAIL BenchmarkServeWarm:allocs/op<=125: BenchmarkServeWarm 250"}, false},

@@ -43,7 +43,6 @@ func main() {
 		replicas       = flag.String("replicas", "", "comma-separated base URLs of read replicas")
 		healthInterval = flag.Duration("health-interval", 2*time.Second, "replica health-probe period")
 		cacheEntries   = flag.Int("cache-entries", 0, "response-cache bound in records (0 = default 4096, -1 = disabled)")
-		sweepWorkers   = flag.Int("sweep-workers", 0, "concurrent backend requests per sweep fan-out (0 = default 16)")
 		maxGrid        = flag.Int("max-grid", 0, "reject grids expanding past this many scenarios (0 = default 65536)")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight requests")
 		opsAddr        = flag.String("ops-addr", "", "serve pprof, /metricsz and /statsz on this out-of-band listener (empty disables)")
@@ -61,7 +60,7 @@ func main() {
 
 	replicaURLs := splitURLs(*replicas)
 	if err := validateFlags(*writer, replicaURLs, *healthInterval, *cacheEntries,
-		*sweepWorkers, *maxGrid, *drainTimeout,
+		*maxGrid, *drainTimeout,
 		*traceOut, *traceSample, *slowMs); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep-proxy:", err)
 		fmt.Fprintln(os.Stderr, "run with -h for usage")
@@ -94,7 +93,6 @@ func main() {
 		Replicas:         replicaURLs,
 		HealthInterval:   *healthInterval,
 		CacheEntries:     *cacheEntries,
-		SweepWorkers:     *sweepWorkers,
 		MaxGridScenarios: *maxGrid,
 		Tracer:           tracer,
 	})
@@ -156,7 +154,7 @@ func splitURLs(s string) []string {
 // validateFlags rejects nonsensical combinations up front, exit 2,
 // before any socket binds — the sweepd convention.
 func validateFlags(writer string, replicas []string, healthInterval time.Duration,
-	cacheEntries, sweepWorkers, maxGrid int, drainTimeout time.Duration,
+	cacheEntries, maxGrid int, drainTimeout time.Duration,
 	traceOut string, traceSample, slowMs int) error {
 	if writer == "" {
 		return fmt.Errorf("-writer is required (the proxy has no simulator of its own)")
@@ -177,9 +175,6 @@ func validateFlags(writer string, replicas []string, healthInterval time.Duratio
 	}
 	if cacheEntries < -1 {
 		return fmt.Errorf("-cache-entries must be >= -1 (-1 = disabled), got %d", cacheEntries)
-	}
-	if sweepWorkers < 0 {
-		return fmt.Errorf("-sweep-workers must be >= 0, got %d", sweepWorkers)
 	}
 	if maxGrid < 0 {
 		return fmt.Errorf("-max-grid must be >= 0, got %d", maxGrid)

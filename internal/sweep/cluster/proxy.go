@@ -34,9 +34,10 @@ const DefaultCacheEntries = 4096
 // leave it zero.
 const DefaultHealthInterval = 2 * time.Second
 
-// DefaultSweepWorkers bounds a sweep fan-out's concurrent backend
-// requests when Options leave it zero.
-const DefaultSweepWorkers = 16
+// DefaultIdleConnsPerHost is how many idle connections per backend the
+// proxy's own client keeps when Options leave Client nil. It also sets
+// that client's sweep fan-out width.
+const DefaultIdleConnsPerHost = 16
 
 // Options configures a Proxy.
 type Options struct {
@@ -60,13 +61,15 @@ type Options struct {
 	// Vnodes is the ring's virtual-node count per replica
 	// (DefaultVnodes when <= 0).
 	Vnodes int
-	// SweepWorkers bounds concurrent backend requests during one sweep
-	// fan-out (DefaultSweepWorkers when <= 0).
-	SweepWorkers int
 	// MaxGridScenarios rejects larger sweep grids with 413 before
 	// expansion (httpapi.DefaultMaxGridScenarios when zero).
 	MaxGridScenarios int
-	// Client performs backend requests (a default client when nil).
+	// Client performs backend requests. When nil, the proxy uses a clone
+	// of http.DefaultTransport that keeps DefaultIdleConnsPerHost idle
+	// connections per backend. A sweep works through its cells with as
+	// many workers as the client keeps idle connections per host: its
+	// *http.Transport's MaxIdleConnsPerHost, or net/http's default of 2
+	// behind any other RoundTripper.
 	Client *http.Client
 	// Tracer, when non-nil, traces every proxied request: incoming
 	// traceparent headers are honoured, every backend hop carries the
@@ -135,7 +138,7 @@ type Proxy struct {
 	client   *http.Client
 	cache    *responseCache // nil when caching is disabled
 	maxGrid  int
-	workers  int
+	width    int // sweep fan-out workers: fanOutWidth(client)
 	interval time.Duration
 	mux      *http.ServeMux
 	hs       *http.Server
@@ -143,6 +146,10 @@ type Proxy struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	healthWG sync.WaitGroup
+
+	// ownsClient: the client came from defaultClient, so Close drops
+	// its idle connections.
+	ownsClient bool
 
 	// Observability: the registry owns every counter and histogram
 	// below, so /statsz and /metricsz read the same objects. Endpoint
@@ -167,20 +174,18 @@ func NewProxy(opts Options) (*Proxy, error) {
 		byURL:   map[string]*member{},
 		client:  opts.Client,
 		maxGrid: opts.MaxGridScenarios,
-		workers: opts.SweepWorkers,
 		start:   time.Now(), //sweepvet:allow(timenow) proxy start time for /statsz uptime; never in record bytes
 		stop:    make(chan struct{}),
 	}
 	p.writer.healthy.Store(true)
 	p.byURL[p.writer.url] = p.writer
 	if p.client == nil {
-		p.client = &http.Client{}
+		p.client = defaultClient()
+		p.ownsClient = true
 	}
+	p.width = fanOutWidth(p.client)
 	if p.maxGrid <= 0 {
 		p.maxGrid = httpapi.DefaultMaxGridScenarios
-	}
-	if p.workers <= 0 {
-		p.workers = DefaultSweepWorkers
 	}
 	if len(opts.Replicas) > 0 {
 		urls := make([]string, len(opts.Replicas))
@@ -236,6 +241,32 @@ func NewProxy(opts Options) (*Proxy, error) {
 	return p, nil
 }
 
+// defaultClient is the client a proxy without Options.Client uses:
+// http.DefaultTransport's settings, keeping DefaultIdleConnsPerHost
+// idle connections per backend instead of two.
+func defaultClient() *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = DefaultIdleConnsPerHost
+	return &http.Client{Transport: tr}
+}
+
+// fanOutWidth is how many idle connections c keeps per host, and so how
+// many of a sweep's cells run at once: even if they all go to one
+// member, a warm fan-out reuses kept-alive connections instead of
+// dialing past the pool and dropping the surplus. A RoundTripper that is not an
+// *http.Transport counts as net/http's default pool.
+func fanOutWidth(c *http.Client) int {
+	rt := c.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	n := http.DefaultMaxIdleConnsPerHost
+	if tr, ok := rt.(*http.Transport); ok && tr.MaxIdleConnsPerHost != 0 {
+		n = tr.MaxIdleConnsPerHost
+	}
+	return max(n, 1)
+}
+
 // Handler returns the proxy's HTTP handler.
 func (p *Proxy) Handler() http.Handler { return p.mux }
 
@@ -259,10 +290,14 @@ func (p *Proxy) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Close stops the health loop; idempotent.
+// Close stops the health loop and, when the proxy built its own client,
+// closes that client's idle backend connections; idempotent.
 func (p *Proxy) Close() {
 	p.stopOnce.Do(func() { close(p.stop) })
 	p.healthWG.Wait()
+	if p.ownsClient {
+		p.client.CloseIdleConnections()
+	}
 }
 
 func (p *Proxy) healthLoop() {
@@ -582,11 +617,13 @@ func (p *Proxy) handleScenario(w http.ResponseWriter, r *http.Request) {
 // handleSweep fans a grid out scenario by scenario across the ring and
 // merges the responses back in grid order — byte-identical to the same
 // sweep against a single sweepd, because each backend answer IS one
-// record of that stream. Workers run ahead while earlier records
-// flush, the same pipelining discipline as the sweep engine's RunEach.
-// Backends are asked for the encoding the client negotiated, so a JSON
-// line or a TLV frame is spliced into the stream as it arrived; TLV
-// frames ride the stream's batches.
+// record of that stream. p.width workers take the cells in grid order,
+// so no member ever has more of the sweep's requests in flight than the
+// client keeps connections to it. Workers run ahead while earlier
+// records flush, the same pipelining discipline as the sweep engine's
+// RunEach. Backends are asked for the encoding the client negotiated,
+// so a JSON line or a TLV frame is spliced into the stream as it
+// arrived; TLV frames ride the stream's batches.
 func (p *Proxy) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !httpapi.RequireMethod(w, r, http.MethodPost) {
 		return
@@ -632,10 +669,7 @@ func (p *Proxy) handleSweep(w http.ResponseWriter, r *http.Request) {
 		idx <- i
 	}
 	close(idx)
-	workers := p.workers
-	if workers > len(scs) {
-		workers = len(scs)
-	}
+	workers := min(p.width, len(scs))
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for wk := 0; wk < workers; wk++ {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -19,17 +20,20 @@ import (
 	"repro/internal/sweep"
 	"repro/internal/sweep/httpapi"
 	"repro/internal/sweep/serve"
+	"repro/internal/sweep/store"
 	"repro/internal/sweep/tlv"
 )
 
 // flakyHandler wraps a backend so tests can take it down (every request
 // answers 500, including /healthz) without tearing the listener down,
-// or make it answer /v1/scenario as a sweepd from before TLV
-// negotiation did: JSON, whatever the Accept header asks.
+// make it answer /v1/scenario as a sweepd from before TLV negotiation
+// did (JSON, whatever the Accept header asks), or hold its
+// /v1/scenario requests at a rendezvous.
 type flakyHandler struct {
 	h      http.Handler
 	down   atomic.Bool
 	preTLV atomic.Bool
+	meet   atomic.Pointer[rendezvous]
 }
 
 func (f *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -37,10 +41,37 @@ func (f *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "induced outage", http.StatusInternalServerError)
 		return
 	}
-	if f.preTLV.Load() && r.URL.Path == "/v1/scenario" {
-		r.Header.Del("Accept")
+	if r.URL.Path == "/v1/scenario" {
+		if f.preTLV.Load() {
+			r.Header.Del("Accept")
+		}
+		if m := f.meet.Load(); m != nil {
+			m.wait()
+		}
 	}
 	f.h.ServeHTTP(w, r)
+}
+
+// rendezvous holds each arriving request until n have arrived, or
+// until a second has passed.
+type rendezvous struct {
+	n       int64
+	arrived atomic.Int64
+	all     chan struct{}
+}
+
+func newRendezvous(n int) *rendezvous {
+	return &rendezvous{n: int64(n), all: make(chan struct{})}
+}
+
+func (r *rendezvous) wait() {
+	if r.arrived.Add(1) == r.n {
+		close(r.all)
+	}
+	select {
+	case <-r.all:
+	case <-time.After(time.Second):
+	}
 }
 
 // testCluster is one writer plus n store-only read replicas, each with
@@ -49,10 +80,14 @@ type testCluster struct {
 	writer     *serve.Server
 	writerTS   *httptest.Server
 	writerSims *atomic.Int64
-	replicas   []*serve.Server
-	replicaTS  []*httptest.Server
-	flaky      []*flakyHandler
-	reps       []*Replicator
+	// dials and hangups count the TCP connections every backend has
+	// accepted and closed.
+	dials, hangups atomic.Int64
+
+	replicas  []*serve.Server
+	replicaTS []*httptest.Server
+	flaky     []*flakyHandler
+	reps      []*Replicator
 }
 
 func newTestCluster(t *testing.T, nReplicas int) *testCluster {
@@ -70,7 +105,7 @@ func newTestCluster(t *testing.T, nReplicas int) *testCluster {
 		t.Fatal(err)
 	}
 	c.writer = w
-	c.writerTS = httptest.NewServer(w.Handler())
+	c.writerTS = c.startBackend(w.Handler())
 	t.Cleanup(func() { c.writerTS.Close(); w.Close() })
 
 	for i := 0; i < nReplicas; i++ {
@@ -79,7 +114,7 @@ func newTestCluster(t *testing.T, nReplicas int) *testCluster {
 			t.Fatal(err)
 		}
 		fh := &flakyHandler{h: r.Handler()}
-		ts := httptest.NewServer(fh)
+		ts := c.startBackend(fh)
 		t.Cleanup(func() { ts.Close(); r.Close() })
 		rep, err := NewReplicator(ReplicatorOptions{Writer: c.writerTS.URL, Store: r.Store()})
 		if err != nil {
@@ -91,6 +126,22 @@ func newTestCluster(t *testing.T, nReplicas int) *testCluster {
 		c.reps = append(c.reps, rep)
 	}
 	return c
+}
+
+// startBackend serves h, counting its connections in c.dials and
+// c.hangups.
+func (c *testCluster) startBackend(h http.Handler) *httptest.Server {
+	ts := httptest.NewUnstartedServer(h)
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		switch s {
+		case http.StateNew:
+			c.dials.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			c.hangups.Add(1)
+		}
+	}
+	ts.Start()
+	return ts
 }
 
 func (c *testCluster) replicaURLs() []string {
@@ -420,27 +471,20 @@ func TestProxySweepByteIdenticalAcrossFailure(t *testing.T) {
 
 // countingTransport counts backend requests the proxy has in flight:
 // from the start of RoundTrip until it fails or the body is closed. A
-// failed request for any seed but fastSeed lingers a little before
-// returning, like a slow connection teardown, so a handler that answers
-// once the cell it waits on (fastSeed's) is done, without joining the
-// rest, is caught with requests still in flight.
+// failed request lingers a little before returning, like a slow
+// connection teardown, so a handler that answers once the cell it waits
+// on is done, without joining the rest, is caught with requests still
+// in flight.
 type countingTransport struct {
 	base     http.RoundTripper
-	fastSeed uint64
 	inFlight atomic.Int64
 }
 
 func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	c.inFlight.Add(1)
-	var ax sweep.Axes
-	if body, err := req.GetBody(); err == nil {
-		json.NewDecoder(body).Decode(&ax)
-	}
 	resp, err := c.base.RoundTrip(req)
 	if err != nil {
-		if ax.Seed != c.fastSeed {
-			time.Sleep(50 * time.Millisecond)
-		}
+		time.Sleep(50 * time.Millisecond)
 		c.inFlight.Add(-1)
 		return nil, err
 	}
@@ -461,13 +505,16 @@ func (b *countedBody) Close() error {
 
 // TestProxySweepFailureJoinsFanOut: when one cell fails, the proxy
 // cancels the others and joins its workers before answering. Both
-// backends reject one seed and hold every other request until its
-// context ends, so the client gets the rejection only if the failure
-// cancelled the rest — and no backend request may be left in flight.
-// The cancelled requests are the proxy's doing, so they must not eject
-// the replica that was serving them.
+// backends reject the first cell's seed and hold every other request
+// until its context ends, so the client gets the rejection only if the
+// failure cancelled the rest — and no backend request may be left in
+// flight. The wrapping transport hides its pool, so the fan-out runs
+// two cells at a time: the rejection arrives while the second cell is
+// held, whose cancelled request then lingers. The cancelled requests
+// are the proxy's doing, so they must not eject the replica that was
+// serving them.
 func TestProxySweepFailureJoinsFanOut(t *testing.T) {
-	const failSeed = 3
+	const failSeed = 1
 	var started atomic.Int64
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var ax sweep.Axes
@@ -486,16 +533,19 @@ func TestProxySweepFailureJoinsFanOut(t *testing.T) {
 	t.Cleanup(writer.Close)
 	t.Cleanup(replica.Close)
 
-	tr := &countingTransport{base: http.DefaultTransport, fastSeed: 1}
+	tr := &countingTransport{base: http.DefaultTransport}
 	p, err := NewProxy(Options{
 		Writer:         writer.URL,
 		Replicas:       []string{replica.URL},
 		HealthInterval: -1,
-		SweepWorkers:   4,
 		Client:         &http.Client{Transport: tr},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if p.width != http.DefaultMaxIdleConnsPerHost {
+		t.Fatalf("fan-out width %d behind a wrapping transport, want net/http's default pool of %d",
+			p.width, http.DefaultMaxIdleConnsPerHost)
 	}
 	pts := httptest.NewServer(p.Handler())
 	t.Cleanup(func() { pts.Close(); p.Close() })
@@ -514,11 +564,228 @@ func TestProxySweepFailureJoinsFanOut(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "induced rejection") {
 		t.Fatalf("sweep answered %d %s, want the failed cell's 422", resp.StatusCode, body)
 	}
-	if n := started.Load(); n > 4 {
-		t.Fatalf("backends saw %d requests, want at most the 4 workers' first cells", n)
+	if n := started.Load(); n > int64(p.width) {
+		t.Fatalf("backends saw %d requests, want at most the fan-out's first %d cells", n, p.width)
 	}
 	if m := proxyStats(t, pts.URL).Replicas[0]; !m.Healthy || m.Ejects != 0 {
 		t.Fatalf("cancelled requests ejected the replica: %+v", m)
+	}
+}
+
+// wrappedTransport hides its *http.Transport behind another
+// RoundTripper, as an instrumenting client would.
+type wrappedTransport struct{ base http.RoundTripper }
+
+func (w wrappedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return w.base.RoundTrip(req)
+}
+
+// TestProxySweepReusesConnections: a sweep's fan-out is no wider than
+// the client's connection pool per backend, so once every backend has
+// opened as many connections as the fan-out can send it at once, warm
+// streams only reuse them. It holds for the proxy's default client and
+// for a wrapped one whose pool the proxy cannot see, which keeps
+// net/http's default two per host. The warm-up asks every cell of the
+// grid through /v1/scenario at once, held at a rendezvous, so each
+// replica opens a connection for every cell it owns — at least as many
+// as a stream can ever hold open to it.
+func TestProxySweepReusesConnections(t *testing.T) {
+	const spec = `{"seeds":[381,382,383,384],"edge_upf":[false,true],"mobile_nodes":[10,20]}`
+	g := sweep.Grid{Seeds: []uint64{381, 382, 383, 384}, EdgeUPF: []bool{false, true}, MobileNodes: []int{10, 20}}
+	scs, err := g.Scenarios()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		client *http.Client
+	}{
+		{"default client", nil},
+		{"wrapped transport", &http.Client{Transport: wrappedTransport{http.DefaultTransport.(*http.Transport).Clone()}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(t, 2)
+			// Simulate and replicate the grid before the proxy exists, so
+			// no replica sheds a miss and backs off.
+			if code, _, b := postSweep(t, c.writerTS.URL, spec, true); code != http.StatusOK {
+				t.Fatalf("cold sweep: status %d: %s", code, b)
+			}
+			c.sync(t)
+			_, pts := c.newProxy(t, Options{CacheEntries: -1, Client: tc.client})
+
+			meet := newRendezvous(len(scs))
+			for _, f := range c.flaky {
+				f.meet.Store(meet)
+			}
+			var wg sync.WaitGroup
+			for _, sc := range scs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					body, err := json.Marshal(sweep.AxesOf(sc.Config))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					req, err := http.NewRequest(http.MethodPost, pts.URL+"/v1/scenario", bytes.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					req.Header.Set("Accept", tlv.MediaType)
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("warm-up scenario %s: status %d", sc.ID, resp.StatusCode)
+					}
+				}()
+			}
+			wg.Wait()
+			for _, f := range c.flaky {
+				f.meet.Store(nil)
+			}
+			if n := meet.arrived.Load(); n != int64(len(scs)) {
+				t.Fatalf("warm-up reached the replicas %d times, want once per cell (%d)", n, len(scs))
+			}
+
+			before := c.dials.Load()
+			for i := 0; i < 20; i++ {
+				if code, _, b := postSweep(t, pts.URL, spec, true); code != http.StatusOK {
+					t.Fatalf("warm sweep %d: status %d: %s", i, code, b)
+				}
+			}
+			if n := c.dials.Load() - before; n != 0 {
+				t.Fatalf("20 warm 16-scenario streams opened %d new backend connections, want 0", n)
+			}
+		})
+	}
+}
+
+// TestProxyCloseDropsOwnConnections: a proxy that built its own client
+// closes that client's kept-alive backend connections on Close, rather
+// than leaving them open until the idle timeout.
+func TestProxyCloseDropsOwnConnections(t *testing.T) {
+	c := newTestCluster(t, 1)
+	p, pts := c.newProxy(t, Options{CacheEntries: -1})
+	resp := postScenario(t, pts.URL, 395, nil)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("scenario: status %d", resp.StatusCode)
+	}
+	if c.dials.Load() == 0 {
+		t.Fatal("the proxy opened no backend connection")
+	}
+	p.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for c.hangups.Load() != c.dials.Load() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d backend connections still open after Close", c.dials.Load()-c.hangups.Load(), c.dials.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestProxySweepColdBoundsWriterLoad: a cold sweep's cells all end at
+// the writer, whichever replica owns them, and the writer's 429 is
+// final. The fan-out is bounded in total, not per member, so a writer
+// admitting exactly the fan-out's width never sheds, however the ring
+// spreads the cells. The replicas get names the test's transport dials,
+// picked so that at least two of the three own two or more cells each.
+func TestProxySweepColdBoundsWriterLoad(t *testing.T) {
+	const spec = `{"seeds":[391,392,393,394],"edge_upf":[false,true],"mobile_nodes":[10,20]}`
+	g := sweep.Grid{Seeds: []uint64{391, 392, 393, 394}, EdgeUPF: []bool{false, true}, MobileNodes: []int{10, 20}}
+	scs, err := g.Scenarios()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const width = 2
+	var sims atomic.Int64
+	writer, err := serve.New(serve.Options{
+		SimWorkers: 1,
+		QueueDepth: width - 1,
+		Runner: func(cfg campaign.Config) (*campaign.Result, error) {
+			sims.Add(1)
+			time.Sleep(5 * time.Millisecond) // overlap the fan-out's requests
+			return campaign.Run(cfg)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wts := httptest.NewServer(writer.Handler())
+	t.Cleanup(func() { wts.Close(); writer.Close() })
+
+	var names []string
+	for k := 0; names == nil; k++ {
+		if k == 10000 {
+			t.Fatal("no replica names found whose ring spreads the grid")
+		}
+		try := []string{fmt.Sprintf("http://r%d-a.test", k), fmt.Sprintf("http://r%d-b.test", k), fmt.Sprintf("http://r%d-c.test", k)}
+		ring, err := NewRing(try, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned := map[string]int{}
+		for _, sc := range scs {
+			owned[ring.Lookup(store.ShardOf(sc.ID))]++
+		}
+		busy := 0
+		for _, n := range owned {
+			if n >= width {
+				busy++
+			}
+		}
+		if busy >= 2 {
+			names = try
+		}
+	}
+	addrs := map[string]string{}
+	for _, name := range names {
+		r, err := serve.New(serve.Options{QueueDepth: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(r.Handler())
+		t.Cleanup(func() { ts.Close(); r.Close() })
+		addrs[strings.TrimPrefix(name, "http://")+":80"] = ts.Listener.Addr().String()
+	}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = width
+	var d net.Dialer
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		if a, ok := addrs[addr]; ok {
+			addr = a
+		}
+		return d.DialContext(ctx, network, addr)
+	}
+	p, err := NewProxy(Options{
+		Writer:         wts.URL,
+		Replicas:       names,
+		HealthInterval: -1,
+		CacheEntries:   -1,
+		Client:         &http.Client{Transport: tr},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := httptest.NewServer(p.Handler())
+	t.Cleanup(func() { pts.Close(); p.Close(); tr.CloseIdleConnections() })
+
+	code, _, body := postSweep(t, pts.URL, spec, true)
+	if code != http.StatusOK {
+		t.Fatalf("cold proxied sweep: status %d: %s", code, body)
+	}
+	if n := sims.Load(); n != int64(len(scs)) {
+		t.Fatalf("writer simulated %d scenarios, want %d", n, len(scs))
+	}
+	if shed := writer.StatsSnapshot().Sim.Shed; shed != 0 {
+		t.Fatalf("writer shed %d misses", shed)
 	}
 }
 

@@ -14,16 +14,22 @@ import (
 
 	"repro/internal/sweep/cluster"
 	"repro/internal/sweep/serve"
+	"repro/internal/sweep/tlv"
 )
 
 // newBenchCluster stands up writer + two following replicas, warms one
-// scenario through the writer, replicates it, and fronts the fleet
-// with a proxy.
-func newBenchCluster(b *testing.B, proxyOpts cluster.Options) *httptest.Server {
+// scenario (and every scenario of grid, unless it is empty) through the
+// writer, replicates them, and fronts the fleet with a proxy.
+func newBenchCluster(b *testing.B, proxyOpts cluster.Options, grid string) *httptest.Server {
 	b.Helper()
 	writer, wts := newBenchServer(b, serve.Options{SimWorkers: 2, CacheDir: b.TempDir()})
 	if code, err := postScenario(wts.Client(), wts.URL, `{"seed":1}`); err != nil || code != http.StatusOK {
 		b.Fatalf("warming request: code %d err %v", code, err)
+	}
+	if grid != "" {
+		if _, _, err := postSweep(wts.Client(), wts.URL, grid, ""); err != nil {
+			b.Fatalf("warming sweep: %v", err)
+		}
 	}
 	var replicaURLs []string
 	for i := 0; i < 2; i++ {
@@ -63,7 +69,7 @@ func newBenchCluster(b *testing.B, proxyOpts cluster.Options) *httptest.Server {
 // Compare against BenchmarkServeWarm: the delta is the proxy's best
 // case (pure routing overhead, no fan-out).
 func BenchmarkProxyWarm(b *testing.B) {
-	pts := newBenchCluster(b, cluster.Options{})
+	pts := newBenchCluster(b, cluster.Options{}, "")
 	client := pts.Client()
 	if code, err := postScenario(client, pts.URL, `{"seed":1}`); err != nil || code != http.StatusOK {
 		b.Fatalf("warming request: code %d err %v", code, err)
@@ -89,7 +95,7 @@ func BenchmarkProxyWarm(b *testing.B) {
 // ring replica → record. This is the steady-state number for IDs the
 // proxy has not cached (or a cold proxy over a warm fleet).
 func BenchmarkProxyWarmRouted(b *testing.B) {
-	pts := newBenchCluster(b, cluster.Options{CacheEntries: -1})
+	pts := newBenchCluster(b, cluster.Options{CacheEntries: -1}, "")
 	client := pts.Client()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -105,4 +111,14 @@ func BenchmarkProxyWarmRouted(b *testing.B) {
 	if b.Elapsed() > 0 {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	}
+}
+
+// BenchmarkProxySweepTLV streams the warm 16-scenario benchGrid as TLV
+// through the proxy, with its response cache off and its default
+// client: every iteration fans the grid out to the replicas and splices
+// 16 backend frames. Compare against BenchmarkSweepStreamTLV, the same
+// stream straight from one sweepd: the difference is the fan-out.
+func BenchmarkProxySweepTLV(b *testing.B) {
+	pts := newBenchCluster(b, cluster.Options{CacheEntries: -1}, benchGrid)
+	benchSweepStream(b, pts, tlv.MediaType, tlv.MediaType)
 }

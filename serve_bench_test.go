@@ -126,15 +126,16 @@ func postSweep(client *http.Client, url, grid, accept string) (string, int64, er
 	return resp.Header.Get("Content-Type"), n, err
 }
 
-// benchSweepStream is the shared body for the transport-encoding pair
-// below: warm every scenario in the grid once, then time full-stream
-// reads so each iteration measures pure encode + transport, not
-// simulation.
-func benchSweepStream(b *testing.B, accept, wantCT string) {
-	const grid = `{"seeds":[1,2,3,4],"edge_upf":[false,true],"mobile_nodes":[10,20]}`
-	_, ts := newBenchServer(b, serve.Options{SimWorkers: 4})
+// benchGrid is the 16-scenario grid the sweep-stream benchmarks read.
+const benchGrid = `{"seeds":[1,2,3,4],"edge_upf":[false,true],"mobile_nodes":[10,20]}`
+
+// benchSweepStream is the shared body of the sweep-stream benchmarks:
+// stream benchGrid from ts once, which warms every scenario a cold
+// server has not seen, then time full-stream reads so each iteration
+// measures pure encode + transport, not simulation.
+func benchSweepStream(b *testing.B, ts *httptest.Server, accept, wantCT string) {
 	client := ts.Client()
-	ct, warm, err := postSweep(client, ts.URL, grid, accept)
+	ct, warm, err := postSweep(client, ts.URL, benchGrid, accept)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func benchSweepStream(b *testing.B, accept, wantCT string) {
 	b.SetBytes(warm)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, n, err := postSweep(client, ts.URL, grid, accept); err != nil {
+		if _, n, err := postSweep(client, ts.URL, benchGrid, accept); err != nil {
 			b.Fatal(err)
 		} else if n != warm {
 			b.Fatalf("stream length changed: %d then %d bytes", warm, n)
@@ -161,11 +162,13 @@ func benchSweepStream(b *testing.B, accept, wantCT string) {
 // the baseline the encoding issue's >=3x target is judged against
 // (CI's bench job records both in BENCH.json).
 func BenchmarkSweepStreamTLV(b *testing.B) {
-	benchSweepStream(b, tlv.MediaType, tlv.MediaType)
+	_, ts := newBenchServer(b, serve.Options{SimWorkers: 4})
+	benchSweepStream(b, ts, tlv.MediaType, tlv.MediaType)
 }
 
 // BenchmarkSweepStreamJSONL is the same warm sweep over the default
 // JSONL transport, for the TLV/JSONL throughput ratio.
 func BenchmarkSweepStreamJSONL(b *testing.B) {
-	benchSweepStream(b, "", "application/x-ndjson")
+	_, ts := newBenchServer(b, serve.Options{SimWorkers: 4})
+	benchSweepStream(b, ts, "", "application/x-ndjson")
 }
