@@ -67,8 +67,8 @@ func runGate(in string, args ...string) (stdout, stderr string, err error) {
 // ciGates are the bench job's gates, verbatim.
 var ciGates = []string{
 	"-max", "BenchmarkHot*:allocs/op<=0",
-	"-max", "BenchmarkCampaignFull:allocs/op<=3000",
-	"-max", "BenchmarkCampaignSmall:allocs/op<=1000",
+	"-max", "BenchmarkCampaignFull:allocs/op<=300",
+	"-max", "BenchmarkCampaignSmall:allocs/op<=200",
 	"-max", "BenchmarkServeWarm:allocs/op<=125",
 	"-max", "BenchmarkProxyWarmRouted:allocs/op<=260",
 	"-max", "BenchmarkProxySweepTLV:allocs/op<=2600",
@@ -184,8 +184,8 @@ func TestGates(t *testing.T) {
 	}{
 		{"every CI gate passes", in, ciGates, []string{
 			"ok   BenchmarkHot*:allocs/op<=0: BenchmarkHotEventLoop 0, ",
-			"ok   BenchmarkCampaignFull:allocs/op<=3000: BenchmarkCampaignFull 1817",
-			"ok   BenchmarkCampaignSmall:allocs/op<=1000: BenchmarkCampaignSmall 507",
+			"ok   BenchmarkCampaignFull:allocs/op<=300: BenchmarkCampaignFull 102",
+			"ok   BenchmarkCampaignSmall:allocs/op<=200: BenchmarkCampaignSmall 96",
 			"ok   BenchmarkServeWarm:allocs/op<=125: BenchmarkServeWarm 111",
 			"ok   BenchmarkProxyWarmRouted:allocs/op<=260: BenchmarkProxyWarmRouted 234",
 			"ok   BenchmarkProxySweepTLV:allocs/op<=2600: BenchmarkProxySweepTLV 2378",
@@ -195,12 +195,12 @@ func TestGates(t *testing.T) {
 		}, true},
 		{"hot path allocates: one offender of nine", setMetric(t, in, "BenchmarkHotObserve", "allocs/op", "1"),
 			ciGates[:2], []string{"FAIL BenchmarkHot*:allocs/op<=0: BenchmarkHotObserve 1\n"}, false},
-		{"full campaign over 3,000", setMetric(t, in, "BenchmarkCampaignFull", "allocs/op", "3001"),
-			ciGates[2:4], []string{"FAIL BenchmarkCampaignFull:allocs/op<=3000: BenchmarkCampaignFull 3001"}, false},
-		{"full campaign at 3,000", setMetric(t, in, "BenchmarkCampaignFull", "allocs/op", "3000"),
-			ciGates[2:4], []string{"ok   BenchmarkCampaignFull:allocs/op<=3000: BenchmarkCampaignFull 3000"}, true},
-		{"small campaign over 1,000", setMetric(t, in, "BenchmarkCampaignSmall", "allocs/op", "1001"),
-			ciGates[4:6], []string{"FAIL BenchmarkCampaignSmall:allocs/op<=1000: BenchmarkCampaignSmall 1001"}, false},
+		{"full campaign over 300", setMetric(t, in, "BenchmarkCampaignFull", "allocs/op", "301"),
+			ciGates[2:4], []string{"FAIL BenchmarkCampaignFull:allocs/op<=300: BenchmarkCampaignFull 301"}, false},
+		{"full campaign at 300", setMetric(t, in, "BenchmarkCampaignFull", "allocs/op", "300"),
+			ciGates[2:4], []string{"ok   BenchmarkCampaignFull:allocs/op<=300: BenchmarkCampaignFull 300"}, true},
+		{"small campaign over 200", setMetric(t, in, "BenchmarkCampaignSmall", "allocs/op", "201"),
+			ciGates[4:6], []string{"FAIL BenchmarkCampaignSmall:allocs/op<=200: BenchmarkCampaignSmall 201"}, false},
 		{"warm read over 125", setMetric(t, in, "BenchmarkServeWarm", "allocs/op", "126"),
 			ciGates[6:8], []string{"FAIL BenchmarkServeWarm:allocs/op<=125: BenchmarkServeWarm 126"}, false},
 		{"routed proxy read over 260", setMetric(t, in, "BenchmarkProxyWarmRouted", "allocs/op", "261"),

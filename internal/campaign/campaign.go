@@ -18,16 +18,13 @@ import (
 	"time"
 
 	"repro/internal/argame"
-	"repro/internal/corenet"
 	"repro/internal/des"
 	"repro/internal/geo"
 	"repro/internal/mobility"
 	"repro/internal/probe"
 	"repro/internal/ran"
-	"repro/internal/routing"
 	"repro/internal/slicing"
 	"repro/internal/stats"
-	"repro/internal/topo"
 )
 
 // MinMeasurements is the reporting threshold: cells with fewer samples
@@ -110,7 +107,9 @@ type CellReport struct {
 
 // Result is a completed campaign.
 type Result struct {
-	Config  Config
+	Config Config
+	// Grid and Density are the process's one sector grid and density
+	// raster, shared by every result: read them, never write them.
 	Grid    *geo.Grid
 	Density *geo.DensityModel
 
@@ -155,12 +154,15 @@ func (r *Result) Report(c geo.CellID) (CellReport, bool) {
 	return CellReport{}, false
 }
 
-// Run executes the campaign. It fires the pings as a merge of
-// pre-ordered streams (see pingStreams and merge): equal times go to the
-// earlier stream, nodes in plan order, then wired. Each target's session
-// path and each wired pair's path is resolved on its first ping, so the
-// first routing error in firing order is the one returned, and AR mode,
-// which never pings a target, never establishes a session.
+// Run executes the campaign. Everything its seed does not set comes
+// from the world of its shape (see world), built once per process and
+// shared; Run itself plans the drives, lays out the ping streams and
+// draws every sample. It fires the pings as a merge of pre-ordered
+// streams (see pingStreams and merge): equal times go to the earlier
+// stream, nodes in plan order, then wired. A leg whose routing failed
+// returns its error at its first ping, so the first routing error in
+// firing order is the one returned, and AR mode, which never pings a
+// target, never sees a session's error.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.MobileNodes < 0 {
@@ -169,57 +171,35 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.WiredRounds < 0 {
 		return nil, fmt.Errorf("campaign: WiredRounds must be >= 0, got %d", cfg.WiredRounds)
 	}
-
-	grid := geo.NewKlagenfurtGrid()
-	density := geo.NewKlagenfurtDensity(grid)
-	ce := topo.BuildCentralEurope()
-	if cfg.LocalPeering {
-		ce.EnableLocalPeering()
-	}
-	targetCells := cfg.TargetCells
-	if cfg.Slicing != nil {
-		if len(cfg.TargetCells) > 0 {
-			return nil, fmt.Errorf("campaign: Slicing and TargetCells are mutually exclusive")
-		}
-		var err error
-		if targetCells, err = SlicingCells(grid, density, *cfg.Slicing); err != nil {
-			return nil, err
-		}
+	// Errors keep their order from before worlds were kept: the probe
+	// placement, then the AR deployment, then the probe cells.
+	w, err := worlds.get(shapeOf(cfg))
+	pe, badCells := err.(probeError)
+	if err != nil && !badCells {
+		return nil, err
 	}
 	var arSampler *argame.Sampler
 	if cfg.ARGame != nil {
-		var err error
-		if arSampler, err = argame.NewSampler(cfg.ARGame.Deployment); err != nil {
-			return nil, err
+		var arErr error
+		if arSampler, arErr = argame.NewSampler(cfg.ARGame.Deployment); arErr != nil {
+			return nil, arErr
 		}
 	}
-	targets, err := AddSectorProbes(ce, grid, targetCells)
-	if err != nil {
-		return nil, err
+	if badCells {
+		return nil, pe.err
 	}
-	up := corenet.NewUserPlane(ce)
-	upf := up.Central
-	if cfg.EdgeUPF {
-		upf = up.Edge
-	}
-	eng := probe.NewEngine(up, cfg.Profile)
+	return w.run(cfg, arSampler)
+}
 
-	// Traversed cells, row-major, with their radio conditions; pings
-	// refer to a cell by its index here.
-	cells := density.TraversalCells()
-	cellIdx := make(map[geo.CellID]int, len(cells))
-	cond := make([]ran.Conditions, len(cells))
-	for i, c := range cells {
-		cellIdx[c] = i
-		cond[i] = ran.Conditions{
-			Load:   density.LoadFactor(c),
-			SiteKm: geo.NearestSiteKm(grid, c),
-		}
-	}
-
+// run does a campaign's seeded work on its world: plans, ping streams,
+// samples and aggregation. A mobile ping draws its radio leg, then the
+// wired jitter of its session; a wired ping draws the jitter of its
+// pair's path.
+func (w *world) run(cfg Config, arSampler *argame.Sampler) (*Result, error) {
 	root := des.NewRNG(cfg.Seed)
-	plans := mobility.PlanRoutes(density, cfg.MobileNodes, root.Stream("mobility"))
-	streams, perCell := pingStreams(plans, cellIdx, len(targets), cfg.WiredRounds)
+	plans := w.routes.Plan(cfg.MobileNodes, root.Stream("mobility"))
+	nTargets := len(w.sessions)
+	streams, perCell := pingStreams(plans, w.cellIdx, nTargets, cfg.WiredRounds)
 	wiredStream := len(plans)
 	rngs := make([]*des.RNG, len(streams))
 	for s, plan := range plans {
@@ -229,18 +209,16 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{
 		Config:  cfg,
-		Grid:    grid,
-		Density: density,
-		Samples: make(map[geo.CellID]*stats.Sample, len(cells)),
+		Grid:    w.grid,
+		Density: w.density,
+		Samples: make(map[geo.CellID]*stats.Sample, len(w.cells)),
 	}
-	samples := make([]*stats.Sample, len(cells))
-	for i, c := range cells {
+	samples := make([]*stats.Sample, len(w.cells))
+	for i, c := range w.cells {
 		samples[i] = stats.NewSample(perCell[i])
 		res.Samples[c] = samples[i]
 	}
-	ghostHits := make([]int, len(cells))
-	sessions := make([]corenet.SessionPath, len(targets))         // by target; UPF nil until established
-	wiredPaths := make([]routing.Path, len(targets)*len(targets)) // by src*len+dst; nil Nodes until routed
+	ghostHits := make([]int, len(w.cells))
 
 	m := newMerge(streams)
 	for {
@@ -250,13 +228,11 @@ func Run(cfg Config) (*Result, error) {
 		}
 		res.VirtualDuration = p.at
 		if s == wiredStream {
-			path := &wiredPaths[p.src*len(targets)+p.tgt]
-			if path.Nodes == nil {
-				if *path, err = eng.WiredPath(targets[p.src].Host, targets[p.tgt].Host); err != nil {
-					return nil, err
-				}
+			l := &w.wired[p.src*nTargets+p.tgt]
+			if l.err != nil {
+				return nil, l.err
 			}
-			res.Wired.AddDuration(eng.WiredRTTOn(rngs[s], *path))
+			res.Wired.AddDuration(l.rtt + probe.WiredJitter(rngs[s], l.hops))
 			continue
 		}
 		// AR mode samples the game's motion-to-photon chain from this
@@ -264,7 +240,8 @@ func Run(cfg Config) (*Result, error) {
 		// the same per-cell grid.
 		var rtt time.Duration
 		if arSampler != nil {
-			if rtt, err = arSampler.M2P(rngs[s], cells[p.cell]); err != nil {
+			var err error
+			if rtt, err = arSampler.M2P(rngs[s], w.cells[p.cell]); err != nil {
 				return nil, err
 			}
 			// A chain over the motion-to-photon budget is a ghost-hit
@@ -273,21 +250,19 @@ func Run(cfg Config) (*Result, error) {
 				ghostHits[p.cell]++
 			}
 		} else {
-			sp := &sessions[p.tgt]
-			if sp.UPF == nil {
-				if *sp, err = up.Establish(upf, targets[p.tgt].Host); err != nil {
-					return nil, err
-				}
+			l := &w.sessions[p.tgt]
+			if l.err != nil {
+				return nil, l.err
 			}
-			rtt = eng.MobileRTTOn(rngs[s], cond[p.cell], *sp)
+			rtt = cfg.Profile.SampleRTT(rngs[s], w.cond[p.cell]) + l.rtt + probe.WiredJitter(rngs[s], l.hops)
 		}
 		samples[p.cell].AddDuration(rtt)
 		res.TotalMeasurements++
 	}
 
 	// Aggregate per cell.
-	res.Reports = make([]CellReport, 0, len(cells))
-	for i, c := range cells {
+	res.Reports = make([]CellReport, 0, len(w.cells))
+	for i, c := range w.cells {
 		s := samples[i]
 		rep := CellReport{Cell: c, N: s.N(), GhostHits: ghostHits[i]}
 		if s.N() >= MinMeasurements {

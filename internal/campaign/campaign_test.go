@@ -242,10 +242,9 @@ func TestVirtualDurationPlausible(t *testing.T) {
 }
 
 // TestConcurrentRunsMatchSequential runs two configs at once and
-// compares each with its sequential twin. Every run builds its own
-// topology and policy router (a router memoizes routes and is not safe
-// for concurrent use), so under -race this also proves runs share no
-// mutable routing state.
+// compares each with its sequential twin. Runs of one shape share its
+// world, so under -race this also proves a run writes nothing a
+// concurrent run reads.
 func TestConcurrentRunsMatchSequential(t *testing.T) {
 	cfgs := []Config{
 		{Seed: 3, LocalPeering: true, TargetCells: []string{"B2", "E2"}},

@@ -136,12 +136,12 @@ func (r *Result) State(compact bool) ResultState {
 	return st
 }
 
-// Restore rebuilds a Result from the captured state. The static
-// topology (sector grid, density model) is reconstructed from the same
-// deterministic builders Run uses; summaries restore losslessly; the
-// extreme cells are recomputed with Run's rule. Restoring fails if the
-// profile name no longer resolves or a cell id is malformed — callers
-// (the sweep store) treat that as a cache miss, never as a fatal error.
+// Restore rebuilds a Result from the captured state. It shares the
+// process's sector grid and density model, as Run does; summaries
+// restore losslessly; the extreme cells are recomputed with Run's
+// rule. Restoring fails if the profile name no longer resolves or a
+// cell id is malformed — callers (the sweep store) treat that as a
+// cache miss, never as a fatal error.
 func (st ResultState) Restore() (*Result, error) {
 	profile, ok := ran.ProfileByName(st.Config.Profile)
 	if !ok {
@@ -173,8 +173,7 @@ func (st ResultState) Restore() (*Result, error) {
 		}
 		arCfg = &ARGameMode{Deployment: deploy}
 	}
-	grid := geo.NewKlagenfurtGrid()
-	density := geo.NewKlagenfurtDensity(grid)
+	grid, density := klagenfurt()
 	res := &Result{
 		Config: Config{
 			Seed:         st.Config.Seed,

@@ -69,15 +69,26 @@ func Serpentine(cells []geo.CellID) []geo.CellID {
 	return out
 }
 
-// PlanRoutes builds the visit plans for n mobile nodes over the density
-// model's traversal set. Node 0 covers all traversal cells including the
-// sparse border cells; the remaining nodes keep to the dense cells (their
-// routes follow the main roads). Rounds per dense cell grow with
-// population density plus per-node variation.
-func PlanRoutes(m *geo.DensityModel, n int, rng *des.RNG) []Plan {
-	if n <= 0 {
-		return nil
-	}
+// Routes is the seed-independent half of route planning over one
+// density model: both serpentine drive orders (node 0's over every
+// traversal cell, the other nodes' over the dense cells only) with each
+// stop's dense flag and base round count. It is read-only once built,
+// so one Routes serves any number of concurrent Plan calls.
+type Routes struct {
+	all, dense []routeStop
+}
+
+type routeStop struct {
+	cell  geo.CellID
+	dense bool
+	// base is a dense stop's round count before per-node variation.
+	base int
+}
+
+// NewRoutes lays out the drive orders over the density model's
+// traversal set. Rounds per dense cell grow with population density:
+// base = 6 + 10·density/maxDensity.
+func NewRoutes(m *geo.DensityModel) *Routes {
 	traversal := m.TraversalCells()
 	var dense []geo.CellID
 	maxDensity := 0.0
@@ -89,34 +100,56 @@ func PlanRoutes(m *geo.DensityModel, n int, rng *des.RNG) []Plan {
 			maxDensity = d
 		}
 	}
+	stops := func(route []geo.CellID) []routeStop {
+		out := make([]routeStop, len(route))
+		for i, c := range Serpentine(route) {
+			out[i] = routeStop{cell: c, dense: m.Dense(c)}
+			if out[i].dense {
+				out[i].base = 6 + int(10*m.Cell(c)/maxDensity)
+			}
+		}
+		return out
+	}
+	return &Routes{all: stops(traversal), dense: stops(dense)}
+}
 
+// Plan builds the visit plans for n mobile nodes. Node 0 covers all
+// traversal cells including the sparse border cells; the remaining nodes
+// keep to the dense cells (their routes follow the main roads). A dense
+// stop's rounds are its base plus per-node variation drawn from rng, one
+// draw per stop in plan order.
+func (r *Routes) Plan(n int, rng *des.RNG) []Plan {
+	if n <= 0 {
+		return nil
+	}
+	// One backing array for every node's stops, each plan's slice
+	// capacity-clipped so an append never runs into the next plan.
+	stops := make([]Stop, 0, len(r.all)+(n-1)*len(r.dense))
 	plans := make([]Plan, n)
 	for i := range plans {
 		plans[i].Node = i
-		route := dense
+		route := r.dense
 		if i == 0 {
-			route = traversal
+			route = r.all
 		}
-		for _, c := range Serpentine(route) {
-			if !m.Dense(c) {
+		start := len(stops)
+		for _, s := range route {
+			if !s.dense {
 				// Drive-through: traffic regulations forbid stopping; a
 				// handful of pings fire while crossing (always < 10 in
 				// total, since only node 0 enters these cells).
-				plans[i].Stops = append(plans[i].Stops, Stop{
-					Cell:         c,
-					PartialPings: 3 + rng.Intn(5), // 3..7
-				})
+				stops = append(stops, Stop{Cell: s.cell, PartialPings: 3 + rng.Intn(5)}) // 3..7
 				continue
 			}
 			// Dense cell: congestion slows the node down; rounds grow
 			// with density plus noise.
-			base := 6 + int(10*m.Cell(c)/maxDensity)
-			rounds := base + rng.Intn(5) - 2
+			rounds := s.base + rng.Intn(5) - 2
 			if rounds < 3 {
 				rounds = 3
 			}
-			plans[i].Stops = append(plans[i].Stops, Stop{Cell: c, Rounds: rounds})
+			stops = append(stops, Stop{Cell: s.cell, Rounds: rounds})
 		}
+		plans[i].Stops = stops[start:len(stops):len(stops)]
 	}
 	return plans
 }

@@ -53,7 +53,7 @@ func TestSerpentineRowOrderSorted(t *testing.T) {
 
 func TestPlanRoutesNodeZeroCoversAll(t *testing.T) {
 	m := model()
-	plans := PlanRoutes(m, 3, des.NewRNG(1))
+	plans := NewRoutes(m).Plan(3, des.NewRNG(1))
 	if len(plans) != 3 {
 		t.Fatalf("plans = %d", len(plans))
 	}
@@ -72,7 +72,7 @@ func TestPlanRoutesNodeZeroCoversAll(t *testing.T) {
 
 func TestSparseCellsGetPartialPingsOnly(t *testing.T) {
 	m := model()
-	plans := PlanRoutes(m, 3, des.NewRNG(2))
+	plans := NewRoutes(m).Plan(3, des.NewRNG(2))
 	totalSparse := map[geo.CellID]int{}
 	for _, p := range plans {
 		for _, s := range p.Stops {
@@ -106,7 +106,7 @@ func TestSparseCellsGetPartialPingsOnly(t *testing.T) {
 
 func TestDenseRoundsGrowWithDensity(t *testing.T) {
 	m := model()
-	plans := PlanRoutes(m, 1, des.NewRNG(3))
+	plans := NewRoutes(m).Plan(1, des.NewRNG(3))
 	c3, _ := geo.ParseCellID("C3")
 	b6, _ := geo.ParseCellID("B6")
 	var rC3, rB6 int
@@ -128,7 +128,7 @@ func TestDenseRoundsGrowWithDensity(t *testing.T) {
 
 func TestPlanDuration(t *testing.T) {
 	m := model()
-	plans := PlanRoutes(m, 1, des.NewRNG(4))
+	plans := NewRoutes(m).Plan(1, des.NewRNG(4))
 	d := plans[0].Duration()
 	if d < time.Hour || d > 6*time.Hour {
 		t.Fatalf("campaign day length %v implausible", d)
@@ -136,15 +136,15 @@ func TestPlanDuration(t *testing.T) {
 }
 
 func TestPlanRoutesZeroNodes(t *testing.T) {
-	if PlanRoutes(model(), 0, des.NewRNG(5)) != nil {
+	if NewRoutes(model()).Plan(0, des.NewRNG(5)) != nil {
 		t.Fatal("zero nodes should produce no plans")
 	}
 }
 
 func TestPlanRoutesDeterministic(t *testing.T) {
 	m := model()
-	a := PlanRoutes(m, 2, des.NewRNG(9))
-	b := PlanRoutes(m, 2, des.NewRNG(9))
+	a := NewRoutes(m).Plan(2, des.NewRNG(9))
+	b := NewRoutes(m).Plan(2, des.NewRNG(9))
 	for i := range a {
 		if len(a[i].Stops) != len(b[i].Stops) {
 			t.Fatal("plans differ in length")
@@ -154,5 +154,89 @@ func TestPlanRoutesDeterministic(t *testing.T) {
 				t.Fatal("plans not deterministic")
 			}
 		}
+	}
+}
+
+// planRoutesReference is the planner as it was before the drive orders
+// were split out into Routes: everything derived from the density model
+// on every call, interleaved with the draws.
+func planRoutesReference(m *geo.DensityModel, n int, rng *des.RNG) []Plan {
+	if n <= 0 {
+		return nil
+	}
+	traversal := m.TraversalCells()
+	var dense []geo.CellID
+	maxDensity := 0.0
+	for _, c := range traversal {
+		if m.Dense(c) {
+			dense = append(dense, c)
+		}
+		if d := m.Cell(c); d > maxDensity {
+			maxDensity = d
+		}
+	}
+	plans := make([]Plan, n)
+	for i := range plans {
+		plans[i].Node = i
+		route := dense
+		if i == 0 {
+			route = traversal
+		}
+		for _, c := range Serpentine(route) {
+			if !m.Dense(c) {
+				plans[i].Stops = append(plans[i].Stops, Stop{Cell: c, PartialPings: 3 + rng.Intn(5)})
+				continue
+			}
+			base := 6 + int(10*m.Cell(c)/maxDensity)
+			rounds := base + rng.Intn(5) - 2
+			if rounds < 3 {
+				rounds = 3
+			}
+			plans[i].Stops = append(plans[i].Stops, Stop{Cell: c, Rounds: rounds})
+		}
+	}
+	return plans
+}
+
+// TestRoutesPlanMatchesReference: one Routes, planned many times, gives
+// the reference planner's stops from the same draws in the same order,
+// and leaves the RNG where the reference leaves it.
+func TestRoutesPlanMatchesReference(t *testing.T) {
+	m := model()
+	routes := NewRoutes(m)
+	for _, n := range []int{1, 2, 3, 5} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			gotRNG, wantRNG := des.NewRNG(seed), des.NewRNG(seed)
+			got := routes.Plan(n, gotRNG)
+			want := planRoutesReference(m, n, wantRNG)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d seed=%d: %d plans, want %d", n, seed, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Node != want[i].Node || len(got[i].Stops) != len(want[i].Stops) {
+					t.Fatalf("n=%d seed=%d: plan %d differs in node or length", n, seed, i)
+				}
+				for j := range want[i].Stops {
+					if got[i].Stops[j] != want[i].Stops[j] {
+						t.Fatalf("n=%d seed=%d: plan %d stop %d = %+v, want %+v",
+							n, seed, i, j, got[i].Stops[j], want[i].Stops[j])
+					}
+				}
+			}
+			if a, b := gotRNG.Uint64(), wantRNG.Uint64(); a != b {
+				t.Fatalf("n=%d seed=%d: RNG left at a different draw", n, seed)
+			}
+		}
+	}
+}
+
+// TestRoutesPlanDoesNotAlias: appending to one node's stops must not
+// overwrite the next node's.
+func TestRoutesPlanDoesNotAlias(t *testing.T) {
+	plans := NewRoutes(model()).Plan(2, des.NewRNG(1))
+	first := plans[1].Stops[0]
+	plans[0].Stops = append(plans[0].Stops, Stop{})
+	if plans[1].Stops[0] != first {
+		t.Fatal("appending to plan 0 overwrote plan 1")
 	}
 }

@@ -21,21 +21,27 @@ type Engine struct {
 	Profile *ran.Profile
 	// OfferedMpps is the UPF datapath load during the measurement.
 	OfferedMpps float64
-	// WiredJitterUs is the per-hop one-way jitter stddev (microseconds)
-	// applied to wired legs.
-	WiredJitterUs float64
 }
 
-// NewEngine returns a measurement engine with default jitter settings.
+// NewEngine returns a measurement engine at the default datapath load.
 func NewEngine(up *corenet.UserPlane, profile *ran.Profile) *Engine {
-	return &Engine{UP: up, Profile: profile, OfferedMpps: 0.3, WiredJitterUs: 40}
+	return &Engine{UP: up, Profile: profile, OfferedMpps: 0.3}
 }
 
-func (e *Engine) wiredJitter(rng *des.RNG, hops int) time.Duration {
+// WiredJitterUs is the per-hop one-way jitter stddev (microseconds)
+// applied to wired legs.
+const WiredJitterUs = 40.0
+
+// WiredJitter draws the jitter of a wired leg of the given hop count:
+// one normal draw (two RNG values) for a leg with hops, none without.
+// Every wired and mobile RTT of an Engine ends with it, so a caller
+// that resolved a leg's fixed RTT and hop count once can draw the same
+// RTT as the Engine by adding this draw last.
+func WiredJitter(rng *des.RNG, hops int) time.Duration {
 	if hops <= 0 {
 		return 0
 	}
-	us := rng.Normal(0, e.WiredJitterUs*float64(hops))
+	us := rng.Normal(0, WiredJitterUs*float64(hops))
 	if us < 0 {
 		us = -us
 	}
@@ -66,7 +72,7 @@ func (e *Engine) WiredRTT(rng *des.RNG, from, to *topo.Node) (time.Duration, err
 // WiredPath: the same draws and the same sum as WiredRTT, so a caller
 // pinging one pair many times routes it once.
 func (e *Engine) WiredRTTOn(rng *des.RNG, p routing.Path) time.Duration {
-	return p.RTT() + e.wiredJitter(rng, p.Hops())
+	return p.RTT() + WiredJitter(rng, p.Hops())
 }
 
 // MobileRTT measures one round trip from a mobile UE (attached under the
@@ -86,7 +92,7 @@ func (e *Engine) MobileRTT(rng *des.RNG, cond ran.Conditions, upf *corenet.UPF,
 // session once.
 func (e *Engine) MobileRTTOn(rng *des.RNG, cond ran.Conditions, sp corenet.SessionPath) time.Duration {
 	rtt := e.UP.SampleRTT(rng, e.Profile, cond, sp, e.OfferedMpps)
-	return rtt + e.wiredJitter(rng, sp.Backhaul.Hops()+sp.Breakout.Hops())
+	return rtt + WiredJitter(rng, sp.Backhaul.Hops()+sp.Breakout.Hops())
 }
 
 // MobileMeanRTT returns the analytic expectation of MobileRTT (wired
@@ -139,7 +145,7 @@ func (e *Engine) Traceroute(rng *des.RNG, cond ran.Conditions, upf *corenet.UPF,
 
 	// Hop 1: the UPF itself (first IP hop past the tunnel).
 	tr.Hops = append(tr.Hops, Hop{Index: 1, Node: upf.Host,
-		RTT: base + e.wiredJitter(rng, sp.Backhaul.Hops())})
+		RTT: base + WiredJitter(rng, sp.Backhaul.Hops())})
 
 	// Subsequent hops walk the breakout path.
 	var cum time.Duration
@@ -148,7 +154,7 @@ func (e *Engine) Traceroute(rng *des.RNG, cond ran.Conditions, upf *corenet.UPF,
 		tr.Hops = append(tr.Hops, Hop{
 			Index: i + 1,
 			Node:  sp.Breakout.Nodes[i],
-			RTT:   base + 2*cum + e.wiredJitter(rng, i),
+			RTT:   base + 2*cum + WiredJitter(rng, i),
 		})
 	}
 	tr.Total = tr.Hops[len(tr.Hops)-1].RTT

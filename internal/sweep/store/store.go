@@ -714,6 +714,13 @@ func (s *Store) forgetIf(id string, l location) {
 	s.mu.Unlock()
 }
 
+// putBufs recycles Put's frame buffers: appendLocked writes a frame
+// out and keeps none of it. A buffer grown past maxPooledPut goes to
+// the collector instead, so one outsized record does not stay pinned.
+var putBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledPut = 1 << 20
+
 // Put persists a completed result under its scenario id: encode to one
 // TLV frame, append it to the id's shard tail segment, then append the
 // index line. The segment append is the commit point — Put returns only
@@ -728,7 +735,14 @@ func (s *Store) Put(id string, res *campaign.Result) error {
 	start := s.opStart()
 	defer s.opDone(OpPut, shardOf(id), start)
 	st := res.State(s.compact)
-	frame := tlv.AppendEnvelope(nil, id, &st)
+	buf := putBufs.Get().(*[]byte)
+	frame := tlv.AppendEnvelope((*buf)[:0], id, &st)
+	defer func() {
+		if cap(frame) <= maxPooledPut {
+			*buf = frame[:0]
+			putBufs.Put(buf)
+		}
+	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
