@@ -67,8 +67,9 @@ func runGate(in string, args ...string) (stdout, stderr string, err error) {
 // ciGates are the bench job's gates, verbatim.
 var ciGates = []string{
 	"-max", "BenchmarkHot*:allocs/op<=0",
-	"-max", "BenchmarkCampaignFull:allocs/op<=300",
-	"-max", "BenchmarkCampaignSmall:allocs/op<=200",
+	"-max", "BenchmarkCampaignFull:allocs/op<=60",
+	"-max", "BenchmarkCampaignSmall:allocs/op<=50",
+	"-max", "BenchmarkServeColdMiss:allocs/op<=230",
 	"-max", "BenchmarkServeWarm:allocs/op<=125",
 	"-max", "BenchmarkProxyWarmRouted:allocs/op<=260",
 	"-max", "BenchmarkProxySweepTLV:allocs/op<=2600",
@@ -184,8 +185,9 @@ func TestGates(t *testing.T) {
 	}{
 		{"every CI gate passes", in, ciGates, []string{
 			"ok   BenchmarkHot*:allocs/op<=0: BenchmarkHotEventLoop 0, ",
-			"ok   BenchmarkCampaignFull:allocs/op<=300: BenchmarkCampaignFull 102",
-			"ok   BenchmarkCampaignSmall:allocs/op<=200: BenchmarkCampaignSmall 96",
+			"ok   BenchmarkCampaignFull:allocs/op<=60: BenchmarkCampaignFull 36",
+			"ok   BenchmarkCampaignSmall:allocs/op<=50: BenchmarkCampaignSmall 31",
+			"ok   BenchmarkServeColdMiss:allocs/op<=230: BenchmarkServeColdMiss 191",
 			"ok   BenchmarkServeWarm:allocs/op<=125: BenchmarkServeWarm 111",
 			"ok   BenchmarkProxyWarmRouted:allocs/op<=260: BenchmarkProxyWarmRouted 234",
 			"ok   BenchmarkProxySweepTLV:allocs/op<=2600: BenchmarkProxySweepTLV 2378",
@@ -195,31 +197,33 @@ func TestGates(t *testing.T) {
 		}, true},
 		{"hot path allocates: one offender of nine", setMetric(t, in, "BenchmarkHotObserve", "allocs/op", "1"),
 			ciGates[:2], []string{"FAIL BenchmarkHot*:allocs/op<=0: BenchmarkHotObserve 1\n"}, false},
-		{"full campaign over 300", setMetric(t, in, "BenchmarkCampaignFull", "allocs/op", "301"),
-			ciGates[2:4], []string{"FAIL BenchmarkCampaignFull:allocs/op<=300: BenchmarkCampaignFull 301"}, false},
-		{"full campaign at 300", setMetric(t, in, "BenchmarkCampaignFull", "allocs/op", "300"),
-			ciGates[2:4], []string{"ok   BenchmarkCampaignFull:allocs/op<=300: BenchmarkCampaignFull 300"}, true},
-		{"small campaign over 200", setMetric(t, in, "BenchmarkCampaignSmall", "allocs/op", "201"),
-			ciGates[4:6], []string{"FAIL BenchmarkCampaignSmall:allocs/op<=200: BenchmarkCampaignSmall 201"}, false},
+		{"full campaign over 60", setMetric(t, in, "BenchmarkCampaignFull", "allocs/op", "61"),
+			ciGates[2:4], []string{"FAIL BenchmarkCampaignFull:allocs/op<=60: BenchmarkCampaignFull 61"}, false},
+		{"full campaign at 60", setMetric(t, in, "BenchmarkCampaignFull", "allocs/op", "60"),
+			ciGates[2:4], []string{"ok   BenchmarkCampaignFull:allocs/op<=60: BenchmarkCampaignFull 60"}, true},
+		{"small campaign over 50", setMetric(t, in, "BenchmarkCampaignSmall", "allocs/op", "51"),
+			ciGates[4:6], []string{"FAIL BenchmarkCampaignSmall:allocs/op<=50: BenchmarkCampaignSmall 51"}, false},
+		{"cold miss over 230", setMetric(t, in, "BenchmarkServeColdMiss", "allocs/op", "231"),
+			ciGates[6:8], []string{"FAIL BenchmarkServeColdMiss:allocs/op<=230: BenchmarkServeColdMiss 231"}, false},
 		{"warm read over 125", setMetric(t, in, "BenchmarkServeWarm", "allocs/op", "126"),
-			ciGates[6:8], []string{"FAIL BenchmarkServeWarm:allocs/op<=125: BenchmarkServeWarm 126"}, false},
+			ciGates[8:10], []string{"FAIL BenchmarkServeWarm:allocs/op<=125: BenchmarkServeWarm 126"}, false},
 		{"routed proxy read over 260", setMetric(t, in, "BenchmarkProxyWarmRouted", "allocs/op", "261"),
-			ciGates[8:10], []string{"FAIL BenchmarkProxyWarmRouted:allocs/op<=260: BenchmarkProxyWarmRouted 261"}, false},
+			ciGates[10:12], []string{"FAIL BenchmarkProxyWarmRouted:allocs/op<=260: BenchmarkProxyWarmRouted 261"}, false},
 		{"proxied TLV sweep over 2,600", setMetric(t, in, "BenchmarkProxySweepTLV", "allocs/op", "2601"),
-			ciGates[10:12], []string{"FAIL BenchmarkProxySweepTLV:allocs/op<=2600: BenchmarkProxySweepTLV 2601"}, false},
+			ciGates[12:14], []string{"FAIL BenchmarkProxySweepTLV:allocs/op<=2600: BenchmarkProxySweepTLV 2601"}, false},
 		{"TLV stream over 1,000", setMetric(t, in, "BenchmarkSweepStreamTLV", "allocs/op", "1001"),
-			ciGates[12:14], []string{"FAIL BenchmarkSweepStreamTLV:allocs/op<=1000: BenchmarkSweepStreamTLV 1001"}, false},
+			ciGates[14:16], []string{"FAIL BenchmarkSweepStreamTLV:allocs/op<=1000: BenchmarkSweepStreamTLV 1001"}, false},
 		{"TLV round trip under 3x JSON", setMetric(t, in, "BenchmarkDecodeJSON", "ns/op", "1000"),
-			ciGates[14:16], []string{"FAIL BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: 2.72x (7871 / 2898.7)"}, false},
+			ciGates[16:18], []string{"FAIL BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: 2.72x (7871 / 2898.7)"}, false},
 		{"stream ratio report with a slower TLV stream", setMetric(t, in, "BenchmarkSweepStreamTLV", "ns/op", "1402512"),
-			ciGates[16:], []string{"ok   BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: 0.50x"}, true},
+			ciGates[18:], []string{"ok   BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: 0.50x"}, true},
 		{"stream ratio report without its JSONL run", dropLine(t, in, "BenchmarkSweepStreamJSONL"),
-			ciGates[16:], []string{"FAIL BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: no benchmark matches BenchmarkSweepStreamJSONL"}, false},
+			ciGates[18:], []string{"FAIL BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: no benchmark matches BenchmarkSweepStreamJSONL"}, false},
 		{"gate matches nothing", in, []string{"-max", "BenchmarkCampaignHuge:allocs/op<=1"},
 			[]string{"FAIL BenchmarkCampaignHuge:allocs/op<=1: no benchmark matches BenchmarkCampaignHuge"}, false},
-		{"matched benchmark lacks the unit", in, []string{"-max", "BenchmarkServeColdMiss*:allocs/op<=500"},
-			[]string{"FAIL BenchmarkServeColdMiss*:allocs/op<=500: BenchmarkServeColdMiss reports no allocs/op"}, false},
-		{"ratio term matches two runs", in + in, ciGates[14:16],
+		{"matched benchmark lacks the unit", in, []string{"-max", "BenchmarkSweepDiskWarm*:allocs/op<=500"},
+			[]string{"FAIL BenchmarkSweepDiskWarm*:allocs/op<=500: BenchmarkSweepDiskWarm/full reports no allocs/op"}, false},
+		{"ratio term matches two runs", in + in, ciGates[16:18],
 			[]string{"FAIL BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: BenchmarkEncodeJSON matches 2 benchmarks, want one"}, false},
 		{"one failing gate among passing ones", setMetric(t, in, "BenchmarkServeWarm", "allocs/op", "250"), ciGates, []string{
 			"ok   BenchmarkCampaignFull:", "FAIL BenchmarkServeWarm:allocs/op<=125: BenchmarkServeWarm 250"}, false},

@@ -113,7 +113,8 @@ type Result struct {
 	Grid    *geo.Grid
 	Density *geo.DensityModel
 
-	// Samples holds every per-cell RTT sample in milliseconds.
+	// Samples holds every per-cell RTT sample in milliseconds, one
+	// for each cell in Reports.
 	Samples map[geo.CellID]*stats.Sample
 	// Reports has one entry per traversed cell, row-major.
 	Reports []CellReport
@@ -213,10 +214,9 @@ func (w *world) run(cfg Config, arSampler *argame.Sampler) (*Result, error) {
 		Density: w.density,
 		Samples: make(map[geo.CellID]*stats.Sample, len(w.cells)),
 	}
-	samples := make([]*stats.Sample, len(w.cells))
+	samples := stats.NewSamples(perCell)
 	for i, c := range w.cells {
-		samples[i] = stats.NewSample(perCell[i])
-		res.Samples[c] = samples[i]
+		res.Samples[c] = &samples[i]
 	}
 	ghostHits := make([]int, len(w.cells))
 
@@ -263,7 +263,7 @@ func (w *world) run(cfg Config, arSampler *argame.Sampler) (*Result, error) {
 	// Aggregate per cell.
 	res.Reports = make([]CellReport, 0, len(w.cells))
 	for i, c := range w.cells {
-		s := samples[i]
+		s := &samples[i]
 		rep := CellReport{Cell: c, N: s.N(), GhostHits: ghostHits[i]}
 		if s.N() >= MinMeasurements {
 			rep.Reported = true

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/argame"
@@ -69,7 +70,9 @@ type SlicingState struct {
 
 // CellState is one traversed cell: the report row plus the cell's full
 // sample moments (reported or not), and the raw RTT samples in
-// milliseconds unless captured compactly.
+// milliseconds unless captured compactly. Samples taken by
+// Result.State alias the result's own values: read them, never write
+// or sort them.
 type CellState struct {
 	Cell     string  `json:"cell"`
 	N        int     `json:"n"`
@@ -86,6 +89,10 @@ type CellState struct {
 // State captures the result. With compact set, raw per-cell samples are
 // omitted — orders of magnitude smaller for large campaigns — at the
 // cost of quantile/CDF/histogram support on the restored result.
+// Without it, each cell's Samples is the result's own raw values,
+// shared rather than copied and capacity-clipped, so an append copies:
+// the state is read-only for as long as the result lives, which suits
+// its one job of being encoded (the sweep store's Put).
 func (r *Result) State(compact bool) ResultState {
 	cfg := r.Config.Canonical()
 	st := ResultState{
@@ -128,7 +135,7 @@ func (r *Result) State(compact bool) ResultState {
 		if s := r.Samples[rep.Cell]; s != nil {
 			cs.Summary = s.State()
 			if !compact {
-				cs.Samples = append([]float64{}, s.Values()...)
+				cs.Samples = slices.Clip(s.Values())
 			}
 		}
 		st.Cells = append(st.Cells, cs)
@@ -142,6 +149,12 @@ func (r *Result) State(compact bool) ResultState {
 // rule. Restoring fails if the profile name no longer resolves or a
 // cell id is malformed — callers (the sweep store) treat that as a
 // cache miss, never as a fatal error.
+//
+// Restore takes the cells' Samples slices over as the restored
+// samples' values, without copying: the store's decoder made them and
+// nothing else holds them. A state straight from Result.State shares
+// its values with that result, so restoring it without an encode in
+// between gives a result that shares them too.
 func (st ResultState) Restore() (*Result, error) {
 	profile, ok := ran.ProfileByName(st.Config.Profile)
 	if !ok {
@@ -197,12 +210,14 @@ func (st ResultState) Restore() (*Result, error) {
 		VirtualDuration:   time.Duration(st.VirtualNs),
 		SummaryOnly:       st.Compact,
 	}
-	for _, cs := range st.Cells {
+	samples := make([]stats.Sample, len(st.Cells))
+	for i, cs := range st.Cells {
 		cell, err := geo.ParseCellID(cs.Cell)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: state cell %q: %w", cs.Cell, err)
 		}
-		res.Samples[cell] = stats.RestoreSample(cs.Summary.Summary(), cs.Samples)
+		samples[i] = stats.SampleOf(cs.Summary.Summary(), cs.Samples)
+		res.Samples[cell] = &samples[i]
 		res.Reports = append(res.Reports, CellReport{
 			Cell:      cell,
 			N:         cs.N,
@@ -221,10 +236,12 @@ func (st ResultState) Restore() (*Result, error) {
 // Clone returns an independent deep copy of the result: the caller may
 // mutate samples, reports or config freely without affecting the
 // original. The sector grid and density model are shared — they are
-// immutable topology. Cloned samples are exact-size. The sweep cache
-// keeps one copy of each fresh result, to shed its sample growth
-// slack, and clones per lookup only for Want.Raw callers; every other
-// hit shares the cached result read-only.
+// immutable topology. Cloned samples are exact-size, and all their
+// values share one slab. The sweep cache keeps its own copy of each
+// fresh result: a SummaryClone when a store keeps the raw samples,
+// since the cache then needs only summaries, and a Clone otherwise. It
+// clones per lookup only for Want.Raw callers; every other hit shares
+// the cached result read-only.
 func (r *Result) Clone() *Result { return r.clone(false) }
 
 // SummaryClone is Clone without the raw per-cell samples: the copy is
@@ -247,13 +264,34 @@ func (r *Result) clone(summaryOnly bool) *Result {
 		a := *r.Config.ARGame
 		cp.Config.ARGame = &a
 	}
-	cp.Samples = make(map[geo.CellID]*stats.Sample, len(r.Samples))
-	for c, s := range r.Samples {
-		if summaryOnly {
-			cp.Samples[c] = stats.RestoreSample(s.Summary, nil)
-		} else {
-			cp.Samples[c] = s.Clone()
+	// One slab of samples and, for a full clone, one of values, both
+	// filled in Reports order: ranging the map would fill them in an
+	// order that changes from run to run.
+	samples := make([]stats.Sample, len(r.Reports))
+	var values []float64
+	if !summaryOnly {
+		n := 0
+		for _, rep := range r.Reports {
+			if s := r.Samples[rep.Cell]; s != nil {
+				n += len(s.Values())
+			}
 		}
+		values = make([]float64, 0, n)
+	}
+	cp.Samples = make(map[geo.CellID]*stats.Sample, len(r.Samples))
+	for i, rep := range r.Reports {
+		s := r.Samples[rep.Cell]
+		if s == nil {
+			continue
+		}
+		if summaryOnly {
+			samples[i] = stats.Sample{Summary: s.Summary}
+		} else {
+			off := len(values)
+			values = append(values, s.Values()...)
+			samples[i] = stats.SampleOf(s.Summary, values[off:len(values):len(values)])
+		}
+		cp.Samples[rep.Cell] = &samples[i]
 	}
 	cp.SummaryOnly = r.SummaryOnly || summaryOnly
 	cp.Reports = append([]CellReport(nil), r.Reports...)

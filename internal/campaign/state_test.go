@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 )
 
@@ -160,5 +161,51 @@ func TestResultCloneIsIndependent(t *testing.T) {
 	}
 	if orig.Config.TargetCells[0] == "Z9" {
 		t.Fatal("clone shares the target-cell slice")
+	}
+}
+
+// TestResultCloneKeepsOriginalOrder: a full clone's values live in one
+// slab of their own, so sorting a cloned sample (Quantile sorts in
+// place) leaves the original's insertion order untouched, and an Add
+// past one cloned sample's end leaves its neighbour in the slab intact.
+func TestResultCloneKeepsOriginalOrder(t *testing.T) {
+	orig := runOnce(t, Config{Seed: 11})
+	cp := orig.Clone()
+	for _, rep := range orig.Reports {
+		s := orig.Samples[rep.Cell]
+		before := slices.Clone(s.Values())
+		c := cp.Samples[rep.Cell]
+		if len(c.Values()) != cap(c.Values()) {
+			t.Fatalf("cell %s: cloned sample has len %d, cap %d", rep.Cell, len(c.Values()), cap(c.Values()))
+		}
+		c.Quantile(0.5)
+		if !slices.Equal(s.Values(), before) {
+			t.Fatalf("cell %s: sorting the clone reordered the original", rep.Cell)
+		}
+	}
+	for i := 0; i+1 < len(cp.Reports); i++ {
+		next := cp.Samples[cp.Reports[i+1].Cell]
+		want := slices.Clone(next.Values())
+		cp.Samples[cp.Reports[i].Cell].Add(-1)
+		if !slices.Equal(next.Values(), want) {
+			t.Fatalf("adding to cell %s overwrote cell %s", cp.Reports[i].Cell, cp.Reports[i+1].Cell)
+		}
+	}
+}
+
+// TestStateSharesRawValues: a full state hands the encoder the
+// result's own values, capacity-clipped so an append to them copies.
+func TestStateSharesRawValues(t *testing.T) {
+	res := runOnce(t, Config{Seed: 11})
+	st := res.State(false)
+	for i, rep := range res.Reports {
+		got, vals := st.Cells[i].Samples, res.Samples[rep.Cell].Values()
+		if len(vals) == 0 {
+			continue
+		}
+		if &got[0] != &vals[0] || len(got) != len(vals) || cap(got) != len(got) {
+			t.Fatalf("cell %s: state samples (len %d, cap %d) do not alias the result's %d values",
+				rep.Cell, len(got), cap(got), len(vals))
+		}
 	}
 }

@@ -117,17 +117,29 @@ func TestCellIDString(t *testing.T) {
 	}
 }
 
-// TestCellIDStringMatchesSprintf: String builds its bytes by hand, and
-// must produce exactly what the fmt rendering did — including columns
-// past 'Z' and zero or negative rows — since cell names feed scenario
-// records and store keys.
+// TestCellIDStringMatchesSprintf: String returns interned names for
+// the cellNames table and builds any other by hand, and both must
+// produce exactly what the fmt rendering did — including columns past
+// 'Z', negative columns and zero, negative or past-the-table rows —
+// since cell names feed scenario records and store keys.
 func TestCellIDStringMatchesSprintf(t *testing.T) {
-	for col := 0; col <= 30; col++ {
+	for col := -2; col <= 30; col++ {
 		for row := -1; row <= 120; row++ {
 			c := CellID{Col: col, Row: row}
 			if got, want := c.String(), fmt.Sprintf("%c%d", 'A'+rune(c.Col), c.Row); got != want {
 				t.Fatalf("CellID{%d, %d}.String() = %q, want %q", col, row, got, want)
 			}
+		}
+	}
+}
+
+// TestCellIDStringInTableDoesNotAllocate: every state and record cell
+// renders its name, so a name in the table must come back interned.
+func TestCellIDStringInTableDoesNotAllocate(t *testing.T) {
+	var sink string
+	for _, c := range []CellID{{Col: 0, Row: 0}, {Col: 2, Row: 3}, {Col: 25, Row: 15}} {
+		if n := testing.AllocsPerRun(100, func() { sink = c.String() }); n != 0 {
+			t.Fatalf("%s.String() allocates %.0f times, want 0", sink, n)
 		}
 	}
 }

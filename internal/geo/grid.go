@@ -17,13 +17,35 @@ type CellID struct {
 	Row int // 1-based: 1 = northernmost row
 }
 
-// String renders the cell in the paper's "C3" notation. It builds the
-// bytes in a stack buffer (one rune, at most 4 bytes, then a base-10
-// int64, at most 20), so the returned string is its only allocation.
+// String renders the cell in the paper's "C3" notation. Cells in the
+// cellNames table return its interned string and allocate nothing;
+// any other cell is formatted afresh.
 func (c CellID) String() string {
+	if uint(c.Col) < uint(len(cellNames)) && uint(c.Row) < uint(len(cellNames[0])) {
+		return cellNames[c.Col][c.Row]
+	}
+	return formatCell(c.Col, c.Row)
+}
+
+// cellNames interns the names of columns A–Z by rows 0–15, which covers
+// the 6×7 Klagenfurt grid with room to spare. It is filled once at
+// package init and only read after.
+var cellNames = func() (t [26][16]string) {
+	for col := range t {
+		for row := range t[col] {
+			t[col][row] = formatCell(col, row)
+		}
+	}
+	return t
+}()
+
+// formatCell builds a cell's name in a stack buffer (one rune, at most
+// 4 bytes, then a base-10 int64, at most 20), so the returned string is
+// its only allocation.
+func formatCell(col, row int) string {
 	var buf [utf8.UTFMax + 20]byte
-	b := utf8.AppendRune(buf[:0], 'A'+rune(c.Col))
-	return string(strconv.AppendInt(b, int64(c.Row), 10))
+	b := utf8.AppendRune(buf[:0], 'A'+rune(col))
+	return string(strconv.AppendInt(b, int64(row), 10))
 }
 
 // ParseCellID parses the "C3" notation back into a CellID.

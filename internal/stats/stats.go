@@ -229,29 +229,33 @@ func (s *Sample) AddDuration(d time.Duration) {
 // must not mutate it.
 func (s *Sample) Values() []float64 { return s.xs }
 
-// Clone returns an independent deep copy: mutating the clone (Add,
-// Quantile's in-place sort) never affects the original. The copy's
-// backing slice is exact-size (cap == len), so cloning also sheds the
-// growth slack of a sample that is done collecting.
-func (s *Sample) Clone() *Sample {
-	cp := *s
-	cp.xs = nil
-	if len(s.xs) > 0 {
-		cp.xs = make([]float64, len(s.xs))
-		copy(cp.xs, s.xs)
+// NewSamples returns one empty sample per capacity, built from two
+// allocations: the samples themselves and one slab for all their
+// values. Each sample's values are clipped to exactly its capacity, so
+// an Add past it copies rather than write into the next sample's.
+func NewSamples(caps []int) []Sample {
+	total := 0
+	for _, c := range caps {
+		total += c
 	}
-	return &cp
+	out := make([]Sample, len(caps))
+	slab := make([]float64, total)
+	off := 0
+	for i, c := range caps {
+		out[i].xs = slab[off : off : off+c]
+		off += c
+	}
+	return out
 }
 
-// RestoreSample rebuilds a Sample from a previously captured summary and
-// (optionally) its raw observations. values is copied; it may be nil for
-// a summary-only sample, which supports everything but quantiles, CDFs
-// and histograms — the compact form the sweep result store persists.
-// The summary is trusted rather than recomputed from values: re-folding
+// SampleOf returns a sample with the given summary over values, which
+// it takes ownership of: values may be nil for a summary-only sample,
+// which supports everything but quantiles, CDFs and histograms. The
+// summary is trusted rather than recomputed from values: re-folding
 // observations in a different order would perturb the Welford
 // accumulators in the last ulp and break byte-exact round-trips.
-func RestoreSample(sum Summary, values []float64) *Sample {
-	return &Sample{Summary: sum, xs: append([]float64(nil), values...)}
+func SampleOf(sum Summary, values []float64) Sample {
+	return Sample{Summary: sum, xs: values}
 }
 
 func (s *Sample) ensureSorted() {

@@ -410,37 +410,49 @@ func TestSnapshotSummaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSampleCloneIsIndependent(t *testing.T) {
-	s := NewSample(4)
-	for _, x := range []float64{5, 1, 3} {
-		s.Add(x)
+func TestNewSamplesSizesEachExactly(t *testing.T) {
+	caps := []int{2, 0, 3}
+	ss := NewSamples(caps)
+	if len(ss) != len(caps) {
+		t.Fatalf("got %d samples, want %d", len(ss), len(caps))
 	}
-	c := s.Clone()
-	if c.Median() != 3 { // sorts the clone's backing slice in place
-		t.Fatalf("clone median = %v", c.Median())
+	for i, c := range caps {
+		if got := cap(ss[i].Values()); got != c || len(ss[i].Values()) != 0 {
+			t.Fatalf("sample %d: len %d cap %d, want empty with cap %d", i, len(ss[i].Values()), got, c)
+		}
 	}
-	if got := s.Values(); got[0] != 5 || got[1] != 1 || got[2] != 3 {
-		t.Fatalf("cloning then sorting the clone mutated the original: %v", got)
+	ss[0].Add(1)
+	ss[0].Add(2)
+	ss[2].Add(7)
+	ss[0].Add(99) // past its cap: must copy, not write into the next sample
+	ss[1].Add(98)
+	ss[2].Add(8)
+	ss[2].Add(9)
+	if got := ss[2].Values(); len(got) != 3 || got[0] != 7 || got[1] != 8 || got[2] != 9 {
+		t.Fatalf("adding past a neighbour's cap overwrote sample 2: %v", got)
 	}
-	c.Add(100)
-	if s.N() != 3 || s.Max() != 5 {
-		t.Fatal("adding to the clone mutated the original summary")
+	if got := ss[0].Values(); len(got) != 3 || got[2] != 99 || ss[1].Values()[0] != 98 {
+		t.Fatalf("samples lost their own values: %v %v", got, ss[1].Values())
 	}
 }
 
-func TestRestoreSample(t *testing.T) {
+func TestSampleOf(t *testing.T) {
 	orig := NewSample(4)
 	for _, x := range []float64{2, 8, 4} {
 		orig.Add(x)
 	}
-	full := RestoreSample(orig.Summary, orig.Values())
+	values := []float64{2, 8, 4}
+	full := SampleOf(orig.Summary, values)
 	if full.Summary != orig.Summary {
-		t.Fatal("restored sample must carry the exact summary")
+		t.Fatal("sample must carry the exact summary")
+	}
+	if &full.Values()[0] != &values[0] {
+		t.Fatal("SampleOf must take the values over, not copy them")
 	}
 	if full.Median() != 4 {
-		t.Fatalf("restored sample median = %v, want 4", full.Median())
+		t.Fatalf("sample median = %v, want 4", full.Median())
 	}
-	compact := RestoreSample(orig.Summary, nil)
+	compact := SampleOf(orig.Summary, nil)
 	if compact.N() != 3 || compact.Mean() != orig.Mean() {
 		t.Fatal("summary-only sample lost its moments")
 	}

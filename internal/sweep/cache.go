@@ -238,14 +238,14 @@ func (c *Cache) get(id string, raw bool) (*campaign.Result, bool) {
 }
 
 // put caches a freshly simulated result and, when a store is attached,
-// persists it. The cache keeps one copy, never fresh itself: a fresh
-// result's samples carry campaign.Run's growth slack, which would
-// otherwise stay resident for the entry's lifetime. The copy is an
-// exact-size Clone, or — when a store keeps the raw samples and no raw
-// caller asked for them — a SummaryClone, since shared readers need
-// only summaries and reports and raw callers read the store. put
-// returns the copy a caller of the given kind may hold: the cached one
-// for shared callers, the fresh one (already private) for raw callers.
+// persists it. The cache keeps its own copy, never fresh itself. When
+// a store is attached and no raw caller asked, the copy is a
+// SummaryClone: the cache keeps the summaries and reports shared
+// readers need, and the store keeps the raw samples raw callers read.
+// Otherwise it is a full Clone, since a raw caller takes fresh and may
+// mutate it. put returns the copy a caller of the given kind may hold:
+// the cached one for shared callers, the fresh one (already private)
+// for raw callers.
 func (c *Cache) put(id string, fresh *campaign.Result, raw bool) *campaign.Result {
 	c.mu.Lock()
 	st := c.store

@@ -529,3 +529,32 @@ func TestStorePutAfterCloseFails(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 }
+
+// TestStoreRestoredResultRoundTripsByteIdentically: Get restores a
+// record over the decoder's own sample slices, and putting that
+// restored result again must write the very same frame, full or
+// compact.
+func TestStoreRestoredResultRoundTripsByteIdentically(t *testing.T) {
+	res := testResult(t, 7)
+	for _, compact := range []bool{false, true} {
+		first := open(t, t.TempDir(), Options{Compact: compact})
+		if err := first.Put("d00d01", res); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := onlyFrame(t, first.Dir(), "d00d01")
+		got, ok := first.Get("d00d01")
+		if !ok {
+			t.Fatalf("compact=%t: record must restore", compact)
+		}
+		second := open(t, t.TempDir(), Options{Compact: compact})
+		if err := second.Put("d00d01", got); err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := onlyFrame(t, second.Dir(), "d00d01"); !bytes.Equal(again, want) {
+			t.Fatalf("compact=%t: a restored result re-encodes to different bytes", compact)
+		}
+		if again, ok := second.Get("d00d01"); !ok || again.MobileAll != res.MobileAll {
+			t.Fatalf("compact=%t: second round trip lost the record", compact)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/campaign"
@@ -152,5 +153,30 @@ func TestEnvelopeSamplesExactBits(t *testing.T) {
 		if gotBits, wantBits := math.Float64bits(got.Cells[0].Samples[i]), math.Float64bits(want); gotBits != wantBits {
 			t.Fatalf("sample %d: bits %x, want %x", i, gotBits, wantBits)
 		}
+	}
+}
+
+// TestEnvelopeOfSharedStateMatchesDeepCopy: Result.State shares the
+// result's raw values rather than copying them, and the envelope it
+// encodes must be byte for byte the one a deep-copied state encodes.
+func TestEnvelopeOfSharedStateMatchesDeepCopy(t *testing.T) {
+	res, err := campaign.Run(campaign.Config{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := res.State(false)
+	deep := shared
+	deep.Config.TargetCells = slices.Clone(shared.Config.TargetCells)
+	deep.Cells = slices.Clone(shared.Cells)
+	values := 0
+	for i := range deep.Cells {
+		deep.Cells[i].Samples = slices.Clone(deep.Cells[i].Samples)
+		values += len(deep.Cells[i].Samples)
+	}
+	if values == 0 {
+		t.Fatal("full state carries no raw samples")
+	}
+	if got, want := AppendEnvelope(nil, "ab12", &shared), AppendEnvelope(nil, "ab12", &deep); !bytes.Equal(got, want) {
+		t.Fatal("a state sharing the result's values encodes different bytes from a deep copy")
 	}
 }
