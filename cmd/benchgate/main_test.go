@@ -14,10 +14,10 @@ import (
 // testdata/ci-bench.out is real output of CI's bench job commands: nine
 // -benchmem BenchmarkHot* lines from five packages, sub-benchmarks without
 // -benchmem, ServeWarm's p50_us/queries/s metrics and TLV's MB/s. The
-// ServeWarm, ProxyWarm* and SweepStream* lines come from a later run,
-// taken when their allocs/op gates were tightened and the proxy pair
-// gained -benchmem, and the ProxySweepTLV line from a later one still,
-// taken when it joined the proxy run.
+// ServeWarm line comes from a later run, taken when its allocs/op gate
+// was tightened. The ProxyWarm*, ProxySweepTLV and SweepStream* lines
+// come from a later one still, taken when the proxy's and the streams'
+// gates were tightened and the JSONL stream gained its own.
 func fixture(t *testing.T) string {
 	t.Helper()
 	b, err := os.ReadFile("testdata/ci-bench.out")
@@ -71,9 +71,10 @@ var ciGates = []string{
 	"-max", "BenchmarkCampaignSmall:allocs/op<=50",
 	"-max", "BenchmarkServeColdMiss:allocs/op<=230",
 	"-max", "BenchmarkServeWarm:allocs/op<=125",
-	"-max", "BenchmarkProxyWarmRouted:allocs/op<=260",
-	"-max", "BenchmarkProxySweepTLV:allocs/op<=2600",
-	"-max", "BenchmarkSweepStreamTLV:allocs/op<=1000",
+	"-max", "BenchmarkProxyWarmRouted:allocs/op<=245",
+	"-max", "BenchmarkProxySweepTLV:allocs/op<=2450",
+	"-max", "BenchmarkSweepStreamTLV:allocs/op<=450",
+	"-max", "BenchmarkSweepStreamJSONL:allocs/op<=460",
 	"-min-ratio", "BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3",
 	"-min-ratio", "BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0",
 }
@@ -189,11 +190,12 @@ func TestGates(t *testing.T) {
 			"ok   BenchmarkCampaignSmall:allocs/op<=50: BenchmarkCampaignSmall 31",
 			"ok   BenchmarkServeColdMiss:allocs/op<=230: BenchmarkServeColdMiss 191",
 			"ok   BenchmarkServeWarm:allocs/op<=125: BenchmarkServeWarm 111",
-			"ok   BenchmarkProxyWarmRouted:allocs/op<=260: BenchmarkProxyWarmRouted 234",
-			"ok   BenchmarkProxySweepTLV:allocs/op<=2600: BenchmarkProxySweepTLV 2378",
-			"ok   BenchmarkSweepStreamTLV:allocs/op<=1000: BenchmarkSweepStreamTLV 874",
+			"ok   BenchmarkProxyWarmRouted:allocs/op<=245: BenchmarkProxyWarmRouted 229",
+			"ok   BenchmarkProxySweepTLV:allocs/op<=2450: BenchmarkProxySweepTLV 2295",
+			"ok   BenchmarkSweepStreamTLV:allocs/op<=450: BenchmarkSweepStreamTLV 345",
+			"ok   BenchmarkSweepStreamJSONL:allocs/op<=460: BenchmarkSweepStreamJSONL 356",
 			"ok   BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: 10.49x (30417 / 2898.7)",
-			"ok   BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: 1.76x (701256 / 398082)",
+			"ok   BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: 2.26x (1105060 / 488620)",
 		}, true},
 		{"hot path allocates: one offender of nine", setMetric(t, in, "BenchmarkHotObserve", "allocs/op", "1"),
 			ciGates[:2], []string{"FAIL BenchmarkHot*:allocs/op<=0: BenchmarkHotObserve 1\n"}, false},
@@ -207,23 +209,27 @@ func TestGates(t *testing.T) {
 			ciGates[6:8], []string{"FAIL BenchmarkServeColdMiss:allocs/op<=230: BenchmarkServeColdMiss 231"}, false},
 		{"warm read over 125", setMetric(t, in, "BenchmarkServeWarm", "allocs/op", "126"),
 			ciGates[8:10], []string{"FAIL BenchmarkServeWarm:allocs/op<=125: BenchmarkServeWarm 126"}, false},
-		{"routed proxy read over 260", setMetric(t, in, "BenchmarkProxyWarmRouted", "allocs/op", "261"),
-			ciGates[10:12], []string{"FAIL BenchmarkProxyWarmRouted:allocs/op<=260: BenchmarkProxyWarmRouted 261"}, false},
-		{"proxied TLV sweep over 2,600", setMetric(t, in, "BenchmarkProxySweepTLV", "allocs/op", "2601"),
-			ciGates[12:14], []string{"FAIL BenchmarkProxySweepTLV:allocs/op<=2600: BenchmarkProxySweepTLV 2601"}, false},
-		{"TLV stream over 1,000", setMetric(t, in, "BenchmarkSweepStreamTLV", "allocs/op", "1001"),
-			ciGates[14:16], []string{"FAIL BenchmarkSweepStreamTLV:allocs/op<=1000: BenchmarkSweepStreamTLV 1001"}, false},
+		{"routed proxy read over 245", setMetric(t, in, "BenchmarkProxyWarmRouted", "allocs/op", "246"),
+			ciGates[10:12], []string{"FAIL BenchmarkProxyWarmRouted:allocs/op<=245: BenchmarkProxyWarmRouted 246"}, false},
+		{"proxied TLV sweep over 2,450", setMetric(t, in, "BenchmarkProxySweepTLV", "allocs/op", "2451"),
+			ciGates[12:14], []string{"FAIL BenchmarkProxySweepTLV:allocs/op<=2450: BenchmarkProxySweepTLV 2451"}, false},
+		{"TLV stream over 450", setMetric(t, in, "BenchmarkSweepStreamTLV", "allocs/op", "451"),
+			ciGates[14:16], []string{"FAIL BenchmarkSweepStreamTLV:allocs/op<=450: BenchmarkSweepStreamTLV 451"}, false},
+		{"JSONL stream over 460", setMetric(t, in, "BenchmarkSweepStreamJSONL", "allocs/op", "461"),
+			ciGates[16:18], []string{"FAIL BenchmarkSweepStreamJSONL:allocs/op<=460: BenchmarkSweepStreamJSONL 461"}, false},
+		{"JSONL stream at 460", setMetric(t, in, "BenchmarkSweepStreamJSONL", "allocs/op", "460"),
+			ciGates[16:18], []string{"ok   BenchmarkSweepStreamJSONL:allocs/op<=460: BenchmarkSweepStreamJSONL 460"}, true},
 		{"TLV round trip under 3x JSON", setMetric(t, in, "BenchmarkDecodeJSON", "ns/op", "1000"),
-			ciGates[16:18], []string{"FAIL BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: 2.72x (7871 / 2898.7)"}, false},
-		{"stream ratio report with a slower TLV stream", setMetric(t, in, "BenchmarkSweepStreamTLV", "ns/op", "1402512"),
-			ciGates[18:], []string{"ok   BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: 0.50x"}, true},
+			ciGates[18:20], []string{"FAIL BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: 2.72x (7871 / 2898.7)"}, false},
+		{"stream ratio report with a slower TLV stream", setMetric(t, in, "BenchmarkSweepStreamTLV", "ns/op", "2210120"),
+			ciGates[20:], []string{"ok   BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: 0.50x"}, true},
 		{"stream ratio report without its JSONL run", dropLine(t, in, "BenchmarkSweepStreamJSONL"),
-			ciGates[18:], []string{"FAIL BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: no benchmark matches BenchmarkSweepStreamJSONL"}, false},
+			ciGates[20:], []string{"FAIL BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: no benchmark matches BenchmarkSweepStreamJSONL"}, false},
 		{"gate matches nothing", in, []string{"-max", "BenchmarkCampaignHuge:allocs/op<=1"},
 			[]string{"FAIL BenchmarkCampaignHuge:allocs/op<=1: no benchmark matches BenchmarkCampaignHuge"}, false},
 		{"matched benchmark lacks the unit", in, []string{"-max", "BenchmarkSweepDiskWarm*:allocs/op<=500"},
 			[]string{"FAIL BenchmarkSweepDiskWarm*:allocs/op<=500: BenchmarkSweepDiskWarm/full reports no allocs/op"}, false},
-		{"ratio term matches two runs", in + in, ciGates[16:18],
+		{"ratio term matches two runs", in + in, ciGates[18:20],
 			[]string{"FAIL BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: BenchmarkEncodeJSON matches 2 benchmarks, want one"}, false},
 		{"one failing gate among passing ones", setMetric(t, in, "BenchmarkServeWarm", "allocs/op", "250"), ciGates, []string{
 			"ok   BenchmarkCampaignFull:", "FAIL BenchmarkServeWarm:allocs/op<=125: BenchmarkServeWarm 250"}, false},

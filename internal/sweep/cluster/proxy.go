@@ -131,9 +131,8 @@ func (m *member) recordProbe(ok bool) {
 // mount Handler.
 type Proxy struct {
 	writer   *member
-	replicas []*member // ring order is per-key; this is the fixed set
+	replicas []*member // in ring member order, so ring.shards indexes it
 	ring     *Ring     // nil with zero replicas
-	byURL    map[string]*member
 
 	client   *http.Client
 	cache    *responseCache // nil when caching is disabled
@@ -171,14 +170,12 @@ func NewProxy(opts Options) (*Proxy, error) {
 	}
 	p := &Proxy{
 		writer:  &member{url: strings.TrimRight(opts.Writer, "/")},
-		byURL:   map[string]*member{},
 		client:  opts.Client,
 		maxGrid: opts.MaxGridScenarios,
 		start:   time.Now(), //sweepvet:allow(timenow) proxy start time for /statsz uptime; never in record bytes
 		stop:    make(chan struct{}),
 	}
 	p.writer.healthy.Store(true)
-	p.byURL[p.writer.url] = p.writer
 	if p.client == nil {
 		p.client = defaultClient()
 		p.ownsClient = true
@@ -197,7 +194,7 @@ func NewProxy(opts Options) (*Proxy, error) {
 			return nil, err
 		}
 		p.ring = ring
-		for _, u := range ring.Members() {
+		for _, u := range ring.members {
 			if u == p.writer.url {
 				return nil, fmt.Errorf("cluster: writer %s cannot also be a replica", u)
 			}
@@ -207,7 +204,6 @@ func NewProxy(opts Options) (*Proxy, error) {
 			// ejects it inline.
 			m.healthy.Store(true)
 			p.replicas = append(p.replicas, m)
-			p.byURL[u] = m
 		}
 	}
 	entries := opts.CacheEntries
@@ -360,23 +356,29 @@ func (e *backendError) Error() string {
 	return fmt.Sprintf("backend status %d: %s", e.status, bytes.TrimSpace(e.body))
 }
 
-// candidates returns the members to try for a scenario ID, in order:
-// the shard's ring owner and its successors (healthy, not backing
-// off), then always the writer. Routing keys on the shard prefix — the
-// same 256-way split the store shards and ships segments by — so one
-// shard's scenarios heat one replica's cache.
-func (p *Proxy) candidates(id string) []*member {
-	out := make([]*member, 0, len(p.replicas)+1)
+// candidates appends to dst the members to try for a scenario ID, in
+// order: the shard's ring owner and its successors (healthy, not
+// backing off), then always the writer. Routing keys on the shard
+// prefix — the same 256-way split the store shards and ships segments
+// by — so one shard's scenarios heat one replica's cache. With room in
+// dst it allocates nothing.
+func (p *Proxy) candidates(dst []*member, id string) []*member {
 	if p.ring != nil {
 		now := time.Now() //sweepvet:allow(timenow) health-check backoff clock
-		for _, u := range p.ring.Order(store.ShardOf(id)) {
-			m := p.byURL[u]
-			if m.healthy.Load() && !m.backingOff(now) {
-				out = append(out, m)
+		for _, i := range p.ring.shards[shardIndex(id)] {
+			if m := p.replicas[i]; m.healthy.Load() && !m.backingOff(now) {
+				dst = append(dst, m)
 			}
 		}
 	}
-	return append(out, p.writer)
+	return append(dst, p.writer)
+}
+
+// shardIndex is the byte that store.ShardOf(id)'s two lowercase hex
+// digits encode: id's index into Ring.shards.
+func shardIndex(id string) int {
+	s := store.ShardOf(id)
+	return strings.IndexByte(hexDigits, s[0])<<4 | strings.IndexByte(hexDigits, s[1])
 }
 
 // forward posts one scenario request to one member, asking for the
@@ -507,7 +509,8 @@ func (p *Proxy) resolve(ctx context.Context, id string, body []byte, enc sweep.E
 		p.cacheMisses.Add(1)
 	}
 	var lastErr error
-	for _, m := range p.candidates(id) {
+	var buf [8]*member
+	for _, m := range p.candidates(buf[:0], id) {
 		rec, err := p.forward(ctx, m, body, enc)
 		if err == nil {
 			if p.cache != nil {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -691,6 +692,108 @@ func TestProxyCloseDropsOwnConnections(t *testing.T) {
 	}
 }
 
+// dialAs returns a transport that dials addrs[hostport] for a request
+// addressed to hostport, so a replica keeps the name a test gave it
+// whatever port its server listens on.
+func dialAs(addrs map[string]string) *http.Transport {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	var d net.Dialer
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		if a, ok := addrs[addr]; ok {
+			addr = a
+		}
+		return d.DialContext(ctx, network, addr)
+	}
+	return tr
+}
+
+// TestProxySpreadsWarmReadsOverReplicas: the ring splits the shards
+// between two replicas, so 64 warm scenarios read through the proxy
+// reach both, and each serves at least a quarter of them. The replicas
+// carry the names CI's proxy smoke gives its own (loopback ports 8081
+// and 8082), dialed through the test transport, so the split is fixed.
+func TestProxySpreadsWarmReadsOverReplicas(t *testing.T) {
+	const n, first = 64, 401
+	c := newTestCluster(t, 2)
+	seeds := make([]string, n)
+	for i := range seeds {
+		seeds[i] = fmt.Sprint(first + i)
+	}
+	if code, _, b := postSweep(t, c.writerTS.URL, `{"seeds":[`+strings.Join(seeds, ",")+`]}`, false); code != http.StatusOK {
+		t.Fatalf("warming sweep: status %d: %s", code, b)
+	}
+	c.sync(t)
+
+	names := []string{"http://127.0.0.1:8081", "http://127.0.0.1:8082"}
+	addrs := map[string]string{}
+	for i, name := range names {
+		addrs[strings.TrimPrefix(name, "http://")] = c.replicaTS[i].Listener.Addr().String()
+	}
+	tr := dialAs(addrs)
+	_, pts := c.newProxy(t, Options{Replicas: names, CacheEntries: -1, Client: &http.Client{Transport: tr}})
+	t.Cleanup(tr.CloseIdleConnections)
+
+	served := map[string]int{}
+	for i := range n {
+		resp := postScenario(t, pts.URL, uint64(first+i), nil)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed %d through proxy: status %d", first+i, resp.StatusCode)
+		}
+		served[resp.Header.Get("X-Sweepd-Route")]++
+	}
+	t.Logf("warm reads served per replica: %v", served)
+	for _, name := range names {
+		if served[name] < n/4 {
+			t.Fatalf("replica %s served %d of %d warm reads, want >= %d: %v", name, served[name], n, n/4, served)
+		}
+	}
+	if served[names[0]]+served[names[1]] != n {
+		t.Fatalf("warm reads left the replicas: %v", served)
+	}
+}
+
+// TestProxyCandidatesDoNotAllocate: a hop's member choice reads the
+// ring's per-shard table into the caller's buffer — for every shard,
+// exactly the shard key's Ring.Order, then the writer — and allocates
+// nothing.
+func TestProxyCandidatesDoNotAllocate(t *testing.T) {
+	names := []string{"http://r-a.test", "http://r-b.test", "http://r-c.test"}
+	p, err := NewProxy(Options{Writer: "http://w.test", Replicas: names, HealthInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	ring, err := NewRing(names, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scs, err := sweep.Grid{Seeds: []uint64{1, 2, 3, 4, 5, 6, 7, 8}}.Scenarios()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"not-a-hash"}
+	for s := range 256 {
+		ids = append(ids, fmt.Sprintf("%02x", s))
+	}
+	var buf [8]*member
+	for _, id := range ids {
+		var got []string
+		for _, m := range p.candidates(buf[:0], id) {
+			got = append(got, m.url)
+		}
+		if want := append(ring.Order(store.ShardOf(id)), "http://w.test"); !slices.Equal(got, want) {
+			t.Fatalf("id %s: candidates %v, want %v", id, got, want)
+		}
+	}
+	for _, sc := range scs {
+		if n := testing.AllocsPerRun(100, func() { p.candidates(buf[:0], sc.ID) }); n != 0 {
+			t.Fatalf("candidates(%s) allocates %v times, want 0", sc.ID, n)
+		}
+	}
+}
+
 // TestProxySweepColdBoundsWriterLoad: a cold sweep's cells all end at
 // the writer, whichever replica owns them, and the writer's 429 is
 // final. The fan-out is bounded in total, not per member, so a writer
@@ -755,15 +858,8 @@ func TestProxySweepColdBoundsWriterLoad(t *testing.T) {
 		t.Cleanup(func() { ts.Close(); r.Close() })
 		addrs[strings.TrimPrefix(name, "http://")+":80"] = ts.Listener.Addr().String()
 	}
-	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr := dialAs(addrs)
 	tr.MaxIdleConnsPerHost = width
-	var d net.Dialer
-	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
-		if a, ok := addrs[addr]; ok {
-			addr = a
-		}
-		return d.DialContext(ctx, network, addr)
-	}
 	p, err := NewProxy(Options{
 		Writer:         wts.URL,
 		Replicas:       names,

@@ -18,6 +18,7 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -36,6 +37,10 @@ const DefaultVnodes = 64
 type Ring struct {
 	members []string
 	points  []ringPoint // sorted by hash
+	// shards[s] is the preference order, as member indices, of the
+	// shard key whose two lowercase hex digits encode s: the routing
+	// keys, walked once here so routing a scenario walks no ring.
+	shards [256][]int
 }
 
 type ringPoint struct {
@@ -80,26 +85,25 @@ func NewRing(members []string, vnodes int) (*Ring, error) {
 		// member set.
 		return a.member < b.member
 	})
+	n := len(sorted)
+	table := make([]int, n*len(r.shards))
+	for s := range r.shards {
+		key := string([]byte{hexDigits[s>>4], hexDigits[s&0xf]})
+		r.shards[s] = r.walk(ringHash(key), table[s*n:s*n:(s+1)*n])
+	}
 	return r, nil
 }
 
-// Members returns the member set in sorted order.
-func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
+const hexDigits = "0123456789abcdef"
 
 // Order returns every member in preference order for key: walk
 // clockwise from the key's hash, keeping the first point of each
 // distinct member.
 func (r *Ring) Order(key string) []string {
-	h := ringHash(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, len(r.members))
-	seen := make(map[int]bool, len(r.members))
-	for i := 0; i < len(r.points) && len(out) < len(r.members); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.member] {
-			seen[p.member] = true
-			out = append(out, r.members[p.member])
-		}
+	idx := r.walk(ringHash(key), make([]int, 0, len(r.members)))
+	out := make([]string, len(idx))
+	for i, m := range idx {
+		out[i] = r.members[m]
 	}
 	return out
 }
@@ -107,8 +111,34 @@ func (r *Ring) Order(key string) []string {
 // Lookup returns the owning member for key.
 func (r *Ring) Lookup(key string) string { return r.Order(key)[0] }
 
+// walk appends to dst, which must start empty, the index of every
+// member in preference order from hash h. Member sets are small, so a
+// scan of dst finds the members already kept.
+func (r *Ring) walk(h uint64, dst []int) []int {
+	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	for i := 0; i < len(r.points) && len(dst) < len(r.members); i++ {
+		if m := r.points[(start+i)%len(r.points)].member; !slices.Contains(dst, m) {
+			dst = append(dst, m)
+		}
+	}
+	return dst
+}
+
+// ringHash places vnode labels and keys on the ring: FNV-1a, then
+// murmur3's 64-bit finalizer. FNV-1a alone barely moves on short
+// inputs that share a prefix — the 256 two-hex-digit shard keys all
+// hash into 0x07ea…–0x08a6…, about 0.3% of the ring, so one member
+// owned every shard — and consistent hashing spreads keys only as far
+// as their hashes are uniform (Karger et al., STOC 1997). The
+// finalizer lets every input bit reach every output bit.
 func ringHash(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	k := h.Sum64()
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return k
 }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 )
@@ -62,6 +64,43 @@ func TestRingSpreadsShards(t *testing.T) {
 		if n < 28 {
 			t.Fatalf("member %s owns only %d/256 shards: %v", m, n, counts)
 		}
+	}
+}
+
+// TestRingSpreadsLoopbackMemberSets: real member sets are replicas on
+// consecutive loopback ports, names that differ in one or two trailing
+// characters. Over 1,000 seeded sets each of 2, 3 and 4 members, every
+// member owns at least 40% of its fair share of the 256 shards. An
+// unmixed FNV-1a ring fails this at once: it packs every shard key
+// into 0.3% of the ring, so one member owns all 256.
+func TestRingSpreadsLoopbackMemberSets(t *testing.T) {
+	rng := rand.New(rand.NewPCG(32, 256))
+	for n := 2; n <= 4; n++ {
+		floor := 0.4 * 256 / float64(n)
+		worst := 256
+		for set := 0; set < 1000; set++ {
+			base := 1024 + rng.IntN(60000)
+			members := make([]string, n)
+			for i := range members {
+				members[i] = fmt.Sprintf("http://127.0.0.1:%d", base+i)
+			}
+			r, err := NewRing(members, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owned := make([]int, n)
+			for _, order := range r.shards {
+				owned[order[0]]++
+			}
+			for m, k := range owned {
+				if float64(k) < floor {
+					t.Fatalf("%d members from port %d: %s owns %d/256 shards, want >= %.1f: %v",
+						n, base, r.members[m], k, floor, owned)
+				}
+				worst = min(worst, k)
+			}
+		}
+		t.Logf("%d members: the least-served member of 1,000 sets owns %d/256 shards", n, worst)
 	}
 }
 

@@ -93,10 +93,13 @@ func ETagMatch(header, etag string) bool {
 // Negotiate picks the record encoding a request asks for: TLV when its
 // Accept header lists the TLV media type. Anything else — absent
 // header, */*, application/x-ndjson — keeps the JSON default, so old
-// clients' bytes never change under them.
+// clients' bytes never change under them. It walks the header in
+// place and allocates nothing.
 func Negotiate(r *http.Request) sweep.Encoding {
-	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		mt, _, _ := strings.Cut(strings.TrimSpace(part), ";")
+	for rest, more := r.Header.Get("Accept"), true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
+		mt, _, _ := strings.Cut(part, ";")
 		if strings.EqualFold(strings.TrimSpace(mt), tlv.MediaType) {
 			return sweep.EncodingTLV
 		}

@@ -62,3 +62,20 @@ func TestAcceptsTLV(t *testing.T) {
 		}
 	}
 }
+
+// TestNegotiateDoesNotAllocate: every /v1/scenario and /v1/sweep
+// request at every tier negotiates, so reading the Accept header —
+// one media type or a list walked to its end — allocates nothing.
+func TestNegotiateDoesNotAllocate(t *testing.T) {
+	for _, accept := range []string{
+		tlv.MediaType,
+		"application/json;q=0.5, text/plain, " + tlv.MediaType + ";q=0.9",
+		"application/json;q=0.5, text/plain, */*",
+	} {
+		r := httptest.NewRequest("POST", "/v1/sweep", nil)
+		r.Header.Set("Accept", accept)
+		if n := testing.AllocsPerRun(100, func() { Negotiate(r) }); n != 0 {
+			t.Errorf("Negotiate(Accept: %q) allocates %v times, want 0", accept, n)
+		}
+	}
+}
