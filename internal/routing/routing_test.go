@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -285,5 +286,127 @@ func TestPathValidCatchesCorruption(t *testing.T) {
 	bad2 := Path{Nodes: []*topo.Node{p.Nodes[0], p.Nodes[3]}, Links: p.Links[:1]}
 	if bad2.Valid() {
 		t.Fatal("discontinuous path should be invalid")
+	}
+}
+
+// samePath reports whether two paths walk the same nodes over the same
+// links.
+func samePath(a, b Path) bool {
+	if len(a.Nodes) != len(b.Nodes) || len(a.Links) != len(b.Links) {
+		return false
+	}
+	for i := range a.Nodes {
+		if a.Nodes[i] != b.Nodes[i] {
+			return false
+		}
+	}
+	for i := range a.Links {
+		if a.Links[i] != b.Links[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRouteFollowsTopologyChanges routes one pair through a series of
+// graph edits. After each edit the long-lived router must answer
+// exactly what a router built fresh on the edited graph answers, and
+// the answer must differ from the previous one, so a stale answer
+// cannot pass.
+func TestRouteFollowsTopologyChanges(t *testing.T) {
+	ce := topo.BuildCentralEurope()
+	nw := ce.Net
+	pr := NewPolicyRouter(nw)
+	src, dst := ce.AggKlu, ce.ProbeUni
+	prev, err := pr.Route(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string) {
+		t.Helper()
+		got, err := pr.Route(src, dst)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		want, err := NewPolicyRouter(nw).Route(src, dst)
+		if err != nil {
+			t.Fatalf("%s: fresh router: %v", step, err)
+		}
+		if !samePath(got, want) {
+			t.Fatalf("%s: long-lived router routes %v, fresh router %v", step, got, want)
+		}
+		if samePath(got, prev) {
+			t.Fatalf("%s: route did not change (%v): the edit was not observed", step, got)
+		}
+		prev = got
+	}
+
+	zetPrg := nw.MustLookup("zetservers.peering.cz")
+	zetCust := nw.MustLookup("amanet-cust.zet.net")
+	shortcut := nw.Connect(zetPrg, zetCust, 1, topo.RelInternal, 100, 0.1)
+	check("Connect a shorter internal link")
+
+	bypass := nw.AddNode(&topo.Node{Name: "bypass.klu.mobile-at.net", AS: ce.AggKlu.AS,
+		Pos: geo.Klagenfurt, ProcDelay: time.Microsecond})
+	nw.Connect(ce.AggKlu, bypass, 1, topo.RelInternal, 100, 0)
+	nw.Connect(bypass, ce.UPFVienna, 1, topo.RelInternal, 100, 0)
+	check("AddNode+Connect a detour")
+
+	shortcut.Fail()
+	check("Fail a link on the path")
+
+	shortcut.Restore()
+	check("Restore it")
+}
+
+// TestRouteErrorClearsOnRestore checks that an ErrNoRoute is an answer
+// for one network state only: once the cut link is restored, the same
+// router routes again.
+func TestRouteErrorClearsOnRestore(t *testing.T) {
+	ce := topo.BuildCentralEurope()
+	pr := NewPolicyRouter(ce.Net)
+	l := failLink(t, ce.Net, "zetservers.peering.cz", "vie-dr2-cr1.zet.net")
+	if _, err := pr.Route(ce.AggKlu, ce.ProbeUni); !errors.Is(err, ErrNoRoute) {
+		t.Fatalf("on the partitioned graph: err = %v, want ErrNoRoute", err)
+	}
+	l.Restore()
+	if _, err := pr.Route(ce.AggKlu, ce.ProbeUni); err != nil {
+		t.Fatalf("ErrNoRoute survived Restore: %v", err)
+	}
+}
+
+// TestRouteAppendDoesNotAlias checks that callers appending to the
+// slices of returned paths neither change a later answer nor see each
+// other's appends.
+func TestRouteAppendDoesNotAlias(t *testing.T) {
+	ce, pr := build()
+	first, err := pr.Route(ce.AggKlu, ce.ProbeUni)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Path{
+		Nodes: append([]*topo.Node(nil), first.Nodes...),
+		Links: append([]*topo.Link(nil), first.Links...),
+	}
+	// Two callers extend their paths the way appendPath grows a route.
+	// With a shared backing array the second append would overwrite the
+	// first one's element.
+	stray := ce.Net.LinkBetween(ce.AggKlu, ce.UPFEdgeKlu)
+	nodesA, linksA := append(first.Nodes, ce.UPFEdgeKlu), append(first.Links, stray)
+	second, err := pr.Route(ce.AggKlu, ce.ProbeUni)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(second.Nodes, ce.WiredKlu)
+	_ = append(second.Links, nil)
+	if nodesA[len(nodesA)-1] != ce.UPFEdgeKlu || linksA[len(linksA)-1] != stray {
+		t.Fatal("one caller's append overwrote another's: returned paths share spare capacity")
+	}
+	again, err := pr.Route(ce.AggKlu, ce.ProbeUni)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !samePath(again, want) || !again.Valid() {
+		t.Fatalf("route changed after caller appends: %v, want %v", again, want)
 	}
 }

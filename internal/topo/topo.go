@@ -105,9 +105,8 @@ type Node struct {
 	City string
 	Kind NodeKind
 	// ProcDelay is the one-way per-packet forwarding latency at this node
-	// (lookup + queueing at nominal load). Set it at construction:
-	// routers cache paths until the graph changes or a link goes up or
-	// down, so a later edit would not re-route.
+	// (lookup + queueing at nominal load). A route reads it when it is
+	// computed.
 	ProcDelay time.Duration
 }
 
@@ -116,36 +115,24 @@ func (n *Node) String() string { return fmt.Sprintf("%s[%s]", n.Name, n.Addr) }
 // Link is an undirected edge of the wired graph.
 type Link struct {
 	A, B *Node
-	// DistKm is the fibre length. It is set at construction: routers
-	// cache paths until the graph changes or a link goes up or down, so
-	// a later edit would not re-route.
+	// DistKm is the fibre length. A route reads it when it is computed.
 	DistKm float64
 	// Capacity in Gbit/s; informational for utilization accounting.
 	CapacityGbps float64
 	// Util is the nominal background utilization in [0, 1); it scales
-	// queueing delay via a standard rho/(1-rho) factor. Like DistKm it
-	// is set at construction and never re-routes a cached path.
+	// queueing delay via a standard rho/(1-rho) factor. Like DistKm, a
+	// route reads it when it is computed.
 	Util float64
 	Rel  Rel // relationship read from A's side
 	// down marks a failed link; both routing regimes skip it.
 	down bool
-	// nw is the network that created the link in Connect; Fail and
-	// Restore bump its version.
-	nw *Network
 }
 
 // Fail takes the link out of service (fibre cut, maintenance).
-func (l *Link) Fail() { l.setDown(true) }
+func (l *Link) Fail() { l.down = true }
 
 // Restore returns the link to service.
-func (l *Link) Restore() { l.setDown(false) }
-
-func (l *Link) setDown(down bool) {
-	l.down = down
-	if l.nw != nil {
-		l.nw.version++
-	}
-}
+func (l *Link) Restore() { l.down = false }
 
 // Up reports whether the link is in service.
 func (l *Link) Up() bool { return !l.down }
@@ -204,15 +191,7 @@ type Network struct {
 	byName map[string]*Node
 	ases   map[int]*AS
 	nextID int
-	// version counts the changes that can move a route: added nodes and
-	// links, and links failing or being restored.
-	version uint64
 }
-
-// Version returns a counter that changes whenever the graph gains a node
-// or link or a link fails or is restored. Path caches compare it to
-// tell whether a stored route is still current.
-func (nw *Network) Version() uint64 { return nw.version }
 
 // NewNetwork returns an empty graph.
 func NewNetwork() *Network {
@@ -248,7 +227,6 @@ func (nw *Network) AddNode(n *Node) *Node {
 	nw.nextID++
 	nw.nodes = append(nw.nodes, n)
 	nw.byName[n.Name] = n
-	nw.version++
 	return n
 }
 
@@ -267,11 +245,10 @@ func (nw *Network) Connect(a, b *Node, distKm float64, rel Rel, capacityGbps, ut
 	if rel != RelInternal && a.AS == b.AS {
 		panic("topo: external relationship inside one AS")
 	}
-	l := &Link{A: a, B: b, DistKm: distKm, Rel: rel, CapacityGbps: capacityGbps, Util: util, nw: nw}
+	l := &Link{A: a, B: b, DistKm: distKm, Rel: rel, CapacityGbps: capacityGbps, Util: util}
 	nw.links = append(nw.links, l)
 	nw.adj[a.ID] = append(nw.adj[a.ID], l)
 	nw.adj[b.ID] = append(nw.adj[b.ID], l)
-	nw.version++
 	return l
 }
 

@@ -184,30 +184,3 @@ func TestNodeKindString(t *testing.T) {
 		t.Fatal("unknown kind should still render")
 	}
 }
-
-func TestNetworkVersionCountsRouteChanges(t *testing.T) {
-	ce := BuildCentralEurope()
-	nw := ce.Net
-	v := nw.Version()
-	bump := func(step string, f func()) {
-		t.Helper()
-		f()
-		if nw.Version() == v {
-			t.Fatalf("%s did not change the network version", step)
-		}
-		v = nw.Version()
-	}
-	l := nw.LinkBetween(ce.AggKlu, ce.UPFEdgeKlu)
-	bump("Fail", l.Fail)
-	bump("Restore", l.Restore)
-	var n *Node
-	bump("AddNode", func() { n = nw.AddNode(&Node{Name: "extra", AS: ce.AggKlu.AS}) })
-	bump("Connect", func() { nw.Connect(ce.AggKlu, n, 1, RelInternal, 1, 0) })
-	bump("EnableLocalPeering", ce.EnableLocalPeering)
-	nw.Lookup("extra")
-	nw.LinksOf(n)
-	nw.AddAS(1, "unlinked")
-	if nw.Version() != v {
-		t.Fatal("a read or an AS registration changed the network version")
-	}
-}
