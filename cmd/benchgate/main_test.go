@@ -14,10 +14,11 @@ import (
 // testdata/ci-bench.out is real output of CI's bench job commands: eight
 // -benchmem BenchmarkHot* lines from four packages, sub-benchmarks without
 // -benchmem, ServeWarm's p50_us/queries/s metrics and TLV's MB/s. The
-// ServeWarm line comes from a later run, taken when its allocs/op gate
-// was tightened. The ProxyWarm*, ProxySweepTLV and SweepStream* lines
-// come from a later one still, taken when the proxy's and the streams'
-// gates were tightened and the JSONL stream gained its own.
+// SweepStream* lines come from a later run, taken when the streams'
+// gates were tightened and the JSONL stream gained its own. The
+// ServeWarm, ProxyWarm* and ProxySweepTLV lines come from a later one
+// still, taken when their gates were tightened and ProxyWarm gained
+// its own.
 func fixture(t *testing.T) string {
 	t.Helper()
 	b, err := os.ReadFile("testdata/ci-bench.out")
@@ -70,9 +71,10 @@ var ciGates = []string{
 	"-max", "BenchmarkCampaignFull:allocs/op<=60",
 	"-max", "BenchmarkCampaignSmall:allocs/op<=50",
 	"-max", "BenchmarkServeColdMiss:allocs/op<=230",
-	"-max", "BenchmarkServeWarm:allocs/op<=125",
-	"-max", "BenchmarkProxyWarmRouted:allocs/op<=245",
-	"-max", "BenchmarkProxySweepTLV:allocs/op<=2450",
+	"-max", "BenchmarkServeWarm:allocs/op<=105",
+	"-max", "BenchmarkProxyWarm:allocs/op<=110",
+	"-max", "BenchmarkProxyWarmRouted:allocs/op<=205",
+	"-max", "BenchmarkProxySweepTLV:allocs/op<=1850",
 	"-max", "BenchmarkSweepStreamTLV:allocs/op<=450",
 	"-max", "BenchmarkSweepStreamJSONL:allocs/op<=460",
 	"-min-ratio", "BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3",
@@ -99,8 +101,8 @@ func TestParseKeepsEveryPrintedMetric(t *testing.T) {
 		{"BenchmarkHotAppendRecord", "repro/internal/sweep/tlv", 10000,
 			map[string]float64{"ns/op": 581.4, "MB/s": 648.42, "B/op": 0, "allocs/op": 0}},
 		{"BenchmarkServeWarm", "repro", 200,
-			map[string]float64{"ns/op": 59593, "p50_us": 25, "p95_us": 47, "p99_us": 49,
-				"queries/s": 16781, "B/op": 8972, "allocs/op": 111}},
+			map[string]float64{"ns/op": 75478, "p50_us": 25, "p95_us": 48, "p99_us": 89,
+				"queries/s": 13249, "B/op": 7689, "allocs/op": 95}},
 		// Sub-benchmark: only the common -GOMAXPROCS suffix -2 goes.
 		{"BenchmarkSweep/workers-1", "repro", 1,
 			map[string]float64{"ns/op": 239101270, "scenarios": 64, "variants": 4}},
@@ -189,9 +191,10 @@ func TestGates(t *testing.T) {
 			"ok   BenchmarkCampaignFull:allocs/op<=60: BenchmarkCampaignFull 36",
 			"ok   BenchmarkCampaignSmall:allocs/op<=50: BenchmarkCampaignSmall 31",
 			"ok   BenchmarkServeColdMiss:allocs/op<=230: BenchmarkServeColdMiss 191",
-			"ok   BenchmarkServeWarm:allocs/op<=125: BenchmarkServeWarm 111",
-			"ok   BenchmarkProxyWarmRouted:allocs/op<=245: BenchmarkProxyWarmRouted 229",
-			"ok   BenchmarkProxySweepTLV:allocs/op<=2450: BenchmarkProxySweepTLV 2295",
+			"ok   BenchmarkServeWarm:allocs/op<=105: BenchmarkServeWarm 95",
+			"ok   BenchmarkProxyWarm:allocs/op<=110: BenchmarkProxyWarm 96",
+			"ok   BenchmarkProxyWarmRouted:allocs/op<=205: BenchmarkProxyWarmRouted 190",
+			"ok   BenchmarkProxySweepTLV:allocs/op<=1850: BenchmarkProxySweepTLV 1688",
 			"ok   BenchmarkSweepStreamTLV:allocs/op<=450: BenchmarkSweepStreamTLV 345",
 			"ok   BenchmarkSweepStreamJSONL:allocs/op<=460: BenchmarkSweepStreamJSONL 356",
 			"ok   BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: 10.49x (30417 / 2898.7)",
@@ -207,32 +210,36 @@ func TestGates(t *testing.T) {
 			ciGates[4:6], []string{"FAIL BenchmarkCampaignSmall:allocs/op<=50: BenchmarkCampaignSmall 51"}, false},
 		{"cold miss over 230", setMetric(t, in, "BenchmarkServeColdMiss", "allocs/op", "231"),
 			ciGates[6:8], []string{"FAIL BenchmarkServeColdMiss:allocs/op<=230: BenchmarkServeColdMiss 231"}, false},
-		{"warm read over 125", setMetric(t, in, "BenchmarkServeWarm", "allocs/op", "126"),
-			ciGates[8:10], []string{"FAIL BenchmarkServeWarm:allocs/op<=125: BenchmarkServeWarm 126"}, false},
-		{"routed proxy read over 245", setMetric(t, in, "BenchmarkProxyWarmRouted", "allocs/op", "246"),
-			ciGates[10:12], []string{"FAIL BenchmarkProxyWarmRouted:allocs/op<=245: BenchmarkProxyWarmRouted 246"}, false},
-		{"proxied TLV sweep over 2,450", setMetric(t, in, "BenchmarkProxySweepTLV", "allocs/op", "2451"),
-			ciGates[12:14], []string{"FAIL BenchmarkProxySweepTLV:allocs/op<=2450: BenchmarkProxySweepTLV 2451"}, false},
+		{"warm read over 105", setMetric(t, in, "BenchmarkServeWarm", "allocs/op", "106"),
+			ciGates[8:10], []string{"FAIL BenchmarkServeWarm:allocs/op<=105: BenchmarkServeWarm 106"}, false},
+		{"cached proxy read over 110", setMetric(t, in, "BenchmarkProxyWarm", "allocs/op", "111"),
+			ciGates[10:12], []string{"FAIL BenchmarkProxyWarm:allocs/op<=110: BenchmarkProxyWarm 111"}, false},
+		{"cached proxy read at 110", setMetric(t, in, "BenchmarkProxyWarm", "allocs/op", "110"),
+			ciGates[10:12], []string{"ok   BenchmarkProxyWarm:allocs/op<=110: BenchmarkProxyWarm 110"}, true},
+		{"routed proxy read over 205", setMetric(t, in, "BenchmarkProxyWarmRouted", "allocs/op", "206"),
+			ciGates[12:14], []string{"FAIL BenchmarkProxyWarmRouted:allocs/op<=205: BenchmarkProxyWarmRouted 206"}, false},
+		{"proxied TLV sweep over 1,850", setMetric(t, in, "BenchmarkProxySweepTLV", "allocs/op", "1851"),
+			ciGates[14:16], []string{"FAIL BenchmarkProxySweepTLV:allocs/op<=1850: BenchmarkProxySweepTLV 1851"}, false},
 		{"TLV stream over 450", setMetric(t, in, "BenchmarkSweepStreamTLV", "allocs/op", "451"),
-			ciGates[14:16], []string{"FAIL BenchmarkSweepStreamTLV:allocs/op<=450: BenchmarkSweepStreamTLV 451"}, false},
+			ciGates[16:18], []string{"FAIL BenchmarkSweepStreamTLV:allocs/op<=450: BenchmarkSweepStreamTLV 451"}, false},
 		{"JSONL stream over 460", setMetric(t, in, "BenchmarkSweepStreamJSONL", "allocs/op", "461"),
-			ciGates[16:18], []string{"FAIL BenchmarkSweepStreamJSONL:allocs/op<=460: BenchmarkSweepStreamJSONL 461"}, false},
+			ciGates[18:20], []string{"FAIL BenchmarkSweepStreamJSONL:allocs/op<=460: BenchmarkSweepStreamJSONL 461"}, false},
 		{"JSONL stream at 460", setMetric(t, in, "BenchmarkSweepStreamJSONL", "allocs/op", "460"),
-			ciGates[16:18], []string{"ok   BenchmarkSweepStreamJSONL:allocs/op<=460: BenchmarkSweepStreamJSONL 460"}, true},
+			ciGates[18:20], []string{"ok   BenchmarkSweepStreamJSONL:allocs/op<=460: BenchmarkSweepStreamJSONL 460"}, true},
 		{"TLV round trip under 3x JSON", setMetric(t, in, "BenchmarkDecodeJSON", "ns/op", "1000"),
-			ciGates[18:20], []string{"FAIL BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: 2.72x (7871 / 2898.7)"}, false},
+			ciGates[20:22], []string{"FAIL BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: 2.72x (7871 / 2898.7)"}, false},
 		{"stream ratio report with a slower TLV stream", setMetric(t, in, "BenchmarkSweepStreamTLV", "ns/op", "2210120"),
-			ciGates[20:], []string{"ok   BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: 0.50x"}, true},
+			ciGates[22:], []string{"ok   BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: 0.50x"}, true},
 		{"stream ratio report without its JSONL run", dropLine(t, in, "BenchmarkSweepStreamJSONL"),
-			ciGates[20:], []string{"FAIL BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: no benchmark matches BenchmarkSweepStreamJSONL"}, false},
+			ciGates[22:], []string{"FAIL BenchmarkSweepStreamJSONL/BenchmarkSweepStreamTLV:ns/op>=0: no benchmark matches BenchmarkSweepStreamJSONL"}, false},
 		{"gate matches nothing", in, []string{"-max", "BenchmarkCampaignHuge:allocs/op<=1"},
 			[]string{"FAIL BenchmarkCampaignHuge:allocs/op<=1: no benchmark matches BenchmarkCampaignHuge"}, false},
 		{"matched benchmark lacks the unit", in, []string{"-max", "BenchmarkSweepDiskWarm*:allocs/op<=500"},
 			[]string{"FAIL BenchmarkSweepDiskWarm*:allocs/op<=500: BenchmarkSweepDiskWarm/full reports no allocs/op"}, false},
-		{"ratio term matches two runs", in + in, ciGates[18:20],
+		{"ratio term matches two runs", in + in, ciGates[20:22],
 			[]string{"FAIL BenchmarkEncodeJSON+BenchmarkDecodeJSON/BenchmarkEncodeTLV+BenchmarkDecodeTLV:ns/op>=3: BenchmarkEncodeJSON matches 2 benchmarks, want one"}, false},
 		{"one failing gate among passing ones", setMetric(t, in, "BenchmarkServeWarm", "allocs/op", "250"), ciGates, []string{
-			"ok   BenchmarkCampaignFull:", "FAIL BenchmarkServeWarm:allocs/op<=125: BenchmarkServeWarm 250"}, false},
+			"ok   BenchmarkCampaignFull:", "FAIL BenchmarkServeWarm:allocs/op<=105: BenchmarkServeWarm 250"}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, stderr, err := runGate(tc.in, tc.args...)

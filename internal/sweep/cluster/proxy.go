@@ -70,6 +70,13 @@ type Options struct {
 	// many workers as the client keeps idle connections per host: its
 	// *http.Transport's MaxIdleConnsPerHost, or net/http's default of 2
 	// behind any other RoundTripper.
+	//
+	// Scenario hops, single and fanned out, go straight to the client's
+	// Transport (http.DefaultTransport when nil), with a positive
+	// Timeout applied through each hop's context: backends never
+	// redirect or set cookies, so CheckRedirect and Jar are not
+	// consulted. Health probes and /v1/deltas go through the client
+	// whole.
 	Client *http.Client
 	// Tracer, when non-nil, traces every proxied request: incoming
 	// traceparent headers are honoured, every backend hop carries the
@@ -80,8 +87,10 @@ type Options struct {
 
 // member is one routed-to backend with its health and backoff state.
 type member struct {
-	url     string
-	healthy atomic.Bool
+	url         string
+	scenarioURL string   // url + "/v1/scenario"
+	route       []string // url as a shared X-Sweepd-Route header value
+	healthy     atomic.Bool
 	// backoffUntil (unix nanos) honors the Retry-After a 429 carried:
 	// until then the member is skipped, exactly as if unhealthy, but
 	// without an eject — shedding is load, not failure.
@@ -95,6 +104,10 @@ type member struct {
 	lastProbeOK   atomic.Bool
 	lastProbeNano atomic.Int64
 	consecFails   atomic.Int64
+}
+
+func newMember(url string) *member {
+	return &member{url: url, scenarioURL: url + "/v1/scenario", route: []string{url}}
 }
 
 func (m *member) backingOff(now time.Time) bool {
@@ -135,9 +148,10 @@ type Proxy struct {
 	ring     *Ring     // nil with zero replicas
 
 	client   *http.Client
-	cache    *responseCache // nil when caching is disabled
+	hop      http.RoundTripper // the client's transport, for scenario hops
+	cache    *responseCache    // nil when caching is disabled
 	maxGrid  int
-	width    int // sweep fan-out workers: fanOutWidth(client)
+	width    int // sweep fan-out workers: fanOutWidth(hop)
 	interval time.Duration
 	mux      *http.ServeMux
 	hs       *http.Server
@@ -149,6 +163,9 @@ type Proxy struct {
 	// ownsClient: the client came from defaultClient, so Close drops
 	// its idle connections.
 	ownsClient bool
+
+	// scenarios resolves each distinct /v1/scenario body once.
+	scenarios httpapi.ScenarioMemo
 
 	// Observability: the registry owns every counter and histogram
 	// below, so /statsz and /metricsz read the same objects. Endpoint
@@ -169,7 +186,7 @@ func NewProxy(opts Options) (*Proxy, error) {
 		return nil, fmt.Errorf("cluster: proxy needs a writer URL")
 	}
 	p := &Proxy{
-		writer:  &member{url: strings.TrimRight(opts.Writer, "/")},
+		writer:  newMember(strings.TrimRight(opts.Writer, "/")),
 		client:  opts.Client,
 		maxGrid: opts.MaxGridScenarios,
 		start:   time.Now(), //sweepvet:allow(timenow) proxy start time for /statsz uptime; never in record bytes
@@ -180,7 +197,11 @@ func NewProxy(opts Options) (*Proxy, error) {
 		p.client = defaultClient()
 		p.ownsClient = true
 	}
-	p.width = fanOutWidth(p.client)
+	p.hop = p.client.Transport
+	if p.hop == nil {
+		p.hop = http.DefaultTransport
+	}
+	p.width = fanOutWidth(p.hop)
 	if p.maxGrid <= 0 {
 		p.maxGrid = httpapi.DefaultMaxGridScenarios
 	}
@@ -198,7 +219,7 @@ func NewProxy(opts Options) (*Proxy, error) {
 			if u == p.writer.url {
 				return nil, fmt.Errorf("cluster: writer %s cannot also be a replica", u)
 			}
-			m := &member{url: u}
+			m := newMember(u)
 			// Optimistic start: the proxy serves before the first probe
 			// completes; a dead replica costs one failed forward, which
 			// ejects it inline.
@@ -246,16 +267,12 @@ func defaultClient() *http.Client {
 	return &http.Client{Transport: tr}
 }
 
-// fanOutWidth is how many idle connections c keeps per host, and so how
+// fanOutWidth is how many idle connections rt keeps per host, and so how
 // many of a sweep's cells run at once: even if they all go to one
 // member, a warm fan-out reuses kept-alive connections instead of
 // dialing past the pool and dropping the surplus. A RoundTripper that is not an
 // *http.Transport counts as net/http's default pool.
-func fanOutWidth(c *http.Client) int {
-	rt := c.Transport
-	if rt == nil {
-		rt = http.DefaultTransport
-	}
+func fanOutWidth(rt http.RoundTripper) int {
 	n := http.DefaultMaxIdleConnsPerHost
 	if tr, ok := rt.(*http.Transport); ok && tr.MaxIdleConnsPerHost != 0 {
 		n = tr.MaxIdleConnsPerHost
@@ -389,16 +406,24 @@ var errRetryMember = errors.New("cluster: try next member")
 
 func (p *Proxy) forward(ctx context.Context, m *member, body []byte, enc sweep.Encoding) ([]byte, error) {
 	m.requests.Add(1)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.url+"/v1/scenario", bytes.NewReader(body))
+	// The client's Timeout bounds the hop alone: a hop that times out
+	// is the member's failure, while ctx ending is the caller's.
+	hopCtx := ctx
+	if p.client.Timeout > 0 {
+		var cancel context.CancelFunc
+		hopCtx, cancel = context.WithTimeout(ctx, p.client.Timeout)
+		defer cancel()
+	}
+	req, err := http.NewRequestWithContext(hopCtx, http.MethodPost, m.scenarioURL, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	httpapi.SetMediaType(req.Header, "Content-Type", sweep.EncodingJSON)
 	if enc == sweep.EncodingTLV {
-		req.Header.Set("Accept", tlv.MediaType)
+		httpapi.SetMediaType(req.Header, "Accept", enc)
 	}
 	propagate(req)
-	resp, err := p.client.Do(req)
+	resp, err := p.hop.RoundTrip(req)
 	if err != nil {
 		if ctx.Err() != nil {
 			// The caller gave up (client gone, or a sweep cancelling its
@@ -499,12 +524,13 @@ func wholeFrame(contentType string, body []byte) error {
 }
 
 // resolve returns one scenario's record in enc: proxy cache, then the
-// ring members in preference order, then the writer.
-func (p *Proxy) resolve(ctx context.Context, id string, body []byte, enc sweep.Encoding) (rec []byte, source string, err error) {
+// ring members in preference order, then the writer. from is the
+// member that answered, nil when the response cache did.
+func (p *Proxy) resolve(ctx context.Context, id string, body []byte, enc sweep.Encoding) (rec []byte, from *member, err error) {
 	if p.cache != nil {
 		if rec, ok := p.cache.get(id, enc); ok {
 			p.cacheHits.Add(1)
-			return rec, "cache", nil
+			return rec, nil, nil
 		}
 		p.cacheMisses.Add(1)
 	}
@@ -516,18 +542,18 @@ func (p *Proxy) resolve(ctx context.Context, id string, body []byte, enc sweep.E
 			if p.cache != nil {
 				p.cache.put(id, enc, rec)
 			}
-			return rec, m.url, nil
+			return rec, m, nil
 		}
 		var be *backendError
 		if errors.As(err, &be) {
-			return nil, m.url, be
+			return nil, m, be
 		}
 		if ctx.Err() != nil {
-			return nil, "", err
+			return nil, nil, err
 		}
 		lastErr = err
 	}
-	return nil, "", lastErr
+	return nil, nil, lastErr
 }
 
 // relayError writes a resolve failure to the client: backend answers
@@ -556,66 +582,59 @@ func (p *Proxy) handleScenario(w http.ResponseWriter, r *http.Request) {
 	if !httpapi.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var ax sweep.Axes
-	if !httpapi.Decode(w, r, &ax) {
+	q, ok := p.scenarios.Parse(w, r)
+	if !ok {
 		return
 	}
-	sc, err := ax.Scenario()
-	if err != nil {
-		httpapi.Error(w, http.StatusBadRequest, err.Error())
-		return
-	}
+	id := q.Scenario.ID
 	enc := httpapi.Negotiate(r)
-	etag := httpapi.ScenarioETag(sc.ID, enc)
 	inm := r.Header.Get("If-None-Match")
-	if httpapi.ETagMatch(inm, etag) && p.cache != nil && p.cache.contains(sc.ID) {
+	if httpapi.ETagMatch(inm, q.ETag(enc)) && p.cache != nil && p.cache.contains(id) {
 		p.notModified.Add(1)
 		p.cacheHits.Add(1)
-		w.Header().Set("Vary", "Accept")
-		w.Header().Set("ETag", etag)
-		w.Header().Set("X-Sweepd-Proxy-Cache", "hit")
+		httpapi.ScenarioHeaders(w.Header(), q, enc, "X-Sweepd-Proxy-Cache", true)
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	// Re-encode the axes rather than replaying the raw body: backends
+	// Forward the axes encoded again rather than the raw body: backends
 	// decode strictly, and this guarantees the forwarded body is the
 	// same bytes for every equivalent phrasing of one scenario.
-	body, err := json.Marshal(ax)
+	body, err := q.AxesJSON()
 	if err != nil {
 		httpapi.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	rec, source, err := p.resolve(r.Context(), sc.ID, body, enc)
+	rec, from, err := p.resolve(r.Context(), id, body, enc)
 	if err != nil {
 		relayError(w, err)
 		return
 	}
-	switch source {
-	case "cache":
+	h := w.Header()
+	switch from {
+	case nil:
 		// Already counted as a response-cache hit inside resolve.
-	case p.writer.url:
+		h["X-Sweepd-Route"] = cacheRoute
+	case p.writer:
 		p.fellThrough.Inc()
+		h["X-Sweepd-Route"] = from.route
 	default:
 		p.routed.Inc()
+		h["X-Sweepd-Route"] = from.route
 	}
-	w.Header().Set("Vary", "Accept")
-	w.Header().Set("ETag", etag)
-	w.Header().Set("X-Sweepd-Route", source)
-	if source == "cache" {
-		w.Header().Set("X-Sweepd-Proxy-Cache", "hit")
-	} else {
-		w.Header().Set("X-Sweepd-Proxy-Cache", "miss")
-	}
-	if httpapi.ETagMatch(inm, etag) {
+	httpapi.ScenarioHeaders(h, q, enc, "X-Sweepd-Proxy-Cache", from == nil)
+	if httpapi.ETagMatch(inm, q.ETag(enc)) {
 		// The client's copy is current (the id is a content hash); the
 		// resolve run confirmed the record exists cluster-wide.
 		p.notModified.Add(1)
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Header().Set("Content-Type", httpapi.ScenarioContentType(enc))
-	w.Write(rec)
+	httpapi.WriteScenario(w, enc, rec)
 }
+
+// cacheRoute is the X-Sweepd-Route value of an answer from the
+// proxy's response cache, shared like httpapi's header values.
+var cacheRoute = []string{"cache"}
 
 // handleSweep fans a grid out scenario by scenario across the ring and
 // merges the responses back in grid order — byte-identical to the same

@@ -359,6 +359,42 @@ func TestProxyMissFallsThroughAndHonorsRetryAfter(t *testing.T) {
 	}
 }
 
+// TestProxyHopHonorsClientTimeout: scenario hops skip http.Client.Do
+// but still end at the client's Timeout. A replica that never answers
+// costs one timed-out hop, counted against it, and the writer answers.
+func TestProxyHopHonorsClientTimeout(t *testing.T) {
+	c := newTestCluster(t, 0)
+	release := make(chan struct{})
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	t.Cleanup(func() { close(release); stalled.Close() })
+	_, pts := c.newProxy(t, Options{
+		Replicas:     []string{stalled.URL},
+		CacheEntries: -1,
+		Client:       &http.Client{Timeout: 200 * time.Millisecond},
+	})
+
+	client := &http.Client{Timeout: 10 * time.Second} // a hop that ignored Timeout would end here
+	resp, err := client.Post(pts.URL+"/v1/scenario", "application/json", strings.NewReader(`{"seed":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Sweepd-Route") != c.writerTS.URL {
+		t.Fatalf("status %d via %q, want 200 via the writer %q",
+			resp.StatusCode, resp.Header.Get("X-Sweepd-Route"), c.writerTS.URL)
+	}
+	st := proxyStats(t, pts.URL)
+	if r := st.Replicas[0]; r.Requests != 1 || r.Errors != 1 || r.Healthy {
+		t.Fatalf("stalled replica after a timed-out hop: %+v", r)
+	}
+}
+
 // TestProxyHealthEjectReadmit: a replica that fails /healthz is
 // ejected — requests route around it — and readmitted when it answers
 // again, with both transitions counted.
@@ -928,7 +964,7 @@ func TestProxyErrorParityWithWriter(t *testing.T) {
 	pad := strings.Repeat(" ", httpapi.MaxBodyBytes)
 	type row struct{ method, path, body string }
 	var rows []row
-	for _, b := range []string{`{"seed":1,"bogus":true}`, `not json`, `{"profile":"7G"}`, `{"seed":` + pad + `1}`} {
+	for _, b := range []string{`{"seed":1,"bogus":true}`, `not json`, `{"profile":"7G"}`, `{"profile":"7G"} x`, `{"seed":` + pad + `1}`, `{"seed":1}` + pad} {
 		rows = append(rows, row{http.MethodPost, "/v1/scenario", b})
 	}
 	for _, path := range []string{"/v1/sweep", "/v1/deltas"} {

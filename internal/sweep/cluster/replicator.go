@@ -275,7 +275,7 @@ func (r *Replicator) SyncOnce(ctx context.Context) error {
 		if remote[segRef{si.Shard, si.Seg}] {
 			continue
 		}
-		if err := r.st.DropSegment(si.Shard, si.Seg, si.Format); err != nil {
+		if err := r.st.DropSegment(si.Shard, si.Seg); err != nil {
 			return r.fail(0, err)
 		}
 		r.mu.Lock()
@@ -299,6 +299,9 @@ func (r *Replicator) SyncOnce(ctx context.Context) error {
 // installed; a longer one just means the writer appended since the
 // manifest, and those extra committed lines are welcome.
 func (r *Replicator) shipSegment(ctx context.Context, si store.SegmentInfo) error {
+	if err := store.CheckSegmentFormat(si.Format); err != nil {
+		return err
+	}
 	url := fmt.Sprintf("%s/v1/segments/file?shard=%s&seg=%d&format=%s", r.writer, si.Shard, si.Seg, si.Format)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -325,5 +328,5 @@ func (r *Replicator) shipSegment(ctx context.Context, si store.SegmentInfo) erro
 		return fmt.Errorf("cluster: fetch %s/%d: partial download (%d of %d bytes)",
 			si.Shard, si.Seg, len(data), si.Size)
 	}
-	return r.st.IngestSegment(si.Shard, si.Seg, si.Format, data)
+	return r.st.IngestSegment(si.Shard, si.Seg, data)
 }

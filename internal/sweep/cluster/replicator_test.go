@@ -45,11 +45,11 @@ func assertConverged(t *testing.T, writer, replica *store.Store) {
 		if rSegs[i] != si {
 			t.Fatalf("manifest entry %d differs: writer %+v, replica %+v", i, si, rSegs[i])
 		}
-		wb, err := writer.ReadSegment(si.Shard, si.Seg, si.Format)
+		wb, err := writer.ReadSegment(si.Shard, si.Seg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := replica.ReadSegment(si.Shard, si.Seg, si.Format)
+		rb, err := replica.ReadSegment(si.Shard, si.Seg)
 		if err != nil || !bytes.Equal(wb, rb) {
 			t.Fatalf("segment %s/%d not byte-identical after convergence (gen %d): %v",
 				si.Shard, si.Seg, wGen, err)

@@ -1,9 +1,10 @@
 // Package httpapi is the wire contract sweepd (internal/sweep/serve) and
 // sweep-proxy (internal/sweep/cluster) share: the JSON error body, the
-// request-body bound, method guards, ETag matching, record encoding
-// negotiation, grid parsing, endpoint instrumentation and the /v1/sweep
-// response stream. Both daemons answer a malformed request with the same
-// status, headers and bytes because both call the same code here.
+// request-body bound, method guards, the /v1/scenario body memo and
+// answer headers, ETag matching, record encoding negotiation, grid
+// parsing, endpoint instrumentation and the /v1/sweep response stream.
+// Both daemons answer a malformed request with the same status, headers
+// and bytes because both call the same code here.
 package httpapi
 
 import (
@@ -37,7 +38,7 @@ func Error(w http.ResponseWriter, code int, msg string) {
 
 // ReadBody reads a request body up to MaxBodyBytes, answering 400 when it
 // cannot: the body a passthrough forwards is bounded and rejected exactly
-// like the one Decode parses.
+// like the ones the daemons parse.
 func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
@@ -47,16 +48,12 @@ func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return body, true
 }
 
-// Decode strictly unmarshals a request body into v, answering 400 on
-// unknown fields, malformed JSON or an oversized body.
-func Decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+// decodeStrict decodes the first JSON value in rd into v, refusing
+// unknown fields. Whatever follows that value is not read.
+func decodeStrict(rd io.Reader, v any) error {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		badBody(w, err)
-		return false
-	}
-	return true
+	return dec.Decode(v)
 }
 
 func badBody(w http.ResponseWriter, err error) {
@@ -75,14 +72,13 @@ func RequireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 
 // ETagMatch reports whether an If-None-Match header names the given
 // entity tag: any listed tag (weak validators compare equal for GET
-// semantics) or the wildcard.
+// semantics) or the wildcard. It walks the header in place and
+// allocates nothing.
 func ETagMatch(header, etag string) bool {
-	if header == "" {
-		return false
-	}
-	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(part)
-		part = strings.TrimPrefix(part, "W/")
+	for rest, more := header, header != ""; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
+		part = strings.TrimPrefix(strings.TrimSpace(part), "W/")
 		if part == "*" || part == etag {
 			return true
 		}
@@ -107,30 +103,12 @@ func Negotiate(r *http.Request) sweep.Encoding {
 	return sweep.EncodingJSON
 }
 
-// ScenarioETag is the strong entity tag of scenario id's /v1/scenario
-// body in enc. The JSON tag is the quoted ID, as every sweepd has
-// answered; a TLV frame's carries a ".tlv" suffix, so a validator held
-// for one encoding never earns a 304 for the other.
-func ScenarioETag(id string, enc sweep.Encoding) string {
-	if enc == sweep.EncodingTLV {
-		return `"` + id + `.tlv"`
-	}
-	return `"` + id + `"`
-}
-
-// ScenarioContentType is the media type of a /v1/scenario body in enc.
-func ScenarioContentType(enc sweep.Encoding) string {
-	if enc == sweep.EncodingTLV {
-		return tlv.MediaType
-	}
-	return "application/json"
-}
-
 // ParseGrid decodes and resolves a grid request, answering 413 past
 // limit scenarios before anything proportional to the grid is allocated.
 func ParseGrid(w http.ResponseWriter, r *http.Request, limit int) (sweep.Grid, bool) {
 	var spec sweep.GridSpec
-	if !Decode(w, r, &spec) {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, MaxBodyBytes), &spec); err != nil {
+		badBody(w, err)
 		return sweep.Grid{}, false
 	}
 	g, err := spec.Grid()

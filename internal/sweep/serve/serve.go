@@ -253,6 +253,9 @@ type Server struct {
 	stageHists   [obs.NumStages]*obs.Histogram
 	storeOpHists [3]*obs.Histogram // indexed by store.Op
 
+	// scenarios resolves each distinct /v1/scenario body once.
+	scenarios httpapi.ScenarioMemo
+
 	scenarioEP, sweepEP, deltasEP, segmentsEP *obs.Histogram
 	hits, misses, shed, gridShed              *obs.Counter
 	notModified                               *obs.Counter
@@ -436,13 +439,8 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	if !httpapi.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var ax sweep.Axes
-	if !httpapi.Decode(w, r, &ax) {
-		return
-	}
-	sc, err := ax.Scenario()
-	if err != nil {
-		httpapi.Error(w, http.StatusBadRequest, err.Error())
+	q, ok := s.scenarios.Parse(w, r)
+	if !ok {
 		return
 	}
 	// Scenario IDs are content hashes of the canonical config, so the ID
@@ -452,17 +450,14 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	// immutable once acknowledged). Cold ids fall through to the full
 	// path: a 304 would vouch for bytes this server never produced.
 	enc := httpapi.Negotiate(r)
-	etag := httpapi.ScenarioETag(sc.ID, enc)
-	if inm := r.Header.Get("If-None-Match"); httpapi.ETagMatch(inm, etag) && s.cache.Contains(sc.ID) {
+	if httpapi.ETagMatch(r.Header.Get("If-None-Match"), q.ETag(enc)) && s.cache.Contains(q.Scenario.ID) {
 		s.notModified.Add(1)
-		w.Header().Set("Vary", "Accept")
-		w.Header().Set("ETag", etag)
-		w.Header().Set("X-Sweepd-Cache", "hit")
+		httpapi.ScenarioHeaders(w.Header(), q, enc, "X-Sweepd-Cache", true)
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	fan := s.stages(r)
-	res, cached, err := s.cache.Resolve(sc, sweep.Want{Stages: fan})
+	res, cached, err := s.cache.Resolve(q.Scenario, sweep.Want{Stages: fan})
 	switch {
 	case errors.Is(err, ErrShed):
 		s.shed429(w, "simulation queue full; retry later")
@@ -480,8 +475,8 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	// only what it was asked for.
 	tEnc := time.Now() //sweepvet:allow(timenow) stage timer: feeds metrics/traces only
 	var encErr error
-	body := s.cache.Rendered(sc.ID, enc, func() []byte {
-		rec := sweep.RecordOf(sweep.ScenarioRun{Scenario: sc, Result: res})
+	body := s.cache.Rendered(q.Scenario.ID, enc, func() []byte {
+		rec := sweep.RecordOf(sweep.ScenarioRun{Scenario: q.Scenario, Result: res})
 		var b []byte
 		b, encErr = renderRecord(&rec, enc)
 		return b
@@ -492,15 +487,11 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	}
 	if cached {
 		s.hits.Add(1)
-		w.Header().Set("X-Sweepd-Cache", "hit")
 	} else {
 		s.misses.Add(1)
-		w.Header().Set("X-Sweepd-Cache", "miss")
 	}
-	w.Header().Set("Vary", "Accept")
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Content-Type", httpapi.ScenarioContentType(enc))
-	w.Write(body)
+	httpapi.ScenarioHeaders(w.Header(), q, enc, "X-Sweepd-Cache", cached)
+	httpapi.WriteScenario(w, enc, body)
 	fan.ObserveStage(obs.StageEncode, time.Since(tEnc)) //sweepvet:allow(timenow) stage timer: feeds metrics/traces only
 }
 
@@ -683,10 +674,14 @@ func (s *Server) handleSegmentFile(w http.ResponseWriter, r *http.Request) {
 		httpapi.Error(w, http.StatusBadRequest, "seg must be an integer")
 		return
 	}
-	// ?format= echoes the manifest entry's "tlv"; the store refuses any
-	// other, absent included (a follower from before TLV asking for
-	// JSONL), as a bad reference.
-	data, err := s.st.ReadSegment(q.Get("shard"), seg, q.Get("format"))
+	// ?format= echoes the manifest entry's "tlv"; any other, absent
+	// included (a follower from before TLV asking for JSONL), is a bad
+	// reference.
+	if err := store.CheckSegmentFormat(q.Get("format")); err != nil {
+		httpapi.Error(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	data, err := s.st.ReadSegment(q.Get("shard"), seg)
 	if err != nil {
 		code := http.StatusInternalServerError
 		switch {

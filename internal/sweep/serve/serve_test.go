@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/sweep"
+	"repro/internal/sweep/httpapi"
 	"repro/internal/sweep/tlv"
 )
 
@@ -326,6 +327,12 @@ func TestRequestValidation(t *testing.T) {
 		{"/v1/scenario", `{"seed":1,"bogus":true}`, http.StatusBadRequest},
 		{"/v1/scenario", `{"profile":"7G"}`, http.StatusBadRequest},
 		{"/v1/scenario", `not json`, http.StatusBadRequest},
+		// Only the first JSON value is decoded: bytes after it are not
+		// read, as they never were.
+		{"/v1/scenario", `{"seed":1} x`, http.StatusOK},
+		// The whole body is read before it is decoded, so a valid value
+		// padded past the bound is refused, not answered.
+		{"/v1/scenario", `{"seed":1}` + strings.Repeat(" ", httpapi.MaxBodyBytes), http.StatusBadRequest},
 		// Off-grid cells surface from the simulation itself, but are
 		// config errors a retry can't fix: bad request, not 500.
 		{"/v1/scenario", `{"target_cells":["Z9"]}`, http.StatusBadRequest},
@@ -340,7 +347,7 @@ func TestRequestValidation(t *testing.T) {
 	for _, c := range cases {
 		resp := post(t, ts.Client(), ts.URL+c.path, c.body)
 		if resp.StatusCode != c.want {
-			t.Errorf("POST %s %q: status %d, want %d", c.path, c.body, resp.StatusCode, c.want)
+			t.Errorf("POST %s %.40q: status %d, want %d", c.path, c.body, resp.StatusCode, c.want)
 		}
 		resp.Body.Close()
 	}
@@ -872,7 +879,7 @@ func TestSegmentFeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := readAll(t, fresp)
-	want, err := srv.Store().ReadSegment(si.Shard, si.Seg, si.Format)
+	want, err := srv.Store().ReadSegment(si.Shard, si.Seg)
 	if err != nil {
 		t.Fatal(err)
 	}

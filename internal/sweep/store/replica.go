@@ -113,16 +113,23 @@ func (s *Store) manifestLocked() []SegmentInfo {
 }
 
 // validSegmentRef refuses references that could name anything other
-// than a segment file (path traversal, negative numbers), and any format
-// but "tlv" — the empty one included, which a peer from before TLV
-// means as JSONL, so a follower never installs JSONL bytes as TLV.
-func validSegmentRef(shard string, seg int, format string) error {
+// than a segment file (path traversal, negative numbers).
+func validSegmentRef(shard string, seg int) error {
 	if len(shard) != 2 || !isHexLower(shard[0]) || !isHexLower(shard[1]) {
 		return fmt.Errorf("%w: invalid shard %q", ErrBadSegmentRef, shard)
 	}
 	if seg < 0 {
 		return fmt.Errorf("%w: invalid segment number %d", ErrBadSegmentRef, seg)
 	}
+	return nil
+}
+
+// CheckSegmentFormat refuses any wire segment format but "tlv" — the
+// empty one included, which a peer from before TLV means as JSONL — so
+// a follower never installs JSONL bytes as TLV. Formats travel only on
+// the wire; the serving and following ends check them where they
+// arrive.
+func CheckSegmentFormat(format string) error {
 	if format != formatTLV {
 		return fmt.Errorf("%w: segment format %q is not %q", ErrBadSegmentRef, format, formatTLV)
 	}
@@ -133,8 +140,11 @@ func validSegmentRef(shard string, seg int, format string) error {
 // taken in one ReadFile, so it always ends on a committed record
 // boundary or inside the final append — and a final partial record is
 // exactly what ingestion already tolerates.
-func (s *Store) ReadSegment(shard string, seg int, format string) ([]byte, error) {
-	if err := validSegmentRef(shard, seg, format); err != nil {
+//
+// The bytes are TLV. A caller answering a request that names a segment
+// format must pass that format through CheckSegmentFormat first.
+func (s *Store) ReadSegment(shard string, seg int) ([]byte, error) {
+	if err := validSegmentRef(shard, seg); err != nil {
 		return nil, err
 	}
 	data, err := os.ReadFile(s.segPath(shard, seg))
@@ -159,8 +169,13 @@ func (s *Store) ReadSegment(shard string, seg int, format string) ([]byte, error
 // into the same shard concurrently (the serve layer's store-only
 // replica mode guarantees this — every miss sheds before it reaches a
 // Put).
-func (s *Store) IngestSegment(shard string, seg int, format string, data []byte) error {
-	if err := validSegmentRef(shard, seg, format); err != nil {
+//
+// data must be TLV: IngestSegment does not look at a wire format, so a
+// caller installing bytes whose format came over the wire (a manifest's
+// SegmentInfo.Format) must pass that format through CheckSegmentFormat
+// first.
+func (s *Store) IngestSegment(shard string, seg int, data []byte) error {
+	if err := validSegmentRef(shard, seg); err != nil {
 		return err
 	}
 	if err := os.MkdirAll(s.shardDir(shard), 0o755); err != nil {
@@ -219,8 +234,8 @@ func (s *Store) IngestSegment(shard string, seg int, format string, data []byte)
 // replica-side echo of the writer's compaction. Locations pointing into
 // it are forgotten first, so a concurrent Get degrades to a miss, never
 // reads a recycled offset.
-func (s *Store) DropSegment(shard string, seg int, format string) error {
-	if err := validSegmentRef(shard, seg, format); err != nil {
+func (s *Store) DropSegment(shard string, seg int) error {
+	if err := validSegmentRef(shard, seg); err != nil {
 		return err
 	}
 	s.mu.Lock()

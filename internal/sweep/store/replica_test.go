@@ -61,11 +61,11 @@ func TestIngestShipsRecordsByteIdentically(t *testing.T) {
 	replica := open(t, t.TempDir(), Options{})
 	_, segs := writer.Manifest()
 	for _, si := range segs {
-		data, err := writer.ReadSegment(si.Shard, si.Seg, si.Format)
+		data, err := writer.ReadSegment(si.Shard, si.Seg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := replica.IngestSegment(si.Shard, si.Seg, si.Format, data); err != nil {
+		if err := replica.IngestSegment(si.Shard, si.Seg, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,8 +84,8 @@ func TestIngestShipsRecordsByteIdentically(t *testing.T) {
 	}
 	// Shipped segment files are byte-identical to the writer's.
 	for _, si := range segs {
-		w, _ := writer.ReadSegment(si.Shard, si.Seg, si.Format)
-		r, err := replica.ReadSegment(si.Shard, si.Seg, si.Format)
+		w, _ := writer.ReadSegment(si.Shard, si.Seg)
+		r, err := replica.ReadSegment(si.Shard, si.Seg)
 		if err != nil || !bytes.Equal(w, r) {
 			t.Fatalf("segment %s/%d differs after shipping (%v)", si.Shard, si.Seg, err)
 		}
@@ -115,14 +115,14 @@ func TestIngestTornSnapshotHeals(t *testing.T) {
 		if err := writer.Put(lost, testResult(t, 4)); err != nil {
 			t.Fatal(err)
 		}
-		full, err := writer.ReadSegment(shard, 0, FormatTLV)
+		full, err := writer.ReadSegment(shard, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		torn := full[:len(full)-10] // cuts into the second record
 
 		replica := open(t, t.TempDir(), Options{})
-		if err := replica.IngestSegment(shard, 0, FormatTLV, torn); err != nil {
+		if err := replica.IngestSegment(shard, 0, torn); err != nil {
 			t.Fatal(err)
 		}
 		if !replica.Has(kept) {
@@ -131,7 +131,7 @@ func TestIngestTornSnapshotHeals(t *testing.T) {
 		if replica.Has(lost) {
 			t.Fatal("torn record must not be acknowledged")
 		}
-		if err := replica.IngestSegment(shard, 0, FormatTLV, full); err != nil {
+		if err := replica.IngestSegment(shard, 0, full); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := replica.Get(lost); !ok {
@@ -148,12 +148,12 @@ func TestDropSegmentForgetsRecords(t *testing.T) {
 	if err := writer.Put("ff77", testResult(t, 9)); err != nil {
 		t.Fatal(err)
 	}
-	data, _ := writer.ReadSegment("ff", 0, FormatTLV)
-	if err := replica.IngestSegment("ff", 0, FormatTLV, data); err != nil {
+	data, _ := writer.ReadSegment("ff", 0)
+	if err := replica.IngestSegment("ff", 0, data); err != nil {
 		t.Fatal(err)
 	}
 	gen1, _ := replica.Manifest()
-	if err := replica.DropSegment("ff", 0, FormatTLV); err != nil {
+	if err := replica.DropSegment("ff", 0); err != nil {
 		t.Fatal(err)
 	}
 	if replica.Has("ff77") {
@@ -168,7 +168,7 @@ func TestDropSegmentForgetsRecords(t *testing.T) {
 	}
 	// Dropping an already-absent segment is not an error (replays of a
 	// manifest diff must be idempotent).
-	if err := replica.DropSegment("ff", 0, FormatTLV); err != nil {
+	if err := replica.DropSegment("ff", 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -182,28 +182,25 @@ func TestSegmentRefValidation(t *testing.T) {
 		seg   int
 	}{{"..", 0}, {"a/", 0}, {"abc", 0}, {"A1", 0}, {"ab", -1}, {"", 0}}
 	for _, c := range bad {
-		if _, err := s.ReadSegment(c.shard, c.seg, FormatTLV); err == nil {
+		if _, err := s.ReadSegment(c.shard, c.seg); err == nil {
 			t.Errorf("ReadSegment(%q,%d) accepted", c.shard, c.seg)
 		}
-		if err := s.IngestSegment(c.shard, c.seg, FormatTLV, nil); err == nil {
+		if err := s.IngestSegment(c.shard, c.seg, nil); err == nil {
 			t.Errorf("IngestSegment(%q,%d) accepted", c.shard, c.seg)
 		}
-		if err := s.DropSegment(c.shard, c.seg, FormatTLV); err == nil {
+		if err := s.DropSegment(c.shard, c.seg); err == nil {
 			t.Errorf("DropSegment(%q,%d) accepted", c.shard, c.seg)
 		}
 	}
-	// Any format but TLV is rejected everywhere a format travels: the
+	// Any format but TLV is rejected wherever a format arrives: the
 	// empty one and "jsonl" name v2 segments, which no store holds after
 	// Open.
 	for _, format := range []string{"", "jsonl", "protobuf"} {
-		if _, err := s.ReadSegment("ab", 0, format); !errors.Is(err, ErrBadSegmentRef) {
-			t.Errorf("ReadSegment accepted format %q: %v", format, err)
+		if err := CheckSegmentFormat(format); !errors.Is(err, ErrBadSegmentRef) {
+			t.Errorf("CheckSegmentFormat accepted format %q: %v", format, err)
 		}
-		if err := s.IngestSegment("ab", 0, format, nil); !errors.Is(err, ErrBadSegmentRef) {
-			t.Errorf("IngestSegment accepted format %q: %v", format, err)
-		}
-		if err := s.DropSegment("ab", 0, format); !errors.Is(err, ErrBadSegmentRef) {
-			t.Errorf("DropSegment accepted format %q: %v", format, err)
-		}
+	}
+	if err := CheckSegmentFormat(FormatTLV); err != nil {
+		t.Errorf("CheckSegmentFormat(%q): %v", FormatTLV, err)
 	}
 }
