@@ -147,7 +147,7 @@ func BenchmarkAblationDatapathLoad(b *testing.B) {
 					l = dp.Latency(load)
 				}
 				b.ReportMetric(float64(l)/1000, "us-per-pkt")
-				b.ReportMetric(boolMetric(dp.Saturated(load)), "saturated")
+				b.ReportMetric(boolMetric(load > dp.CapacityMpps), "saturated")
 			})
 		}
 	}

@@ -1,8 +1,8 @@
 // Command sweepvet runs the repo's invariant analyzers (package
 // repro/internal/analysis): determinism, appendonlyhash, jsontags,
 // tlvtags, lockdiscipline, closecheck, hotpath, goroutineleak,
-// atomicdiscipline and sharedresult. It is both a standalone checker
-// and a vettool speaking the go command's unit-check protocol.
+// atomicdiscipline, sharedresult and deadapi. It is both a standalone
+// checker and a vettool speaking the go command's unit-check protocol.
 //
 // Usage:
 //
@@ -21,9 +21,11 @@
 // import paths through the go command, relative to the working
 // directory). Only the standalone driver runs the hotpath analyzer's
 // compiler escape cross-check — it drives `go build -gcflags=-m=2`,
-// which needs that same module-rooted go command. Under -vettool the
-// go command hands over export data per compilation unit instead, no
-// source re-checking happens, and hotpath runs its AST layer alone.
+// which needs that same module-rooted go command — and the deadapi
+// check, which needs every package of the module at once. Under
+// -vettool the go command hands over export data per compilation unit
+// instead, no source re-checking happens, hotpath runs its AST layer
+// alone and deadapi reports nothing.
 package main
 
 import (
@@ -209,7 +211,9 @@ func standalone(patterns []string, analyzers []*analysis.Analyzer, jsonOut bool)
 	// drive the compiler's escape analysis for the hotpath baseline
 	// cross-check (the vettool path cannot and runs AST checks only).
 	analysis.EnableEscapeCheck()
-	pkgs, err := analysis.Load(patterns)
+	// deadapi needs every package of the module at once, which only
+	// this driver has; the patterns pick the packages it reports on.
+	pkgs, mod, err := analysis.LoadModule(patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweepvet:", err)
 		return 2
@@ -226,7 +230,7 @@ func standalone(patterns []string, analyzers []*analysis.Analyzer, jsonOut bool)
 		diags = append(diags, d)
 	}
 	for _, pkg := range pkgs {
-		if err := analysis.RunPackage(pkg, analyzers, sink); err != nil {
+		if err := analysis.RunPackage(pkg, mod, analyzers, sink); err != nil {
 			fmt.Fprintln(os.Stderr, "sweepvet:", err)
 			return 2
 		}
@@ -378,7 +382,7 @@ func unitCheck(cfgPath string, analyzers []*analysis.Analyzer) int {
 		fmt.Fprintf(os.Stderr, "%s: %s\n", d.Pos, d.Message)
 	}
 	for _, a := range analyzers {
-		if err := analysis.RunPackage(pkg, []*analysis.Analyzer{a}, sink); err != nil {
+		if err := analysis.RunPackage(pkg, nil, []*analysis.Analyzer{a}, sink); err != nil {
 			fmt.Fprintln(os.Stderr, "sweepvet:", err)
 			return 2
 		}

@@ -27,6 +27,7 @@ func TestValidateFlagsRejectsNonsense(t *testing.T) {
 		{"json", false, false, true, false, false, "", []string{"./internal/sweep/..."}, ""},
 		{"run-subset", false, false, false, false, false, "determinism,closecheck", []string{"./..."}, ""},
 		{"run-new-analyzers", false, false, false, false, false, "hotpath,goroutineleak,atomicdiscipline", []string{"./..."}, ""},
+		{"run-deadapi", false, false, false, false, false, "deadapi", []string{"./internal/..."}, ""},
 		{"list", false, true, false, false, false, "", nil, ""},
 		{"version", true, false, false, false, false, "", nil, ""},
 		{"allows", false, false, false, true, false, "", nil, ""},
@@ -122,4 +123,19 @@ func TestUnitCheckHonorsBuildTags(t *testing.T) {
 			t.Fatalf("unitCheck = %d, want 1: the same violation without the tag must be reported", code)
 		}
 	})
+}
+
+// TestUnitCheckSkipsDeadAPI: the go command hands a vettool one package
+// at a time, so deadapi cannot tell a dead export from one another
+// package calls and must report nothing there.
+func TestUnitCheckSkipsDeadAPI(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "code.go")
+	if err := os.WriteFile(src, []byte("package vettagged\n\nfunc Unused() {}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := writeUnitCfg(t, dir, []string{src})
+	if code := unitCheck(cfg, []*analysis.Analyzer{analysis.DeadAPI}); code != 0 {
+		t.Fatalf("unitCheck = %d, want 0: deadapi runs only where every package is loaded", code)
+	}
 }

@@ -13,7 +13,9 @@
 // per-package; cross-package structure (for example campaign.Config seen
 // from internal/sweep) is reached through the type-checked import graph,
 // which both the source-importer driver (load.go) and the `go vet
-// -vettool` unit-checker protocol (cmd/sweepvet) provide.
+// -vettool` unit-checker protocol (cmd/sweepvet) provide. The one check
+// that needs what imports a package, not what it imports — deadapi —
+// reads the pass's Module, which only the source-importer driver fills.
 //
 // # Suppressing a diagnostic
 //
@@ -23,7 +25,7 @@
 //	t0 := time.Now() //sweepvet:allow(timenow) serve latency counter, never folded into records
 //
 // The marker names the check it silences — timenow, maporder, iolock,
-// close, hotpath, goroutineleak, atomics, sharedresult — so an
+// close, hotpath, goroutineleak, atomics, sharedresult, deadapi — so an
 // annotation never suppresses more than it argues for. The reason text
 // after the marker is mandatory: `sweepvet -allows` audits every active
 // marker and fails on an empty reason, so suppressions cannot rot
@@ -62,10 +64,22 @@ type Pass struct {
 	Info *types.Info
 	// Report delivers one diagnostic to the driver.
 	Report func(Diagnostic)
+	// Module holds every package of the run, for checks that need
+	// them all at once; nil when the driver sees one package at a time.
+	Module *Module
 
 	// allow maps filename -> line -> the checks allowlisted there,
 	// built lazily from //sweepvet:allow(...) comments.
 	allow map[string]map[int][]string
+}
+
+// A Module is every package one driver run loaded together. Drivers
+// that see one compilation unit at a time (go vet -vettool) have none,
+// and the checks that need it (deadapi) stay silent there.
+type Module struct {
+	Pkgs []*Package
+
+	dead *deadIndex // built by the first deadapi pass
 }
 
 // A Diagnostic is one reported finding.
@@ -150,6 +164,7 @@ func All() []*Analyzer {
 		GoroutineLeak,
 		AtomicDiscipline,
 		SharedResult,
+		DeadAPI,
 	}
 }
 
@@ -185,9 +200,10 @@ func ByName(names string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// RunPackage runs the analyzers over one loaded package, appending
-// diagnostics to sink. Analyzer errors (not findings) are returned.
-func RunPackage(pkg *Package, analyzers []*Analyzer, sink func(Diagnostic)) error {
+// RunPackage runs the analyzers over one loaded package of mod (nil
+// when the driver has no module), appending diagnostics to sink.
+// Analyzer errors (not findings) are returned.
+func RunPackage(pkg *Package, mod *Module, analyzers []*Analyzer, sink func(Diagnostic)) error {
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer: a,
@@ -196,6 +212,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer, sink func(Diagnostic)) erro
 			Pkg:      pkg.Pkg,
 			Info:     pkg.Info,
 			Report:   sink,
+			Module:   mod,
 		}
 		if err := a.Run(pass); err != nil {
 			return fmt.Errorf("%s: %s: %w", pkg.Pkg.Path(), a.Name, err)

@@ -96,12 +96,36 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, []string, error) {
 
 // Run loads each named package from testdata/src, runs the analyzer, and
 // reports mismatches between actual diagnostics and // want comments as
-// test failures.
+// test failures. The named packages form the pass's Module, so a check
+// that needs every package at once (deadapi) sees references between
+// them.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	srcRoot := filepath.Join(testdata, "src")
-	for _, path := range pkgPaths {
-		runOne(t, srcRoot, a, path)
+	fset := token.NewFileSet()
+	ti := &testImporter{
+		srcRoot: srcRoot,
+		fset:    fset,
+		std:     importer.ForCompiler(fset, "source", nil),
+		cache:   make(map[string]*types.Package),
+	}
+	mod := &analysis.Module{}
+	names := make([][]string, len(pkgPaths))
+	for i, path := range pkgPaths {
+		files, fileNames, err := parseDir(fset, filepath.Join(srcRoot, filepath.FromSlash(path)))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		info := analysis.NewInfo()
+		tpkg, err := (&types.Config{Importer: ti}).Check(path, fset, files, info)
+		if err != nil {
+			t.Fatalf("typecheck %s: %v", path, err)
+		}
+		mod.Pkgs = append(mod.Pkgs, &analysis.Package{Fset: fset, Files: files, Pkg: tpkg, Info: info})
+		names[i] = fileNames
+	}
+	for i, pkg := range mod.Pkgs {
+		check(t, a, pkg, mod, names[i])
 	}
 }
 
@@ -118,27 +142,11 @@ func TestData(t *testing.T) string {
 
 var wantRE = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
-func runOne(t *testing.T, srcRoot string, a *analysis.Analyzer, path string) {
+// check runs the analyzer over one loaded package and matches its
+// diagnostics against the // want comments in the package's files.
+func check(t *testing.T, a *analysis.Analyzer, pkg *analysis.Package, mod *analysis.Module, names []string) {
 	t.Helper()
-	dir := filepath.Join(srcRoot, filepath.FromSlash(path))
-	fset := token.NewFileSet()
-	files, names, err := parseDir(fset, dir)
-	if err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	ti := &testImporter{
-		srcRoot: srcRoot,
-		fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil),
-		cache:   make(map[string]*types.Package),
-	}
-	conf := types.Config{Importer: ti}
-	info := analysis.NewInfo()
-	tpkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		t.Fatalf("typecheck %s: %v", path, err)
-	}
-
+	path := pkg.Pkg.Path()
 	// Collect the expectations from // want comments.
 	var wants []*expectation
 	for _, name := range names {
@@ -162,15 +170,8 @@ func runOne(t *testing.T, srcRoot string, a *analysis.Analyzer, path string) {
 	}
 
 	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer: a,
-		Fset:     fset,
-		Files:    files,
-		Pkg:      tpkg,
-		Info:     info,
-		Report:   func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if err := a.Run(pass); err != nil {
+	sink := func(d analysis.Diagnostic) { diags = append(diags, d) }
+	if err := analysis.RunPackage(pkg, mod, []*analysis.Analyzer{a}, sink); err != nil {
 		t.Fatalf("%s: analyzer %s: %v", path, a.Name, err)
 	}
 	sort.Slice(diags, func(i, j int) bool {

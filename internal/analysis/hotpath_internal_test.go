@@ -71,7 +71,7 @@ func funcLine(t *testing.T, pkg *Package, name string, offset int) int {
 func runHotpathOn(t *testing.T, pkg *Package) []Diagnostic {
 	t.Helper()
 	var diags []Diagnostic
-	if err := RunPackage(pkg, []*Analyzer{Hotpath}, func(d Diagnostic) { diags = append(diags, d) }); err != nil {
+	if err := RunPackage(pkg, nil, []*Analyzer{Hotpath}, func(d Diagnostic) { diags = append(diags, d) }); err != nil {
 		t.Fatal(err)
 	}
 	return diags

@@ -40,16 +40,10 @@ type listedPackage struct {
 // sweepvet enforces live in shipped code, and test files routinely use
 // wall clocks and unordered iteration on purpose.
 func Load(patterns []string) ([]*Package, error) {
-	args := append([]string{"list", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	var out, stderr bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list %s: %v\n%s",
-			strings.Join(patterns, " "), err, stderr.String())
+	listed, err := list(patterns)
+	if err != nil {
+		return nil, err
 	}
-
 	fset := token.NewFileSet()
 	// One shared source importer: it caches type-checked dependencies, so
 	// a repo-wide run checks each package about once instead of once per
@@ -57,15 +51,7 @@ func Load(patterns []string) ([]*Package, error) {
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
 
 	var pkgs []*Package
-	dec := json.NewDecoder(&out)
-	for dec.More() {
-		var lp listedPackage
-		if err := dec.Decode(&lp); err != nil {
-			return nil, fmt.Errorf("go list output: %w", err)
-		}
-		if lp.Standard || len(lp.GoFiles) == 0 {
-			continue
-		}
+	for _, lp := range listed {
 		var files []*ast.File
 		for _, name := range lp.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
@@ -82,6 +68,57 @@ func Load(patterns []string) ([]*Package, error) {
 		pkgs = append(pkgs, &Package{Fset: fset, Files: files, Pkg: tpkg, Info: info})
 	}
 	return pkgs, nil
+}
+
+// LoadModule loads every package of module repro, for the checks that
+// need them all at once (deadapi), and returns the subset the patterns
+// name alongside it: one type-check serves both.
+func LoadModule(patterns []string) ([]*Package, *Module, error) {
+	all, err := Load([]string{"repro/..."})
+	if err != nil {
+		return nil, nil, err
+	}
+	listed, err := list(patterns)
+	if err != nil {
+		return nil, nil, err
+	}
+	want := make(map[string]bool, len(listed))
+	for _, lp := range listed {
+		want[lp.ImportPath] = true
+	}
+	var pkgs []*Package
+	for _, pkg := range all {
+		if want[pkg.Pkg.Path()] {
+			pkgs = append(pkgs, pkg)
+		}
+	}
+	return pkgs, &Module{Pkgs: all}, nil
+}
+
+// list runs `go list -json` over the patterns and returns the non-standard
+// packages that have Go files.
+func list(patterns []string) ([]listedPackage, error) {
+	args := append([]string{"list", "-json"}, patterns...)
+	cmd := exec.Command("go", args...)
+	var out, stderr bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		return nil, fmt.Errorf("go list %s: %v\n%s",
+			strings.Join(patterns, " "), err, stderr.String())
+	}
+	var listed []listedPackage
+	dec := json.NewDecoder(&out)
+	for dec.More() {
+		var lp listedPackage
+		if err := dec.Decode(&lp); err != nil {
+			return nil, fmt.Errorf("go list output: %w", err)
+		}
+		if !lp.Standard && len(lp.GoFiles) > 0 {
+			listed = append(listed, lp)
+		}
+	}
+	return listed, nil
 }
 
 // SelectUnitFiles filters a vet compilation unit's file list down to

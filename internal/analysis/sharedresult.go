@@ -16,12 +16,10 @@ const (
 )
 
 // sampleWriters are the stats methods that write their receiver: Add
-// and AddDuration append and fold, Quantile, Median, CDF and
-// FractionBelow sort the raw samples in place, and Histogram reads raw
-// samples that only a Want.Raw result is guaranteed to carry.
+// and AddDuration append and fold, and Quantile and FractionBelow sort
+// the raw samples in place.
 var sampleWriters = map[string]bool{
-	"Add": true, "AddDuration": true, "Quantile": true, "Median": true,
-	"CDF": true, "FractionBelow": true, "Histogram": true,
+	"Add": true, "AddDuration": true, "Quantile": true, "FractionBelow": true,
 }
 
 // SharedResult flags writes through the sweep cache's own memory: a

@@ -12,12 +12,9 @@ type Sample struct {
 	xs []float64
 }
 
-func (s *Sample) Add(x float64)                      { s.xs = append(s.xs, x) }
-func (s *Sample) AddDuration(d int64)                { s.Add(float64(d)) }
-func (s *Sample) Values() []float64                  { return s.xs }
-func (s *Sample) Quantile(q float64) float64         { return q }
-func (s *Sample) Median() float64                    { return s.Quantile(0.5) }
-func (s *Sample) CDF(x float64) float64              { return x }
-func (s *Sample) FractionBelow(x float64) float64    { return x }
-func (s *Sample) Histogram(n int) ([]float64, []int) { return nil, nil }
-func (s *Sample) Clone() *Sample                     { cp := *s; return &cp }
+func (s *Sample) Add(x float64)                   { s.xs = append(s.xs, x) }
+func (s *Sample) AddDuration(d int64)             { s.Add(float64(d)) }
+func (s *Sample) Values() []float64               { return s.xs }
+func (s *Sample) Quantile(q float64) float64      { return q }
+func (s *Sample) FractionBelow(x float64) float64 { return x }
+func (s *Sample) Clone() *Sample                  { cp := *s; return &cp }

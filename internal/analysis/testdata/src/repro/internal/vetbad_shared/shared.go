@@ -19,9 +19,7 @@ func writes(c *sweep.Cache, sc sweep.Scenario) {
 	res.MobileAll.Add(1)            // want `call to res\.MobileAll\.Add`
 	res.Samples["C3"].Quantile(0.5) // want `call to res\.Samples\["C3"\]\.Quantile`
 	for _, s := range res.Samples {
-		s.Median()     // want `call to s\.Median`
-		s.CDF(1)       // want `call to s\.CDF`
-		s.Histogram(4) // want `call to s\.Histogram`
+		s.Quantile(0.9) // want `call to s\.Quantile`
 	}
 	s, ok := res.Samples["C3"]
 	if ok {

@@ -20,7 +20,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/geo"
 	"repro/internal/ran"
-	"repro/internal/requirements"
 	"repro/internal/stats"
 	"repro/internal/topo"
 )
@@ -314,6 +313,3 @@ func RunAll(seed uint64, duration time.Duration) ([]Report, error) {
 	}
 	return out, nil
 }
-
-// BudgetClass returns the requirements-catalogue class the game maps to.
-func BudgetClass() requirements.Class { return requirements.ARGaming }

@@ -3,6 +3,8 @@ package argame
 import (
 	"testing"
 	"time"
+
+	"repro/internal/requirements"
 )
 
 func TestBaselineUnplayable(t *testing.T) {
@@ -115,7 +117,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestBudgetClass(t *testing.T) {
-	if BudgetClass().MaxRTT != Deadline {
+	if requirements.ARGaming.MaxRTT != Deadline {
 		t.Fatal("budget class must carry the 20 ms deadline")
 	}
 }

@@ -145,16 +145,6 @@ func (r *Result) MobileVsWiredFactor() float64 {
 	return stats.Ratio(r.MobileAll.Mean(), r.Wired.Mean())
 }
 
-// Report returns the report for one cell, if the cell was traversed.
-func (r *Result) Report(c geo.CellID) (CellReport, bool) {
-	for _, rep := range r.Reports {
-		if rep.Cell == c {
-			return rep, true
-		}
-	}
-	return CellReport{}, false
-}
-
 // Run executes the campaign. Everything its seed does not set comes
 // from the world of its shape (see world), built once per process and
 // shared; Run itself plans the drives, lays out the ping streams and

@@ -79,8 +79,8 @@ func TestResultStateRoundTripFull(t *testing.T) {
 		if r == nil || r.N() != s.N() {
 			t.Fatalf("cell %s lost its sample", c)
 		}
-		if s.N() > 0 && r.Median() != s.Median() {
-			t.Fatalf("cell %s median %v, want %v", c, r.Median(), s.Median())
+		if s.N() > 0 && r.Quantile(0.5) != s.Quantile(0.5) {
+			t.Fatalf("cell %s median %v, want %v", c, r.Quantile(0.5), s.Quantile(0.5))
 		}
 	}
 }

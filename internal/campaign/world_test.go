@@ -359,7 +359,4 @@ func TestSharedKlagenfurt(t *testing.T) {
 			t.Fatal("a result carries its own grid or density model")
 		}
 	}
-	if a.Density.Grid() != a.Grid {
-		t.Fatal("the shared density model is over another grid")
-	}
 }

@@ -70,11 +70,6 @@ func (d DatapathSpec) Latency(offeredMpps float64) time.Duration {
 	return time.Duration(float64(d.PerPacket) / (1 - rho))
 }
 
-// Saturated reports whether the offered load exceeds capacity.
-func (d DatapathSpec) Saturated(offeredMpps float64) bool {
-	return offeredMpps > d.CapacityMpps
-}
-
 // UPF is a deployed user-plane anchor.
 type UPF struct {
 	Name     string

@@ -46,9 +46,6 @@ func TestDatapathLatencyGrowsWithLoad(t *testing.T) {
 	if l := HostDatapath.Latency(10); l < 10*HostDatapath.PerPacket {
 		t.Fatalf("saturated latency = %v, want >= 10x PerPacket", l)
 	}
-	if !HostDatapath.Saturated(2.0) || HostDatapath.Saturated(1.0) {
-		t.Fatal("saturation predicate wrong")
-	}
 }
 
 func TestEstablishCentralTrombones(t *testing.T) {

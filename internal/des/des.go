@@ -140,11 +140,11 @@ func (s *Simulator) Reschedule(e *Event, delay Time) {
 
 // Stop halts the simulation: the currently executing event completes, and
 // Run returns ErrStopped without firing further events.
-func (s *Simulator) Stop() { s.stopped = true }
+func (s *Simulator) Stop() { s.stopped = true } //sweepvet:allow(deadapi) goes with the rest of the event calendar once des is its RNG alone
 
 // Run executes events in timestamp order until the calendar is empty.
 // It returns ErrStopped if Stop was called.
-func (s *Simulator) Run() error { return s.RunUntil(-1) }
+func (s *Simulator) Run() error { return s.RunUntil(-1) } //sweepvet:allow(deadapi) cmd/sweepbench's desReplay drains its calendar with it
 
 // RunUntil executes events with timestamps <= horizon. A negative horizon
 // means "no horizon" (drain the calendar). On return the clock rests at

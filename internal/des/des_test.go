@@ -333,25 +333,6 @@ func TestPoissonMean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(31)
-	f := func(n uint8) bool {
-		m := int(n%50) + 1
-		p := r.Perm(m)
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestChoiceRespectsWeights(t *testing.T) {
 	r := NewRNG(37)
 	counts := [3]int{}

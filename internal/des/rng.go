@@ -138,17 +138,6 @@ func (r *RNG) Poisson(mean float64) int {
 	}
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Choice returns a uniformly chosen index weighted by weights; weights
 // must be non-negative and not all zero.
 func (r *RNG) Choice(weights []float64) int {

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/corenet"
-	"repro/internal/ran"
 )
 
 // RadioModel captures a technology's energy behaviour at the UE.
@@ -40,18 +39,6 @@ var (
 	Radio5GURL = RadioModel{Name: "5G-URLLC", ActivePowerW: 2.2, TxNanojoulePerBit: 45}
 	Radio6G    = RadioModel{Name: "6G", ActivePowerW: 1.6, TxNanojoulePerBit: 20}
 )
-
-// RadioFor maps a ran.Profile to its energy model.
-func RadioFor(p *ran.Profile) RadioModel {
-	switch p {
-	case ran.Profile5GURLLC:
-		return Radio5GURL
-	case ran.Profile6G:
-		return Radio6G
-	default:
-		return Radio5G
-	}
-}
 
 // Transport constants.
 const (

@@ -28,22 +28,6 @@ type Decomposition struct {
 	TotalMs    float64
 }
 
-// Components returns labelled component values in presentation order.
-func (d Decomposition) Components() []struct {
-	Name string
-	Ms   float64
-} {
-	return []struct {
-		Name string
-		Ms   float64
-	}{
-		{"radio-access", d.RadioMs},
-		{"operator-backhaul", d.BackhaulMs},
-		{"upf-datapath", d.DatapathMs},
-		{"public-transit", d.TransitMs},
-	}
-}
-
 func (d Decomposition) String() string {
 	return fmt.Sprintf("radio %.1f + backhaul %.1f + upf %.1f + transit %.1f = %.1f ms",
 		d.RadioMs, d.BackhaulMs, d.DatapathMs, d.TransitMs, d.TotalMs)
@@ -68,32 +52,11 @@ func Decompose(up *corenet.UserPlane, prof *ran.Profile, cond ran.Conditions,
 	return dec, nil
 }
 
-// DominantComponent returns the largest component's name.
-func (d Decomposition) DominantComponent() string {
-	best, bestMs := "", -1.0
-	for _, c := range d.Components() {
-		if c.Ms > bestMs {
-			best, bestMs = c.Name, c.Ms
-		}
-	}
-	return best
-}
-
 // --- End-to-end decomposition after Fezeu [22] ----------------------------
 
 // AppLayerMs is the mean application-layer overhead Fezeu et al. measured
 // on top of the network round trip (~35 ms).
 const AppLayerMs = 35.0
-
-// EndToEnd draws a user-experienced latency: network RTT plus
-// application-layer overhead (lognormal-ish jitter around AppLayerMs).
-func EndToEnd(rng *des.RNG, networkRTT time.Duration) time.Duration {
-	app := rng.Normal(AppLayerMs, 6)
-	if app < AppLayerMs/3 {
-		app = AppLayerMs / 3
-	}
-	return networkRTT + time.Duration(app*float64(time.Millisecond))
-}
 
 // PHYAnchors summarizes the Fezeu PHY-latency tail anchors reproduced by
 // the calibrated ran.DefaultPHY distribution.

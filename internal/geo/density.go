@@ -54,9 +54,6 @@ func NewKlagenfurtDensity(g *Grid) *DensityModel {
 	}
 }
 
-// Grid returns the grid the raster is defined over.
-func (m *DensityModel) Grid() *Grid { return m.grid }
-
 // AtKm evaluates the raster at grid-local kilometre coordinates.
 func (m *DensityModel) AtKm(eastKm, southKm float64) float64 {
 	d := m.base

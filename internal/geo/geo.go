@@ -39,18 +39,6 @@ func DistanceKm(a, b Point) float64 {
 	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
 }
 
-// BearingDeg returns the initial great-circle bearing from a to b in
-// degrees clockwise from north, normalized to [0, 360).
-func BearingDeg(a, b Point) float64 {
-	la1, lo1 := deg2rad(a.Lat), deg2rad(a.Lon)
-	la2, lo2 := deg2rad(b.Lat), deg2rad(b.Lon)
-	dlo := lo2 - lo1
-	y := math.Sin(dlo) * math.Cos(la2)
-	x := math.Cos(la1)*math.Sin(la2) - math.Sin(la1)*math.Cos(la2)*math.Cos(dlo)
-	brg := rad2deg(math.Atan2(y, x))
-	return math.Mod(brg+360, 360)
-}
-
 // Destination returns the point reached by travelling distKm kilometres
 // from p along the given initial bearing (degrees clockwise from north).
 func Destination(p Point, bearingDeg, distKm float64) Point {
@@ -72,28 +60,6 @@ func Destination(p Point, bearingDeg, distKm float64) Point {
 	return Point{Lat: rad2deg(la2), Lon: lon}
 }
 
-// Midpoint returns the great-circle midpoint of a and b.
-func Midpoint(a, b Point) Point {
-	la1, lo1 := deg2rad(a.Lat), deg2rad(a.Lon)
-	la2, lo2 := deg2rad(b.Lat), deg2rad(b.Lon)
-	dlo := lo2 - lo1
-	bx := math.Cos(la2) * math.Cos(dlo)
-	by := math.Cos(la2) * math.Sin(dlo)
-	lam := math.Atan2(math.Sin(la1)+math.Sin(la2),
-		math.Sqrt((math.Cos(la1)+bx)*(math.Cos(la1)+bx)+by*by))
-	lon := lo1 + math.Atan2(by, math.Cos(la1)+bx)
-	return Point{Lat: rad2deg(lam), Lon: rad2deg(lon)}
-}
-
-// PathLengthKm returns the summed great-circle length of a polyline.
-func PathLengthKm(pts []Point) float64 {
-	var total float64
-	for i := 1; i < len(pts); i++ {
-		total += DistanceKm(pts[i-1], pts[i])
-	}
-	return total
-}
-
 // Reference city coordinates used by the central-Europe topology and the
 // Table I / Figure 4 trace reconstruction.
 var (
@@ -101,6 +67,4 @@ var (
 	Vienna     = Point{Lat: 48.2082, Lon: 16.3738}
 	Prague     = Point{Lat: 50.0755, Lon: 14.4378}
 	Bucharest  = Point{Lat: 44.4268, Lon: 26.1025}
-	Graz       = Point{Lat: 47.0707, Lon: 15.4395}
-	Frankfurt  = Point{Lat: 50.1109, Lon: 8.6821}
 )

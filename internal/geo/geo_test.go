@@ -80,15 +80,6 @@ func TestBearingCardinal(t *testing.T) {
 	}
 }
 
-func TestMidpoint(t *testing.T) {
-	m := Midpoint(Klagenfurt, Vienna)
-	d1 := DistanceKm(Klagenfurt, m)
-	d2 := DistanceKm(m, Vienna)
-	if !almostEqual(d1, d2, 0.5) {
-		t.Errorf("midpoint not equidistant: %v vs %v", d1, d2)
-	}
-}
-
 func TestPathLength(t *testing.T) {
 	pts := []Point{Klagenfurt, Vienna, Prague}
 	want := DistanceKm(Klagenfurt, Vienna) + DistanceKm(Vienna, Prague)

@@ -51,37 +51,6 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a value that can go up and down. A gauge is either settable
-// (Set/Add) or function-backed (sampled at scrape time); Registry.Gauge
-// mints the former, Registry.GaugeFunc the latter.
-type Gauge struct {
-	v  atomic.Int64
-	fn func() float64
-}
-
-// Set replaces the gauge value. No-op on a function-backed gauge.
-func (g *Gauge) Set(v int64) {
-	if g.fn == nil {
-		g.v.Store(v)
-	}
-}
-
-// Add adjusts the gauge by delta. No-op on a function-backed gauge.
-func (g *Gauge) Add(delta int64) {
-	if g.fn == nil {
-		g.v.Add(delta)
-	}
-}
-
-// Value returns the current gauge value, sampling the backing function
-// if there is one.
-func (g *Gauge) Value() float64 {
-	if g.fn != nil {
-		return g.fn()
-	}
-	return float64(g.v.Load())
-}
-
 // DefLatencyBucketsUs is the default microsecond latency ladder:
 // roughly exponential from 50µs to 10s, sized for the serving stack's
 // observed range (warm cache hits ~100µs, cold simulations ~100ms-10s).
@@ -212,7 +181,7 @@ const (
 type series struct {
 	labels string // pre-rendered `k1="v1",k2="v2"`, escaped; "" for none
 	c      *Counter
-	g      *Gauge
+	g      func() float64 // a gauge, sampled at scrape time
 	h      *Histogram
 }
 
@@ -304,20 +273,11 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return s.c
 }
 
-// Gauge registers (or returns the existing) settable gauge.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.lookup(name, help, kindGauge, labels)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
-}
-
 // GaugeFunc registers a gauge whose value is sampled from fn at scrape
 // time. Re-registering the same name+labels replaces the function.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	s := r.lookup(name, help, kindGauge, labels)
-	s.g = &Gauge{fn: fn}
+	s.g = fn
 }
 
 // Histogram registers (or returns the existing) histogram for
@@ -386,7 +346,7 @@ func writeFamily(b *strings.Builder, f *family) {
 			if s.g == nil {
 				continue
 			}
-			sample(b, f.name, s.labels, formatFloat(s.g.Value()))
+			sample(b, f.name, s.labels, formatFloat(s.g()))
 		}
 	case kindHistogram:
 		header(b, f.name, f.help, "histogram")

@@ -18,13 +18,16 @@ func TestCounterAndGauge(t *testing.T) {
 	if again := r.Counter("x_total", "help"); again != c {
 		t.Fatal("re-registration must return the same counter")
 	}
-	g := r.Gauge("y", "help")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %v, want 5", got)
+	z := 1.5
+	r.GaugeFunc("z", "help", func() float64 { return z })
+	z = 2.5
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-	r.GaugeFunc("z", "help", func() float64 { return 1.5 })
+	if !strings.Contains(b.String(), "\nz 2.5\n") {
+		t.Fatalf("gauge must be sampled at scrape time:\n%s", b.String())
+	}
 }
 
 func TestHistogramObserve(t *testing.T) {
@@ -85,7 +88,7 @@ func TestMetricszGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("svc_hits_total", "Cache hits.", Label{"endpoint", "scenario"}).Add(3)
 	r.Counter("svc_hits_total", "Cache hits.", Label{"endpoint", "sweep"}).Add(1)
-	r.Gauge("svc_queue_depth", `Depth with "quotes" and \slash`).Set(2)
+	r.GaugeFunc("svc_queue_depth", `Depth with "quotes" and \slash`, func() float64 { return 2 })
 	h := r.Histogram("svc_latency_us", "Request latency.", []int64{10, 100}, Label{"endpoint", "scenario"})
 	h.Observe(5)
 	h.Observe(50)

@@ -62,9 +62,6 @@ func TestNilTracerAndSpanAreInert(t *testing.T) {
 	if sp.Finish() != 0 || sp.TraceHex() != "" || sp.Traceparent() != "" {
 		t.Fatal("nil span must be inert")
 	}
-	if tr.Exported() != 0 {
-		t.Fatal("nil tracer Exported")
-	}
 }
 
 func TestSpanExportAndDecode(t *testing.T) {
@@ -84,10 +81,6 @@ func TestSpanExportAndDecode(t *testing.T) {
 	}
 	child.Finish()
 	root.Finish()
-	if tr.Exported() != 2 {
-		t.Fatalf("exported = %d, want 2", tr.Exported())
-	}
-
 	recs, err := ReadSpans(bytes.NewReader(out.Bytes()))
 	if err != nil {
 		t.Fatal(err)

@@ -186,10 +186,6 @@ func (cp *ControlPlane) Latency(p Procedure) time.Duration {
 	return d
 }
 
-// AsyncCoreLoad returns the number of non-blocking core notifications a
-// procedure generates (background signalling cost of edge consolidation).
-func (cp *ControlPlane) AsyncCoreLoad(p Procedure) int { return cp.recipeFor(p).asyncCore }
-
 // Sample draws one procedure latency with signalling jitter (10 %
 // multiplicative, floor at half the mean).
 func (cp *ControlPlane) Sample(rng *des.RNG, p Procedure) time.Duration {

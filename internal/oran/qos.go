@@ -38,9 +38,6 @@ func NewRuleTable(rules []Rule, contextAware bool) *RuleTable {
 	}
 }
 
-// Len returns the number of installed rules.
-func (t *RuleTable) Len() int { return len(t.rules) }
-
 // Lookup finds the rule for a flow, returning the match latency. A miss
 // scans the whole table and reports ok=false.
 func (t *RuleTable) Lookup(flowID int) (latency time.Duration, ok bool) {
@@ -61,24 +58,6 @@ func (t *RuleTable) Lookup(flowID int) (latency time.Duration, ok bool) {
 	}
 	t.scanned += uint64(len(t.rules))
 	return time.Duration(len(t.rules)) * t.perRuleCost, false
-}
-
-// Update modifies the rule of a flow (a QER change), returning the update
-// latency: the lookup cost plus a fixed write cost.
-func (t *RuleTable) Update(flowID int, newPriority int) (time.Duration, bool) {
-	lat, ok := t.Lookup(flowID)
-	const writeCost = 500 * time.Nanosecond
-	if !ok {
-		return lat, false
-	}
-	// After a context-aware lookup the rule sits at the front.
-	for i := range t.rules {
-		if t.rules[i].FlowID == flowID {
-			t.rules[i].Priority = newPriority
-			break
-		}
-	}
-	return lat + writeCost, true
 }
 
 // MeanScan returns the average number of rules evaluated per lookup.

@@ -113,9 +113,6 @@ func NewRIC(cp *ControlPlane, period time.Duration, cells []RICCell) (*RIC, erro
 // Register adds an xApp.
 func (r *RIC) Register(x XApp) { r.xapps = append(r.xapps, x) }
 
-// Cells returns the RIC's current cell view.
-func (r *RIC) Cells() []*RICCell { return r.cells }
-
 // LoadSpread returns max-min load across cells.
 func (r *RIC) LoadSpread() float64 {
 	if len(r.cells) == 0 {

@@ -49,7 +49,7 @@ func WiredJitter(rng *des.RNG, hops int) time.Duration {
 }
 
 // WiredPath returns the policy-routed path a wired ping between two
-// hosts takes, with the error WiredRTT reports when there is none.
+// hosts takes, or an error when there is none.
 func (e *Engine) WiredPath(from, to *topo.Node) (routing.Path, error) {
 	p, err := e.UP.Router.Route(from, to)
 	if err != nil {
@@ -58,52 +58,20 @@ func (e *Engine) WiredPath(from, to *topo.Node) (routing.Path, error) {
 	return p, nil
 }
 
-// WiredRTT measures one wired round trip between two hosts over the
-// policy-routed path.
-func (e *Engine) WiredRTT(rng *des.RNG, from, to *topo.Node) (time.Duration, error) {
-	p, err := e.WiredPath(from, to)
-	if err != nil {
-		return 0, err
-	}
-	return e.WiredRTTOn(rng, p), nil
-}
-
 // WiredRTTOn measures one wired round trip over a path resolved by
-// WiredPath: the same draws and the same sum as WiredRTT, so a caller
-// pinging one pair many times routes it once.
-func (e *Engine) WiredRTTOn(rng *des.RNG, p routing.Path) time.Duration {
+// WiredPath: its fixed RTT plus per-hop jitter. A caller pinging one
+// pair many times routes it once.
+func (e *Engine) WiredRTTOn(rng *des.RNG, p routing.Path) time.Duration { //sweepvet:allow(deadapi) oracle for campaign's TestWorldLegsMatchEngine
 	return p.RTT() + WiredJitter(rng, p.Hops())
 }
 
-// MobileRTT measures one round trip from a mobile UE (attached under the
-// given radio conditions, anchored at upf) to a wired destination.
-func (e *Engine) MobileRTT(rng *des.RNG, cond ran.Conditions, upf *corenet.UPF,
-	dst *topo.Node) (time.Duration, error) {
-	sp, err := e.UP.Establish(upf, dst)
-	if err != nil {
-		return 0, err
-	}
-	return e.MobileRTTOn(rng, cond, sp), nil
-}
-
 // MobileRTTOn measures one mobile round trip over a session path
-// resolved by UserPlane.Establish: the same draws and the same sum as
-// MobileRTT, so a caller pinging one target many times establishes its
-// session once.
-func (e *Engine) MobileRTTOn(rng *des.RNG, cond ran.Conditions, sp corenet.SessionPath) time.Duration {
+// resolved by UserPlane.Establish: a radio and datapath sample plus the
+// wired legs' jitter. A caller pinging one target many times
+// establishes its session once.
+func (e *Engine) MobileRTTOn(rng *des.RNG, cond ran.Conditions, sp corenet.SessionPath) time.Duration { //sweepvet:allow(deadapi) oracle for campaign's TestWorldLegsMatchEngine
 	rtt := e.UP.SampleRTT(rng, e.Profile, cond, sp, e.OfferedMpps)
 	return rtt + WiredJitter(rng, sp.Backhaul.Hops()+sp.Breakout.Hops())
-}
-
-// MobileMeanRTT returns the analytic expectation of MobileRTT (wired
-// jitter is zero-mean-ish and excluded).
-func (e *Engine) MobileMeanRTT(cond ran.Conditions, upf *corenet.UPF,
-	dst *topo.Node) (time.Duration, error) {
-	sp, err := e.UP.Establish(upf, dst)
-	if err != nil {
-		return 0, err
-	}
-	return e.UP.MeanRTT(e.Profile, cond, sp, e.OfferedMpps), nil
 }
 
 // Hop is one line of a traceroute.

@@ -76,9 +76,6 @@ var specs = map[Protocol]Spec{
 		AckRTTs: [3]float64{0, 2, 2}, JitterMs: 0.30},
 }
 
-// SpecFor returns the latency spec of a protocol.
-func SpecFor(p Protocol) Spec { return specs[p] }
-
 // MeanOverhead returns the expected protocol overhead beyond one raw
 // network round trip, for a message delivered at the given QoS when the
 // underlying transport RTT is rtt. For broker-mediated protocols the

@@ -243,15 +243,6 @@ func (p PHY) Sample(rng *des.RNG) time.Duration {
 	return time.Duration(rng.LogNormal(p.Mu, p.Sigma) * float64(time.Millisecond))
 }
 
-// CDF returns P(latency < ms) analytically.
-func (p PHY) CDF(ms float64) float64 {
-	if ms <= 0 {
-		return 0
-	}
-	z := (math.Log(ms) - p.Mu) / p.Sigma
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
 // MedianMs returns the distribution median in milliseconds.
 func (p PHY) MedianMs() float64 { return math.Exp(p.Mu) }
 

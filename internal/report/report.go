@@ -36,9 +36,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // String renders the table.
 func (t *Table) String() string {
 	cols := len(t.Headers)
@@ -136,11 +133,6 @@ func NewCellGrid(title string, g *geo.Grid) *CellGrid {
 func (cg *CellGrid) Set(c geo.CellID, v float64) {
 	cg.vals[c] = v
 	cg.has[c] = true
-}
-
-// Value returns the value and whether the cell was set.
-func (cg *CellGrid) Value(c geo.CellID) (float64, bool) {
-	return cg.vals[c], cg.has[c]
 }
 
 // String renders the grid.

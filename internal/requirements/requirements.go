@@ -80,16 +80,6 @@ var Catalog = []Class{
 	AutonomousVehicles, RemoteSurgery, SmartFactory, SmartCity,
 }
 
-// ClassByName finds a catalogue entry.
-func ClassByName(name string) (Class, bool) {
-	for _, c := range Catalog {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return Class{}, false
-}
-
 // Tech is a network generation's capability envelope (Section II).
 type Tech struct {
 	Name string
@@ -151,17 +141,6 @@ func CheckAll(measured time.Duration) []Verdict {
 		out[i] = Check(c, measured)
 	}
 	return out
-}
-
-// SatisfiedCount returns how many verdicts are within budget.
-func SatisfiedCount(vs []Verdict) int {
-	n := 0
-	for _, v := range vs {
-		if v.Satisfied {
-			n++
-		}
-	}
-	return n
 }
 
 // DensitySupported reports whether a technology envelope can host a

@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/geo"
 	"repro/internal/topo"
 )
 
@@ -30,20 +29,6 @@ import (
 type Path struct {
 	Nodes []*topo.Node
 	Links []*topo.Link // len(Links) == len(Nodes)-1
-}
-
-// Valid reports whether the path is structurally consistent.
-func (p Path) Valid() bool {
-	if len(p.Nodes) == 0 || len(p.Links) != len(p.Nodes)-1 {
-		return false
-	}
-	for i, l := range p.Links {
-		if !((l.A == p.Nodes[i] && l.B == p.Nodes[i+1]) ||
-			(l.B == p.Nodes[i] && l.A == p.Nodes[i+1])) {
-			return false
-		}
-	}
-	return true
 }
 
 // Hops returns the number of forwarding hops (nodes after the source).
@@ -61,26 +46,6 @@ func (p Path) DistKm() float64 {
 		km += l.DistKm
 	}
 	return km
-}
-
-// GreatCircleKm returns the direct distance between the endpoints.
-func (p Path) GreatCircleKm() float64 {
-	if len(p.Nodes) < 2 {
-		return 0
-	}
-	return geo.DistanceKm(p.Nodes[0].Pos, p.Nodes[len(p.Nodes)-1].Pos)
-}
-
-// Stretch returns path kilometres over great-circle kilometres; 1.0 is a
-// geographically optimal route. Returns +Inf for collocated endpoints
-// joined by a non-zero path.
-func (p Path) Stretch() float64 {
-	gc := p.GreatCircleKm()
-	d := p.DistKm()
-	if gc < 1 {
-		gc = 1 // collocated endpoints: compare against 1 km floor
-	}
-	return d / gc
 }
 
 // OneWayDelay returns the expected one-way delay: propagation plus
@@ -113,20 +78,6 @@ func (p Path) Cities() []string {
 		}
 		if len(out) == 0 || out[len(out)-1] != n.City {
 			out = append(out, n.City)
-		}
-	}
-	return out
-}
-
-// ASPath returns the AS-level sequence of the path.
-func (p Path) ASPath() []*topo.AS {
-	var out []*topo.AS
-	for _, n := range p.Nodes {
-		if n.AS == nil {
-			continue
-		}
-		if len(out) == 0 || out[len(out)-1] != n.AS {
-			out = append(out, n.AS)
 		}
 	}
 	return out
@@ -172,7 +123,7 @@ type dijkstra struct {
 
 // ShortestDelay returns the minimum-delay path between src and dst,
 // ignoring AS policy. Cost is link delay plus downstream node processing.
-func ShortestDelay(nw *topo.Network, src, dst *topo.Node) (Path, error) {
+func ShortestDelay(nw *topo.Network, src, dst *topo.Node) (Path, error) { //sweepvet:allow(deadapi) oracle for the policy-routing tests and BenchmarkShortestDelay
 	var d dijkstra
 	p, ok := d.run(nw, src, dst, upLink)
 	if !ok {
@@ -598,38 +549,4 @@ func appendPath(dst *Path, seg Path) {
 	}
 	dst.Nodes = append(dst.Nodes, seg.Nodes[1:]...)
 	dst.Links = append(dst.Links, seg.Links...)
-}
-
-// ValleyFree verifies the Gao-Rexford invariant on an AS-level path: once
-// the path stops climbing (customer->provider edges), it may cross at
-// most one peer edge and must then only descend (provider->customer).
-func ValleyFree(nw *topo.Network, pr *PolicyRouter, path []*topo.AS) bool {
-	const (
-		up = iota
-		acrossDone
-		down
-	)
-	state := up
-	for i := 0; i+1 < len(path); i++ {
-		adj := pr.asAdj[path[i].ASN][path[i+1].ASN]
-		if adj == nil {
-			return false
-		}
-		switch adj.rel {
-		case topo.RelCustomer: // climbing to a provider
-			if state != up {
-				return false
-			}
-		case topo.RelPeer:
-			if state != up {
-				return false
-			}
-			state = acrossDone
-		case topo.RelProvider: // descending to a customer
-			state = down
-		default:
-			return false
-		}
-	}
-	return true
 }

@@ -215,50 +215,6 @@ func TestHistogramDegenerate(t *testing.T) {
 	}
 }
 
-func TestCI95Coverage(t *testing.T) {
-	// Empirical coverage check: ~95 % of sample means of a known
-	// distribution must fall inside their own CI.
-	covered, trials := 0, 400
-	seed := uint64(1)
-	next := func() float64 {
-		// Tiny xorshift-free LCG for test-local noise.
-		seed = seed*6364136223846793005 + 1442695040888963407
-		return float64(seed>>11) / float64(1<<53)
-	}
-	for trial := 0; trial < trials; trial++ {
-		var s Summary
-		for i := 0; i < 25; i++ {
-			// Irwin-Hall(3) has mean 1.5, nearly normal.
-			s.Add(next() + next() + next())
-		}
-		lo, hi := s.CI95()
-		if lo <= 1.5 && 1.5 <= hi {
-			covered++
-		}
-	}
-	frac := float64(covered) / float64(trials)
-	if frac < 0.90 || frac > 0.99 {
-		t.Fatalf("CI95 coverage = %.3f, want ~0.95", frac)
-	}
-}
-
-func TestCI95Degenerate(t *testing.T) {
-	var s Summary
-	s.Add(3)
-	lo, hi := s.CI95()
-	if lo != 3 || hi != 3 {
-		t.Fatalf("single-sample CI = [%v, %v]", lo, hi)
-	}
-	// Small n uses the wider t quantile.
-	var s2 Summary
-	s2.Add(1)
-	s2.Add(2)
-	lo2, hi2 := s2.CI95()
-	if hi2-lo2 < 2 { // t(1) = 12.706: the interval must be wide
-		t.Fatalf("n=2 CI too narrow: [%v, %v]", lo2, hi2)
-	}
-}
-
 func TestBand(t *testing.T) {
 	b := Band{Lo: 61, Hi: 110}
 	if !b.Contains(61) || !b.Contains(110) || !b.Contains(80) {

@@ -35,8 +35,8 @@ const DefaultSharedLimit = 1024
 // Cached results are shared and read-only: Resolve and Get hand every
 // caller the cache's own pointer, so a warm read copies nothing. A
 // caller must not write through it — no field or map stores, and no
-// Sample method that sorts in place (Quantile, Median, CDF,
-// FractionBelow) or appends (Add). Callers that need raw samples ask
+// Sample method that sorts in place (Quantile, FractionBelow) or
+// appends (Add). Callers that need raw samples ask
 // for Want.Raw and get a private Clone they may sort.
 // sweepvet's sharedresult check flags writes through a non-raw
 // Resolve result.
@@ -72,7 +72,7 @@ type Cache struct {
 // Want says what a Resolve caller needs beyond a read-only result.
 type Want struct {
 	// Raw asks for a private copy carrying raw per-cell samples, for
-	// callers deriving quantiles, CDFs or histograms (which sort the
+	// callers deriving quantiles or fractions below a bound (which sort the
 	// samples in place). A summary-only entry does not serve it: the
 	// read falls through to the store, and when that holds no full
 	// record either (a compact store) the scenario re-simulates instead
@@ -174,7 +174,7 @@ func (c *Cache) StoreErrors() int64 { return c.storeErrs.Load() }
 // Get returns the cached result for a scenario ID, consulting the
 // backing store on a memory miss. The result is shared and read-only
 // (see Cache).
-func (c *Cache) Get(id string) (*campaign.Result, bool) {
+func (c *Cache) Get(id string) (*campaign.Result, bool) { //sweepvet:allow(deadapi) cmd/sweepbench replays cache reads through it
 	return c.get(id, false)
 }
 
@@ -325,13 +325,6 @@ func (c *Cache) Rendered(id string, enc Encoding, render func() []byte) []byte {
 		return e.rendered[enc]
 	}
 	return b
-}
-
-// Len returns the number of in-memory entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }
 
 // runCampaign indirects campaign.Run so tests can count executions.

@@ -87,14 +87,6 @@ func (p *Proxy) healthyReplicas() int {
 	return n
 }
 
-// Metrics exposes the proxy's registry; cmd/sweep-proxy mounts it on
-// the ops listener and tests scrape it directly.
-func (p *Proxy) Metrics() *obs.Registry { return p.reg }
-
-// Tracer returns the tracer the proxy was built with (nil when tracing
-// is off).
-func (p *Proxy) Tracer() *obs.Tracer { return p.tracer }
-
 // OpsHandler returns the handler for the out-of-band ops listener
 // (-ops-addr): pprof, /metricsz, /statsz, /healthz.
 func (p *Proxy) OpsHandler() http.Handler {

@@ -280,8 +280,8 @@ func fanOutWidth(rt http.RoundTripper) int {
 	return max(n, 1)
 }
 
-// Handler returns the proxy's HTTP handler.
-func (p *Proxy) Handler() http.Handler { return p.mux }
+// ServeHTTP serves the proxy's routes.
+func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) { p.mux.ServeHTTP(w, r) }
 
 // ListenAndServe serves on addr until Shutdown or a listener error.
 func (p *Proxy) ListenAndServe(addr string) error {

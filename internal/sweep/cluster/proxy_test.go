@@ -106,7 +106,7 @@ func newTestCluster(t *testing.T, nReplicas int) *testCluster {
 		t.Fatal(err)
 	}
 	c.writer = w
-	c.writerTS = c.startBackend(w.Handler())
+	c.writerTS = c.startBackend(w)
 	t.Cleanup(func() { c.writerTS.Close(); w.Close() })
 
 	for i := 0; i < nReplicas; i++ {
@@ -114,7 +114,7 @@ func newTestCluster(t *testing.T, nReplicas int) *testCluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fh := &flakyHandler{h: r.Handler()}
+		fh := &flakyHandler{h: r}
 		ts := c.startBackend(fh)
 		t.Cleanup(func() { ts.Close(); r.Close() })
 		rep, err := NewReplicator(ReplicatorOptions{Writer: c.writerTS.URL, Store: r.Store()})
@@ -176,7 +176,7 @@ func (c *testCluster) newProxy(t *testing.T, opts Options) (*Proxy, *httptest.Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(p.Handler())
+	ts := httptest.NewServer(p)
 	t.Cleanup(func() { ts.Close(); p.Close() })
 	return p, ts
 }
@@ -584,7 +584,7 @@ func TestProxySweepFailureJoinsFanOut(t *testing.T) {
 		t.Fatalf("fan-out width %d behind a wrapping transport, want net/http's default pool of %d",
 			p.width, http.DefaultMaxIdleConnsPerHost)
 	}
-	pts := httptest.NewServer(p.Handler())
+	pts := httptest.NewServer(p)
 	t.Cleanup(func() { pts.Close(); p.Close() })
 
 	client := &http.Client{Timeout: 10 * time.Second}
@@ -857,7 +857,7 @@ func TestProxySweepColdBoundsWriterLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wts := httptest.NewServer(writer.Handler())
+	wts := httptest.NewServer(writer)
 	t.Cleanup(func() { wts.Close(); writer.Close() })
 
 	var names []string
@@ -890,7 +890,7 @@ func TestProxySweepColdBoundsWriterLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(r.Handler())
+		ts := httptest.NewServer(r)
 		t.Cleanup(func() { ts.Close(); r.Close() })
 		addrs[strings.TrimPrefix(name, "http://")+":80"] = ts.Listener.Addr().String()
 	}
@@ -906,7 +906,7 @@ func TestProxySweepColdBoundsWriterLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := httptest.NewServer(p.Handler())
+	pts := httptest.NewServer(p)
 	t.Cleanup(func() { pts.Close(); p.Close(); tr.CloseIdleConnections() })
 
 	code, _, body := postSweep(t, pts.URL, spec, true)
@@ -1017,6 +1017,34 @@ func TestProxyErrorParityWithWriter(t *testing.T) {
 	}
 }
 
+// TestPaddedGridBodyRefusedEverywhere: a valid grid padded past
+// MaxBodyBytes gets the same 400 from every grid endpoint, whether the
+// daemon parses the body (sweepd's /v1/sweep and /v1/deltas, the
+// proxy's /v1/sweep) or forwards it (the proxy's /v1/deltas): each
+// reads the whole bounded body before it decodes anything.
+func TestPaddedGridBodyRefusedEverywhere(t *testing.T) {
+	c := newTestCluster(t, 0)
+	_, pts := c.newProxy(t, Options{})
+	body := `{"seeds":[1]}` + strings.Repeat(" ", httpapi.MaxBodyBytes)
+	want := []byte(`{"error":"bad request body: http: request body too large"}` + "\n")
+	for _, tier := range []struct{ name, url string }{{"sweepd", c.writerTS.URL}, {"proxy", pts.URL}} {
+		for _, path := range []string{"/v1/sweep", "/v1/deltas"} {
+			resp, err := http.Post(tier.url+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !bytes.Equal(got, want) {
+				t.Errorf("%s %s: %d %s, want 400 %s", tier.name, path, resp.StatusCode, got, want)
+			}
+		}
+	}
+}
+
 // postSweep streams one /v1/sweep answer, asking for TLV when tlvAsk
 // is set, and returns its status, Content-Type and body.
 func postSweep(t *testing.T, url, spec string, tlvAsk bool) (int, string, []byte) {
@@ -1050,7 +1078,7 @@ func referenceSweep(t *testing.T, spec string) (tlvBody, jsonl []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	for _, tlvAsk := range []bool{true, false} {
 		code, _, b := postSweep(t, ts.URL, spec, tlvAsk)
@@ -1214,7 +1242,7 @@ func TestProxyTLVAcrossVersions(t *testing.T) {
 	}
 
 	// Every member pre-TLV: no 200.
-	old := &flakyHandler{h: c.writer.Handler()}
+	old := &flakyHandler{h: c.writer}
 	old.preTLV.Store(true)
 	ots := httptest.NewServer(old)
 	t.Cleanup(ots.Close)
@@ -1222,7 +1250,7 @@ func TestProxyTLVAcrossVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := httptest.NewServer(p.Handler())
+	opts := httptest.NewServer(p)
 	t.Cleanup(func() { opts.Close(); p.Close() })
 	if code, _, b := postSweep(t, opts.URL, spec, true); code != http.StatusBadGateway {
 		t.Fatalf("TLV sweep with no TLV-capable member: status %d, want 502: %q", code, b)
@@ -1250,7 +1278,7 @@ func TestTracePropagatesAcrossTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wts := httptest.NewServer(w.Handler())
+	wts := httptest.NewServer(w)
 	t.Cleanup(func() { wts.Close(); w.Close() })
 
 	r, err := serve.New(serve.Options{
@@ -1261,7 +1289,7 @@ func TestTracePropagatesAcrossTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rts := httptest.NewServer(r.Handler())
+	rts := httptest.NewServer(r)
 	t.Cleanup(func() { rts.Close(); r.Close() })
 
 	p, err := NewProxy(Options{
@@ -1274,7 +1302,7 @@ func TestTracePropagatesAcrossTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := httptest.NewServer(p.Handler())
+	pts := httptest.NewServer(p)
 	t.Cleanup(func() { pts.Close(); p.Close() })
 
 	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"

@@ -74,7 +74,7 @@ func TestReplicaConvergesOnLiveWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer writer.Close()
-	wts := httptest.NewServer(writer.Handler())
+	wts := httptest.NewServer(writer)
 	defer wts.Close()
 
 	rdir := t.TempDir()
@@ -181,7 +181,7 @@ func TestReplicatorRecoversFromPartialDownloadAndTornCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer writer.Close()
-	wts := httptest.NewServer(writer.Handler())
+	wts := httptest.NewServer(writer)
 	defer wts.Close()
 	for _, seed := range []uint64{431, 432} {
 		resp, err := http.Post(wts.URL+"/v1/scenario", "application/json",
@@ -263,7 +263,7 @@ func TestReplicaServesIngestedRecordsAsHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer writer.Close()
-	wts := httptest.NewServer(writer.Handler())
+	wts := httptest.NewServer(writer)
 	defer wts.Close()
 	resp, err := http.Post(wts.URL+"/v1/scenario", "application/json", strings.NewReader(`{"seed":441}`))
 	if err != nil {
@@ -285,7 +285,7 @@ func TestReplicaServesIngestedRecordsAsHits(t *testing.T) {
 	if err := rep.SyncOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	rts := httptest.NewServer(replica.Handler())
+	rts := httptest.NewServer(replica)
 	defer rts.Close()
 
 	r2, err := http.Post(rts.URL+"/v1/scenario", "application/json", strings.NewReader(`{"seed":441}`))
@@ -337,7 +337,7 @@ func TestUpgradedV2CopiesAreAlreadyConverged(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer writer.Close()
-	wts := httptest.NewServer(writer.Handler())
+	wts := httptest.NewServer(writer)
 	defer wts.Close()
 	replica, err := serve.New(serve.Options{CacheDir: copyGoldenV2(t), QueueDepth: -1})
 	if err != nil {

@@ -14,3 +14,10 @@ func CountRuns(t *testing.T) *atomic.Int64 { return countRuns(t) }
 // Aggregate exposes the variant aggregation to the external sweep_test
 // package, which can import the TLV codec.
 func Aggregate(runs []ScenarioRun) []Variant { return aggregate(runs) }
+
+// Len returns the number of in-memory entries.
+func (c *Cache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
+}

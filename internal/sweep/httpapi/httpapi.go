@@ -8,6 +8,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -48,8 +50,37 @@ func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return body, true
 }
 
+// maxPooledBody is the largest body buffer put back into bodyBufs: one
+// oversized request must not pin a megabyte in the pool.
+const maxPooledBody = 64 << 10
+
+// bodyBufs recycles the buffers parsed request bodies are read into.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads a whole request body into a pooled buffer, answering
+// 400 past MaxBodyBytes even when a valid value ends before the bound:
+// every endpoint refuses an oversized body the same way, whether it
+// parses the body or forwards it (ReadBody). The caller hands the
+// buffer back with putBody.
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
+		putBody(buf)
+		badBody(w, err)
+		return nil, false
+	}
+	return buf, true
+}
+
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		buf.Reset()
+		bodyBufs.Put(buf)
+	}
+}
+
 // decodeStrict decodes the first JSON value in rd into v, refusing
-// unknown fields. Whatever follows that value is not read.
+// unknown fields. Whatever follows that value is ignored.
 func decodeStrict(rd io.Reader, v any) error {
 	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
@@ -103,11 +134,17 @@ func Negotiate(r *http.Request) sweep.Encoding {
 	return sweep.EncodingJSON
 }
 
-// ParseGrid decodes and resolves a grid request, answering 413 past
-// limit scenarios before anything proportional to the grid is allocated.
+// ParseGrid reads the whole body (see readBody), then decodes and
+// resolves a grid request, answering 413 past limit scenarios before
+// anything proportional to the grid is allocated.
 func ParseGrid(w http.ResponseWriter, r *http.Request, limit int) (sweep.Grid, bool) {
+	buf, ok := readBody(w, r)
+	if !ok {
+		return sweep.Grid{}, false
+	}
+	defer putBody(buf)
 	var spec sweep.GridSpec
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, MaxBodyBytes), &spec); err != nil {
+	if err := decodeStrict(bytes.NewReader(buf.Bytes()), &spec); err != nil {
 		badBody(w, err)
 		return sweep.Grid{}, false
 	}

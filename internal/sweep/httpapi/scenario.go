@@ -21,13 +21,6 @@ const memoGeneration = 1024
 // never hold more than 2 × memoGeneration × maxMemoBody bytes (8 MiB).
 const maxMemoBody = 4 << 10
 
-// maxPooledBody is the largest body buffer put back into bodyBufs: one
-// oversized request must not pin a megabyte in the pool.
-const maxPooledBody = 64 << 10
-
-// bodyBufs recycles the buffers /v1/scenario bodies are read into.
-var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // Header values shared by every answer and backend hop. net/http
 // copies a response's header values before it writes them, and these
 // slices are clipped, so an append by anyone else copies: assigning
@@ -88,20 +81,13 @@ func (q *ScenarioRequest) AxesJSON() ([]byte, error) {
 // has kept answers from the memo, any other is decoded strictly (no
 // unknown fields) and resolved to its scenario. On failure it answers
 // 400 itself, as Decode and a bad axis always have, and reports false.
-// The whole body is read first, so a body past MaxBodyBytes is refused
-// even when a valid value ends before the bound.
+// The whole body is read first (see readBody).
 func (m *ScenarioMemo) Parse(w http.ResponseWriter, r *http.Request) (*ScenarioRequest, bool) {
-	buf := bodyBufs.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			buf.Reset()
-			bodyBufs.Put(buf)
-		}
-	}()
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
-		badBody(w, err)
+	buf, ok := readBody(w, r)
+	if !ok {
 		return nil, false
 	}
+	defer putBody(buf)
 	body := buf.Bytes()
 	keep := len(body) <= maxMemoBody
 	if keep {

@@ -87,14 +87,6 @@ func (s *Server) observeStoreOp(op store.Op, shard string, d time.Duration) {
 	}
 }
 
-// Metrics exposes the server's registry; cmd/sweepd mounts it on the
-// ops listener and tests scrape it directly.
-func (s *Server) Metrics() *obs.Registry { return s.reg }
-
-// Tracer returns the tracer the server was built with (nil when
-// tracing is off).
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
 // OpsHandler returns the handler for the out-of-band ops listener
 // (-ops-addr): pprof, /metricsz, /statsz, /healthz — everything an
 // operator needs, none of it on the request port.

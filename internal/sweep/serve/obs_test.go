@@ -20,7 +20,7 @@ func TestMetricszAndStatszShareCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	for i := 0; i < 2; i++ { // cold then warm: one miss, one hit

@@ -379,13 +379,13 @@ func (s *Server) run(cfg campaign.Config, so obs.StageObserver) (*campaign.Resul
 	return res, err
 }
 
-// Handler returns the service's HTTP handler, for mounting on an
-// existing server or an httptest server.
-func (s *Server) Handler() http.Handler { return s.mux }
+// ServeHTTP serves the service's routes, so a Server mounts on an
+// existing server or an httptest server as it is.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Cache returns the cache the server serves from (the one it built, or
 // the one the caller supplied).
-func (s *Server) Cache() *sweep.Cache { return s.cache }
+func (s *Server) Cache() *sweep.Cache { return s.cache } //sweepvet:allow(deadapi) cmd/sweepbench sizes and replays the server's cache through it
 
 // ListenAndServe serves on addr until Shutdown or a listener error.
 func (s *Server) ListenAndServe(addr string) error {

@@ -63,7 +63,7 @@ func TestScenarioMissSimulatesExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	const callers = 8
@@ -127,7 +127,7 @@ func TestSweepStreamByteIdenticalToEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	grid := `{"seeds":[1,2],"edge_upf":[false,true]}`
@@ -180,7 +180,7 @@ func TestFullQueueShedsWith429(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	// Occupy the worker (request A simulates) and the queue slot
@@ -264,7 +264,7 @@ func TestStoreOnlyReplicaServesHitsShedsMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(warm.Handler())
+	ts := httptest.NewServer(warm)
 	resp := post(t, ts.Client(), ts.URL+"/v1/scenario", `{"seed":31}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warming request: status %d", resp.StatusCode)
@@ -288,7 +288,7 @@ func TestStoreOnlyReplicaServesHitsShedsMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer replica.Close()
-	rs := httptest.NewServer(replica.Handler())
+	rs := httptest.NewServer(replica)
 	defer rs.Close()
 
 	hit := post(t, rs.Client(), rs.URL+"/v1/scenario", `{"seed":31}`)
@@ -317,7 +317,7 @@ func TestRequestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	cases := []struct {
@@ -327,8 +327,8 @@ func TestRequestValidation(t *testing.T) {
 		{"/v1/scenario", `{"seed":1,"bogus":true}`, http.StatusBadRequest},
 		{"/v1/scenario", `{"profile":"7G"}`, http.StatusBadRequest},
 		{"/v1/scenario", `not json`, http.StatusBadRequest},
-		// Only the first JSON value is decoded: bytes after it are not
-		// read, as they never were.
+		// Only the first JSON value is decoded: bytes after it are
+		// ignored, as they always were.
 		{"/v1/scenario", `{"seed":1} x`, http.StatusOK},
 		// The whole body is read before it is decoded, so a valid value
 		// padded past the bound is refused, not answered.
@@ -372,7 +372,7 @@ func TestDeltasEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	resp := post(t, ts.Client(), ts.URL+"/v1/deltas", `{"seeds":[1],"local_peering":[false,true]}`)
@@ -400,7 +400,7 @@ func TestHealthzAndGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 
 	resp := post(t, ts.Client(), ts.URL+"/v1/sweep", `{"seeds":[41,42]}`)
 	if resp.StatusCode != http.StatusOK {
@@ -434,7 +434,7 @@ func TestHealthzAndGracefulShutdown(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 	rr := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	srv.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rr.Code != http.StatusOK {
 		t.Fatalf("healthz after Close: status %d", rr.Code)
 	}
@@ -447,7 +447,7 @@ func TestHealthzAndGracefulShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	rs := httptest.NewServer(re.Handler())
+	rs := httptest.NewServer(re)
 	defer rs.Close()
 	resp2 := post(t, rs.Client(), rs.URL+"/v1/sweep", `{"seeds":[41,42]}`)
 	if resp2.StatusCode != http.StatusOK {
@@ -476,7 +476,7 @@ func TestGridJobLimitSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	done := make(chan int, 1)
@@ -538,7 +538,7 @@ func TestScenarioETagSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	resp := post(t, ts.Client(), ts.URL+"/v1/scenario", `{"seed":61}`)
@@ -658,7 +658,7 @@ func TestScenarioEncodingNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	ask := func(accept, inm string) (*http.Response, []byte) {
@@ -757,7 +757,7 @@ func TestRetryAfterConfigurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	// Store-only replica with no store dir: every miss sheds.
@@ -781,7 +781,7 @@ func TestSegmentWireIsTLVOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	for _, seed := range []string{"91", "92", "93"} {
 		resp := post(t, ts.Client(), ts.URL+"/v1/scenario", `{"seed":`+seed+`}`)
@@ -840,7 +840,7 @@ func TestSegmentFeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	resp := post(t, ts.Client(), ts.URL+"/v1/scenario", `{"seed":81}`)
@@ -904,7 +904,7 @@ func TestSegmentFeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mem.Close()
-	ms := httptest.NewServer(mem.Handler())
+	ms := httptest.NewServer(mem)
 	defer ms.Close()
 	r, err := http.Get(ms.URL + "/v1/segments")
 	if err != nil {
@@ -926,7 +926,7 @@ func TestSegmentFileReadFailureIs500(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	// A directory where a segment file should be: the read fails with
@@ -977,7 +977,7 @@ func TestSweepStreamTLVNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	grid := `{"seeds":[1,2],"edge_upf":[false,true]}`
@@ -1106,7 +1106,7 @@ func TestSweepStreamSurvivesNonFlusherWriter(t *testing.T) {
 		if accept != "" {
 			req.Header.Set("Accept", accept)
 		}
-		srv.Handler().ServeHTTP(nonFlusher{rr}, req)
+		srv.ServeHTTP(nonFlusher{rr}, req)
 		if rr.Code != http.StatusOK {
 			t.Fatalf("Accept %q: status %d: %s", accept, rr.Code, rr.Body.Bytes())
 		}

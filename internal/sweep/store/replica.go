@@ -41,10 +41,6 @@ type SegmentInfo struct {
 	Format string `json:"format,omitempty"`
 }
 
-// FormatTLV names the segment encoding in wire parameters and
-// manifests. It is the only one a segment reference may carry.
-const FormatTLV = formatTLV
-
 // ErrBadSegmentRef marks a shard, segment number or wire format that
 // cannot name a segment file: a caller error, unlike a read failure.
 var ErrBadSegmentRef = errors.New("store: bad segment reference")

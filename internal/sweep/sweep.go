@@ -232,7 +232,7 @@ func ScenarioOf(cfg campaign.Config) Scenario {
 // ScenarioID returns the stable content hash identifying a campaign
 // config, seed included. Configs are canonicalized first, so a zero
 // field and its explicit default produce the same ID.
-func ScenarioID(cfg campaign.Config) string {
+func ScenarioID(cfg campaign.Config) string { //sweepvet:allow(deadapi) cmd/sweepbench names its planned scenarios with it
 	id, _ := hashConfig(cfg)
 	return id
 }

@@ -94,7 +94,7 @@ var (
 // extended slice.
 //
 //sweepvet:hotpath
-func AppendFrame(dst, payload []byte) []byte {
+func AppendFrame(dst, payload []byte) []byte { //sweepvet:allow(deadapi) oracle: the frame tests and the store's foreign-frame rescan test build frames with it
 	dst = append(dst, frameMagic0, frameMagic1)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = append(dst, payload...)
@@ -174,7 +174,7 @@ func ParseFrame(data []byte) (payload []byte, frameLen int, err error) {
 	if n > MaxFramePayload {
 		return nil, 0, ErrFrameMagic // implausible length: treat as garbage, resync
 	}
-	total := FrameHeaderLen + int(n) + 4
+	total := FrameOverhead + int(n)
 	if len(data) < total {
 		return nil, 0, ErrFrameTruncated
 	}

@@ -165,6 +165,3 @@ func (ce *CentralEurope) EnableLocalPeering() {
 	// peer link (4 km: both members' ports plus the fabric).
 	nw.Connect(ce.AggKlu, ascusCore, 4, RelPeer, 100, 0.10)
 }
-
-// LocalPeeringEnabled reports whether EnableLocalPeering has been applied.
-func (ce *CentralEurope) LocalPeeringEnabled() bool { return ce.peeringEnabled }

@@ -132,7 +132,7 @@ type Link struct {
 func (l *Link) Fail() { l.down = true }
 
 // Restore returns the link to service.
-func (l *Link) Restore() { l.down = false }
+func (l *Link) Restore() { l.down = false } //sweepvet:allow(deadapi) routing's failure tests put a cut link back with it
 
 // Up reports whether the link is in service.
 func (l *Link) Up() bool { return !l.down }

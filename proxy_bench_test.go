@@ -55,7 +55,7 @@ func newBenchCluster(b *testing.B, proxyOpts cluster.Options, grid string) *http
 	if err != nil {
 		b.Fatal(err)
 	}
-	pts := httptest.NewServer(p.Handler())
+	pts := httptest.NewServer(p)
 	b.Cleanup(func() {
 		pts.Close()
 		p.Close()

@@ -25,7 +25,7 @@ func newBenchServer(b *testing.B, opts serve.Options) (*serve.Server, *httptest.
 	if err != nil {
 		b.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	b.Cleanup(func() {
 		ts.Close()
 		srv.Close()

@@ -118,9 +118,10 @@ type ServeOptions = serve.Options
 type SweepServer = serve.Server
 
 // NewSweepServer builds the service without binding a socket; callers
-// mount Handler() themselves or call ListenAndServe/Shutdown for the
-// full graceful lifecycle (drain in-flight simulations, flush the
-// store, exit). cmd/sweepd is the packaged daemon.
+// mount it (a SweepServer is an http.Handler) themselves or call
+// ListenAndServe/Shutdown for the full graceful lifecycle (drain
+// in-flight simulations, flush the store, exit). cmd/sweepd is the
+// packaged daemon.
 func NewSweepServer(opts ServeOptions) (*SweepServer, error) {
 	return serve.New(opts)
 }
